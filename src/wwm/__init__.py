@@ -53,7 +53,6 @@ from .transfer import (
     char_fn,
     classical_transfer,
     moments,
-    phi_narrow_at,
     phi_symmetric,
     support_metric,
     verify_wigner_identity,

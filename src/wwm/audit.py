@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import check_completeness, haar_unitary, rebase, visibility
+from .scheme import completeness_residual, haar_unitary, rebase, visibility
 from .state import apply_wwm, momentum_density
 from .transfer import char_fn, correlation_g, moments, support_metric
 from .weakvalue import pwv_marginal
@@ -66,12 +66,7 @@ class AuditReport:
 
 def run_audit(scheme, state, grid=None, seed=0):
     s = state.s
-    if state.is_grid:
-        residual = check_completeness(scheme, state.grid, s)
-    else:
-        residual = max(
-            abs(abs(scheme.contraction(p, p, s)) - 1.0) for p in (-s / 2, s / 2)
-        )
+    residual = completeness_residual(scheme, state)
     vis = visibility(scheme, s)
 
     qs = (s / 64.0) * np.arange(-512, 513)

@@ -54,8 +54,8 @@ def _csv(header, columns, comments=()):
     return "\n".join(lines) + "\n"
 
 
-def _dist_csv(dist, s):
-    comments = [f"atom,{FMT % loc},{FMT % w}" for loc, w in dist.atoms]
+def _dist_csv(dist, s, lead=()):
+    comments = list(lead) + [f"atom,{FMT % loc},{FMT % w}" for loc, w in dist.atoms]
     return _csv(
         ("p", "p_hbar_over_s", "density", "density_hbar_over_s"),
         (dist.ps, dist.ps * s, dist.density, dist.density / s),
@@ -93,6 +93,8 @@ def cmd_pwv(cfg, args):
 def cmd_phi(cfg, args):
     _, scheme, state = _build(cfg)
     qmax = args.qmax if args.qmax is not None else 4.0 * cfg.s
+    if not (np.isfinite(qmax) and qmax > 0):
+        raise WWMError(f"--qmax must be a positive number, got {qmax}")
     dq = cfg.s / 64.0
     half = max(8, int(round(qmax / dq)))
     qs = dq * np.arange(-half, half + 1)
@@ -194,14 +196,8 @@ def cmd_wigner(cfg, args):
     )
     dist = wigner_kernel(scheme, x, grid, cfg.s)
     residual = verify_wigner_identity(scheme, state)
-    comments = [f"x,{FMT % x}", f"identity_residual,{FMT % residual}"]
-    comments += [f"atom,{FMT % loc},{FMT % w}" for loc, w in dist.atoms]
-    text = _csv(
-        ("p", "p_hbar_over_s", "density", "density_hbar_over_s"),
-        (dist.ps, dist.ps * cfg.s, dist.density, dist.density / cfg.s),
-        comments,
-    )
-    _write_out(args.out or cfg.out, text)
+    lead = [f"x,{FMT % x}", f"identity_residual,{FMT % residual}"]
+    _write_out(args.out or cfg.out, _dist_csv(dist, cfg.s, lead))
     return 0
 
 

@@ -74,6 +74,13 @@ def _number(value, s=None, where=""):
     return float(result.real)
 
 
+def _integer(value, where):
+    result = _number(value, where=where)
+    if not result.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(result)
+
+
 def parse_config(text):
     sections = _sections(text)
     cfg = RunConfig()
@@ -84,7 +91,7 @@ def parse_config(text):
         elif key == "xmax":
             xmax = _number(value, where=where)
         elif key == "n":
-            n = int(_number(value, where=where))
+            n = _integer(value, where)
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
     if sections.get("grid"):
@@ -139,7 +146,7 @@ def parse_config(text):
         elif key == "out":
             cfg.out = value
         elif key == "n_bins":
-            cfg.n_bins = int(_number(value, where=where))
+            cfg.n_bins = _integer(value, where)
         elif key == "bin_span":
             cfg.bin_span = _number(value, cfg.s, where)
         elif key == "x":

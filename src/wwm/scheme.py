@@ -13,29 +13,17 @@ from . import expr as _expr
 MAX_CHANNELS = 16
 
 
-class ExprChannel:
-    """Channel defined by a parsed grammar expression."""
+class Channel:
+    """Channel backed by a python callable fn(x, s) -> complex values.
 
-    def __init__(self, ast):
-        self.ast = ast
+    `ast` is the parsed grammar expression when the channel came from
+    scheme text; only such channels can be printed back.
+    """
 
-    def evaluate(self, x, s=None):
-        x = np.asarray(x, dtype=float)
-        vals = np.asarray(_expr.eval_expr(self.ast, x, s), dtype=complex)
-        if vals.shape != x.shape:
-            vals = np.full(x.shape, complex(vals))
-        return vals
-
-    def __repr__(self):
-        return f"ExprChannel({_expr.print_expr(self.ast)})"
-
-
-class FuncChannel:
-    """Channel backed by a python callable f(x, s) -> complex array."""
-
-    def __init__(self, fn, name):
+    def __init__(self, fn, name, ast=None):
         self.fn = fn
         self.name = name
+        self.ast = ast
 
     def evaluate(self, x, s=None):
         x = np.asarray(x, dtype=float)
@@ -45,24 +33,7 @@ class FuncChannel:
         return vals
 
     def __repr__(self):
-        return f"FuncChannel({self.name})"
-
-
-class ComboChannel:
-    """Linear combination of channels, produced by rebasing."""
-
-    def __init__(self, terms):
-        self.terms = [(complex(c), ch) for c, ch in terms]
-
-    def evaluate(self, x, s=None):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for coeff, ch in self.terms:
-            out += coeff * ch.evaluate(x, s)
-        return out
-
-    def __repr__(self):
-        return f"ComboChannel({len(self.terms)} terms)"
+        return f"Channel({self.name})"
 
 
 class Scheme:
@@ -138,7 +109,9 @@ def parse_scheme(text):
         except _expr.ExpressionError as err:
             abs_offset = consumed + raw_line.find(line) + err.offset
             raise _expr.ExpressionError(err.message, abs_offset, text) from None
-        channels.append(ExprChannel(ast))
+        channels.append(
+            Channel(lambda x, s, ast=ast: _expr.eval_expr(ast, x, s), _expr.print_expr(ast), ast)
+        )
         consumed += len(raw_line) + 1
     if not channels:
         raise SchemeError("scheme text defines no channels")
@@ -152,7 +125,7 @@ def print_scheme(scheme):
     """Inverse of parse_scheme for expression-backed schemes."""
     lines = []
     for ch in scheme.channels:
-        if not isinstance(ch, ExprChannel):
+        if ch.ast is None:
             raise SchemeError("only expression channels can be printed")
         lines.append(f"O = {_expr.print_expr(ch.ast)}")
     return "\n".join(lines)
@@ -184,11 +157,11 @@ def builtin(name, kicks=None, w=None, s=None):
                       outside (-w, w); pass `s` to validate w < s/2
     """
     if name == "identity":
-        ch = FuncChannel(lambda x, s_: np.ones_like(x, dtype=complex), "1")
+        ch = Channel(lambda x, s_: np.ones_like(x, dtype=complex), "1")
         return Scheme(["1"], [ch], base="identity", kick_terms=[(1.0, 0.0)])
     if name == "sign":
-        plus = FuncChannel(lambda x, s_: _expr.theta(x), "theta(x)")
-        minus = FuncChannel(lambda x, s_: _expr.theta(-x), "theta(-x)")
+        plus = Channel(lambda x, s_: _expr.theta(x), "theta(x)")
+        minus = Channel(lambda x, s_: _expr.theta(-x), "theta(-x)")
         return Scheme(["+", "-"], [plus, minus], base="sign")
     if name == "kicks":
         if not kicks:
@@ -202,7 +175,7 @@ def builtin(name, kicks=None, w=None, s=None):
         for idx, (nw, k) in enumerate(terms):
             amp = np.sqrt(nw)
             channels.append(
-                FuncChannel(
+                Channel(
                     lambda x, s_, amp=amp, k=k: amp * np.exp(1j * k * x),
                     f"sqrt({nw})*exp(i*{k}*x)",
                 )
@@ -214,10 +187,10 @@ def builtin(name, kicks=None, w=None, s=None):
             raise SchemeError("sew_flat needs a positive half-width w")
         if s is not None and not (w < s / 2):
             raise SchemeError(f"sew_flat half-width w={w} must satisfy w < s/2")
-        cos_ch = FuncChannel(
+        cos_ch = Channel(
             lambda x, s_, w=w: np.cos(_sew_angle(x, w)).astype(complex), f"cos(angle;w={w})"
         )
-        sin_ch = FuncChannel(
+        sin_ch = Channel(
             lambda x, s_, w=w: np.sin(_sew_angle(x, w)).astype(complex), f"sin(angle;w={w})"
         )
         return Scheme(["c", "s"], [cos_ch, sin_ch], base="sew_flat", params={"w": w})
@@ -246,18 +219,37 @@ def check_completeness(scheme, grid, s=None, tol=1e-8):
     return float(residual.max()) if residual.size else 0.0
 
 
-def require_complete(scheme, grid, s=None, tol=1e-8):
-    residual = check_completeness(scheme, grid, s, tol)
-    if residual >= tol:
-        raise CompletenessError(
-            f"scheme is not complete: residual {residual:.3e} >= {tol:.0e}"
-        )
+def completeness_residual(scheme, state):
+    """Completeness residual where the state lives: over its grid, or at
+    the two slit points of a narrow state."""
+    if state.is_grid:
+        return check_completeness(scheme, state.grid, state.s)
+    s = state.s
+    return max(abs(abs(scheme.contraction(p, p, s)) - 1.0) for p in (-s / 2, s / 2))
+
+
+def require_complete(scheme, state):
+    residual = completeness_residual(scheme, state)
+    if residual >= 1e-8:
+        raise CompletenessError(f"scheme is not complete: residual {residual:.3e} >= 1e-08")
     return residual
 
 
 def visibility(scheme, s):
     """Far-field fringe visibility |sum_xi O_xi(-s/2) O_xi*(s/2)|."""
     return float(np.abs(scheme.contraction(-s / 2.0, s / 2.0, s)))
+
+
+def _combination(terms):
+    """fn(x, s) = sum of coeff * channel(x) over (coeff, channel) terms."""
+
+    def fn(x, s):
+        out = np.zeros(x.shape, dtype=complex)
+        for coeff, ch in terms:
+            out += coeff * ch.evaluate(x, s)
+        return out
+
+    return fn
 
 
 def rebase(scheme, unitary):
@@ -269,7 +261,10 @@ def rebase(scheme, unitary):
     if np.max(np.abs(u.conj().T @ u - np.eye(m))) > 1e-10:
         raise SchemeError("matrix is not unitary to 1e-10")
     channels = [
-        ComboChannel([(u[eta, xi], scheme.channels[xi]) for xi in range(m)])
+        Channel(
+            _combination([(complex(u[eta, xi]), scheme.channels[xi]) for xi in range(m)]),
+            f"u{eta}",
+        )
         for eta in range(m)
     ]
     labels = [f"u{eta}" for eta in range(m)]

@@ -116,7 +116,7 @@ class _ShotTables:
 
     def __init__(self, scheme, state, cfg):
         state.require_grid("run_weak_experiment")
-        require_complete(scheme, state.grid, state.s)
+        require_complete(scheme, state)
         grid = state.grid
         self.grid = grid
         self.cfg = cfg
@@ -239,7 +239,7 @@ def run_reference(scheme, state, cfg):
     """Shot-by-shot protocol with explicit state updates; same draws as the
     fast path, so the two agree up to floating-point noise."""
     state.require_grid("run_reference")
-    require_complete(scheme, state.grid, state.s)
+    require_complete(scheme, state)
     grid = state.grid
     dp = grid.dp
     psit = fourier_values(grid, state.values)

@@ -101,7 +101,7 @@ class PostMeasurementEnsemble:
 def apply_wwm(scheme, state):
     """Apply a complete scheme to a gaussian state, channel by channel."""
     state.require_grid("apply_wwm")
-    require_complete(scheme, state.grid, state.s)
+    require_complete(scheme, state)
     grid = state.grid
     probs = []
     states = []

@@ -19,7 +19,7 @@ q-side derivatives are perfectly well posed.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class MixedDistribution:
     ps: np.ndarray  # uniform momentum samples (may be empty)
     density: np.ndarray  # signed density at ps
     s: float = None
-    units: str = "raw"
 
     def __post_init__(self):
         self.ps = np.asarray(self.ps, dtype=float)
@@ -91,12 +90,17 @@ def support_metric(dist, half_width):
     return float(atom_part + np.sum(np.abs(dist.density[outside])) * dist.dp)
 
 
+def _kick_distribution(scheme, ps, s=None):
+    """Kick atoms of a kick-form scheme, with a zero density sampled at ps."""
+    atoms = [(k, nw) for nw, k in scheme.kick_terms]
+    return MixedDistribution(atoms, ps, np.zeros(ps.size), s)
+
+
 def classical_transfer(scheme):
     """Kick distribution sum_xi N_xi delta(p - k_xi) of a kick-form scheme."""
     if scheme.kick_terms is None:
         raise SchemeError("scheme is not of classical kick form")
-    atoms = [(k, nw) for nw, k in scheme.kick_terms]
-    return MixedDistribution(atoms, np.array([]), np.array([]))
+    return _kick_distribution(scheme, np.array([]))
 
 
 # --- characteristic function -------------------------------------------
@@ -126,7 +130,11 @@ class CharacteristicFunction:
         return complex(self.values[self.index0])
 
 
-def asymptote_split(xs, values, band_frac=0.1, taper=None):
+_BAND_FRAC = 0.1  # share of the samples in each outer band
+_SETTLE_TOL = 1e-3
+
+
+def asymptote_split(xs, values, what=None, taper=None):
     """Split samples into (even_const, odd_const, remainder, band_spread).
 
     The asymptote model is values -> even_const +- odd_const at the box
@@ -134,28 +142,29 @@ def asymptote_split(xs, values, band_frac=0.1, taper=None):
     odd part is subtracted along `taper` (default sgn(x)); pass a smooth
     odd template with known transform to keep the remainder jump-free.
     A large band_spread means the samples never settle (oscillating tails);
-    callers warn and the constants then mostly cancel against the remainder.
+    the constants then mostly cancel against the remainder.  When `what`
+    names the samples, a spread above the settle tolerance warns.
     """
-    nb = max(2, int(len(xs) * band_frac))
+    nb = max(2, int(len(xs) * _BAND_FRAC))
     left = values[:nb]
     right = values[-nb:]
     m_minus = np.mean(left)
     m_plus = np.mean(right)
     spread = float(max(np.std(left), np.std(right)))
+    if what is not None and spread > _SETTLE_TOL:
+        # level 4 is the caller of distribution_from_chi, wigner_kernel or
+        # pwv_joint: each reaches this split through one helper
+        warnings.warn(
+            f"{what} did not settle at the box edges (spread {spread:.2e}); "
+            "enlarge the box",
+            stacklevel=4,
+        )
     even_c = 0.5 * (m_plus + m_minus)
     odd_c = 0.5 * (m_plus - m_minus)
     if taper is None:
         taper = np.sign(xs)
     remainder = values - even_c - odd_c * taper
     return even_c, odd_c, remainder, spread
-
-
-def taper_scale(xs):
-    """Width of the smooth odd taper tanh(x/lambda) used for asymptote
-    subtraction: small enough to be fully settled at the box edges
-    (tanh(10) differs from 1 by 4e-9), wide enough that its transform,
-    (lambda/2) csch(pi lambda p / 2), is resolved on the dual grid."""
-    return float(xs[-1] - xs[0]) / 20.0
 
 
 def damped_pv_kernel(ps, lam, frequency_factor=1.0):
@@ -173,6 +182,24 @@ def damped_pv_kernel(ps, lam, frequency_factor=1.0):
     nonzero = small & (arg != 0.0)
     out[nonzero] = 0.5 * lam / np.sinh(arg[nonzero])
     return out * frequency_factor
+
+
+def tail_split(xs, values, what, ps, frequency_factor=1.0):
+    """Split the constant-plus-step tails off samples before a transform.
+
+    The constant becomes the point mass at zero transfer; the step is
+    subtracted along tanh(x/lambda), whose transform is added back at ps
+    as the damped 1/p term.  Returns (atoms, remainder, tail_density): the
+    caller transforms the remainder and adds tail_density to the result.
+    """
+    # lambda is small enough that tanh is fully settled at the box edges
+    # (tanh(10) differs from 1 by 4e-9), wide enough that its transform,
+    # (lambda/2) csch(pi lambda p / 2), is resolved on the dual grid
+    lam = float(xs[-1] - xs[0]) / 20.0
+    even_c, odd_c, remainder, _ = asymptote_split(xs, values, what, np.tanh(xs / lam))
+    tail_density = np.real(-1j * odd_c) * damped_pv_kernel(ps, lam, frequency_factor)
+    atoms = [(0.0, float(np.real(even_c)))] if abs(even_c) > 1e-12 else []
+    return atoms, remainder, tail_density
 
 
 def _channel_weights(state):
@@ -239,17 +266,13 @@ def correlation_g(scheme, state, qs):
     return g
 
 
-def _require_complete_for(scheme, state):
+def natural_grid(state, grid=None):
+    """grid if given, else the state's own grid, else +-8 s at n = 4096."""
+    if grid is not None:
+        return grid
     if state.is_grid:
-        require_complete(scheme, state.grid, state.s)
-    else:
-        s = state.s
-        for point in (-s / 2, s / 2):
-            total = float(np.abs(scheme.contraction(point, point, s)))
-            if abs(total - 1.0) > 1e-8:
-                raise CompletenessError(
-                    f"scheme incomplete at slit x={point}: sum |O|^2 = {total}"
-                )
+        return state.grid
+    return GridSpec(-8.0 * state.s, 8.0 * state.s, 4096)
 
 
 def char_fn(scheme, state, qs=None, grid=None):
@@ -259,12 +282,9 @@ def char_fn(scheme, state, qs=None, grid=None):
     the supplied GridSpec's (narrow).  The grid must be symmetric about 0.
     Raises if the scheme is incomplete; validates chi(0) = 1 and |chi| <= 1.
     """
-    _require_complete_for(scheme, state)
+    require_complete(scheme, state)
     if qs is None:
-        if state.is_grid:
-            qgrid = state.grid
-        else:
-            qgrid = grid or GridSpec(-8.0 * state.s, 8.0 * state.s, 4096)
+        qgrid = natural_grid(state, None if state.is_grid else grid)
         if abs(qgrid.x_min + qgrid.x_max) > 1e-9 * qgrid.length:
             raise WWMError("char_fn needs a grid symmetric about q = 0")
         qs = qgrid.xs
@@ -291,20 +311,6 @@ def char_fn(scheme, state, qs=None, grid=None):
     return cf
 
 
-def phi_narrow_at(scheme, s, q):
-    """Narrow-slit moment generator in the symmetric Re form.
-
-    (1/2) Re sum_xi [O(-s/2) conj(O(-s/2-q)) + O(s/2) conj(O(s/2-q))].
-    """
-    q = np.asarray(q, dtype=float)
-    val = 0.5 * (
-        scheme.contraction(-s / 2, -s / 2 - q, s)
-        + scheme.contraction(s / 2, s / 2 - q, s)
-    )
-    out = np.real(val)
-    return float(out) if out.ndim == 0 else out
-
-
 def phi_symmetric(scheme, state, qs):
     """Re g(q): the symmetric real-form moment generator, for audits."""
     return np.real(correlation_g(scheme, state, np.asarray(qs, dtype=float)))
@@ -317,7 +323,6 @@ def phi_symmetric(scheme, state, qs):
 class MomentsReport:
     values: np.ndarray  # <p^n> for n = 1..n_max
     imag_residual: float  # should be ~0; diagnostic for asymmetric rounding
-    steps: tuple = field(default=())
 
 
 _STENCILS = {
@@ -361,7 +366,7 @@ def moments(chi, n_max=4):
         moment = (-1j) ** order * extrapolated
         values.append(moment.real)
         residual = max(residual, abs(moment.imag))
-    return MomentsReport(np.asarray(values), residual, (4 * chi.dq, 2 * chi.dq, chi.dq))
+    return MomentsReport(np.asarray(values), residual)
 
 
 # --- Wigner functions ----------------------------------------------------
@@ -443,29 +448,18 @@ def wigner_kernel(scheme, x, grid, s=None):
     """
     ps_fine = fine_momentum_grid(grid)
     if scheme.kick_terms is not None:
-        atoms = [(k, nw) for nw, k in scheme.kick_terms]
-        return MixedDistribution(atoms, ps_fine, np.zeros(grid.n), s)
+        return _kick_distribution(scheme, ps_fine, s)
     n = grid.n
     u_sym = grid.dx * np.arange(-n // 2, n // 2)
     pair = scheme.contraction(x + u_sym, x - u_sym, s)
-    lam = taper_scale(u_sym)
-    even_c, odd_c, remainder, spread = asymptote_split(
-        u_sym, pair, taper=np.tanh(u_sym / lam)
+    # the integral here runs over u = y/2, doubling the dual frequency
+    atoms, remainder, tail_density = tail_split(
+        u_sym, pair, f"wigner kernel tail at x={x}", ps_fine, 2.0
     )
-    if spread > 1e-3:
-        warnings.warn(
-            f"wigner kernel tail not settled at x={x} (spread {spread:.2e}); "
-            "enlarge the box",
-            stacklevel=2,
-        )
     density = (grid.dx / np.pi) * np.fft.fftshift(
         np.fft.fft(np.fft.ifftshift(remainder))
     )
-    density = density.real
-    # the integral here runs over u = y/2, doubling the dual frequency
-    density += np.real(-1j * odd_c) * damped_pv_kernel(ps_fine, lam, 2.0)
-    atoms = [(0.0, float(np.real(even_c)))] if abs(even_c) > 1e-12 else []
-    return MixedDistribution(atoms, ps_fine, density, s)
+    return MixedDistribution(atoms, ps_fine, density.real + tail_density, s)
 
 
 def verify_wigner_identity(scheme, state):

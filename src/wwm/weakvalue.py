@@ -29,13 +29,13 @@ from .grid import GridSpec, SQRT_2PI, fourier_values
 from .scheme import require_complete
 from .transfer import (
     MixedDistribution,
+    _kick_distribution,
     asymptote_split,
     char_fn,
-    damped_pv_kernel,
-    taper_scale,
+    natural_grid,
+    tail_split,
 )
 
-_SETTLE_TOL = 1e-3
 _PROMOTE_SHARE = 0.99
 _PROMOTE_FLOOR = 1e-8
 
@@ -76,32 +76,12 @@ def distribution_from_chi(chi):
     """Inverse-transform a characteristic function into atoms plus density."""
     qs = chi.qs
     n = qs.size
-    dq = chi.dq
-    lam = taper_scale(qs)
-    even_c, odd_c, remainder, spread = asymptote_split(
-        qs, chi.values, taper=np.tanh(qs / lam)
-    )
-    if spread > _SETTLE_TOL:
-        warnings.warn(
-            f"chi did not settle at the box edges (spread {spread:.2e}); "
-            "enlarge the q box",
-            stacklevel=2,
-        )
-    qgrid = GridSpec(float(qs[0]), float(qs[0] + n * dq), n)
-    density = (fourier_values(qgrid, remainder) / SQRT_2PI).real
+    qgrid = GridSpec(float(qs[0]), float(qs[0] + n * chi.dq), n)
     ps = qgrid.ps
-    density += np.real(-1j * odd_c) * damped_pv_kernel(ps, lam)
-    atoms = [(0.0, float(np.real(even_c)))] if abs(even_c) > 1e-12 else []
+    atoms, remainder, tail_density = tail_split(qs, chi.values, "chi", ps)
+    density = (fourier_values(qgrid, remainder) / SQRT_2PI).real + tail_density
     atoms, density = _promote_single_bins(atoms, ps, density)
     return MixedDistribution(atoms, ps, density, chi.s)
-
-
-def _output_grid(state, grid):
-    if grid is not None:
-        return grid
-    if state.is_grid:
-        return state.grid
-    return GridSpec(-8.0 * state.s, 8.0 * state.s, 4096)
 
 
 def pwv_marginal(scheme, state, grid=None):
@@ -111,10 +91,9 @@ def pwv_marginal(scheme, state, grid=None):
     sign measurement on narrow slits (in any channel basis) returns the
     closed form; everything else goes through the characteristic function.
     """
-    out = _output_grid(state, grid)
+    out = natural_grid(state, grid)
     if scheme.kick_terms is not None:
-        atoms = [(k, nw) for nw, k in scheme.kick_terms]
-        return MixedDistribution(atoms, out.ps, np.zeros(out.n), state.s)
+        return _kick_distribution(scheme, out.ps, state.s)
     if not state.is_grid and scheme.base == "sign":
         w_minus, w_plus = (abs(c) ** 2 for c in state.amplitudes)
         if abs(w_minus - w_plus) > 1e-12:
@@ -161,20 +140,9 @@ def _channel_decomposition(channel, grid, s):
     transforming the remainder on the doubly refined grid.
     """
     fine = grid.refined(2)
-    vals_fine = channel.evaluate(fine.xs, s)
-    band = max(2, grid.n // 10)
-    c_minus = np.mean(vals_fine[: 2 * band])
-    c_plus = np.mean(vals_fine[-2 * band :])
-    spread = float(max(np.std(vals_fine[: 2 * band]), np.std(vals_fine[-2 * band :])))
-    if spread > _SETTLE_TOL:
-        warnings.warn(
-            f"channel tail not settled (spread {spread:.2e}); joint table "
-            "matrix elements may be inaccurate",
-            stacklevel=3,
-        )
-    a_const = 0.5 * (c_plus + c_minus)
-    b_const = 0.5 * (c_plus - c_minus)
-    remainder = vals_fine - a_const - b_const * np.sign(fine.xs)
+    a_const, b_const, remainder, _ = asymptote_split(
+        fine.xs, channel.evaluate(fine.xs, s), "channel tail (joint table)"
+    )
     r_tilde = fourier_values(fine, remainder)
     return a_const, b_const, r_tilde
 
@@ -182,7 +150,7 @@ def _channel_decomposition(channel, grid, s):
 def pwv_joint(scheme, state):
     """Weak-valued joint table over (p_i, p_f) for a gaussian state."""
     state.require_grid("pwv_joint")
-    require_complete(scheme, state.grid, state.s)
+    require_complete(scheme, state)
     grid = state.grid
     n = grid.n
     dp = grid.dp

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wwm
-from wwm.scheme import FuncChannel, Scheme
+from wwm.scheme import Channel, Scheme
 from conftest import POWERED_Z, S, most_negative_cell, random_complete_scheme
 
 
@@ -81,7 +81,7 @@ def test_criterion_04_half_bound(builtins, state_a50, narrow):
         chi = wwm.char_fn(builtins[name], state_a50)
         k = int(np.argmin(np.abs(chi.qs - S)))
         worst = max(worst, abs(chi.values[k]))
-    narrow_attained = wwm.phi_narrow_at(builtins["sign"], S, S)
+    narrow_attained = wwm.phi_symmetric(builtins["sign"], wwm.narrow_twin_slits(S), S)
     ok = (worst <= 0.5 + 1e-6) and abs(narrow_attained - 0.5) <= 1e-6
     ok = report(
         4, ok, f"max |chi(s)| = {worst:.8f}, sign narrow attains {narrow_attained:.8f}"
@@ -127,7 +127,7 @@ def test_criterion_07_classical_agreement(kick_pair, state_a50, grid):
 
 
 def _with_zero_channel(scheme):
-    zero = FuncChannel(lambda x, s_: np.zeros_like(x, dtype=complex), "0")
+    zero = Channel(lambda x, s_: np.zeros_like(x, dtype=complex), "0")
     return Scheme(
         scheme.labels + ["null"], scheme.channels + [zero], base=scheme.base
     )

@@ -96,6 +96,14 @@ def test_parse_config_rejects(text):
         parse_config(text)
 
 
+def test_fractional_integer_fields_exit_2(tmp_path):
+    for old, new in (("n = 4096", "n = 4096.7"), ("mode = grid", "mode = grid\nn_bins = 7.9")):
+        cfg = write(tmp_path, "frac.cfg", SIGN_CFG.replace(old, new))
+        with pytest.raises(wwm.ConfigError):
+            parse_config(SIGN_CFG.replace(old, new))
+        assert main(["check", "--config", cfg]) == 2
+
+
 def test_cmd_check_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "sign.cfg", SIGN_CFG)
     assert main(["check", "--config", good]) == 0
@@ -170,6 +178,14 @@ def test_cmd_phi_and_moments(tmp_path):
     lines = mout.read_text().splitlines()
     m2 = float(lines[2].split(",")[1])
     assert m2 == pytest.approx((np.pi / 2) ** 2, abs=1e-7)
+
+
+def test_cmd_phi_rejects_nonpositive_qmax(tmp_path):
+    cfg = write(tmp_path, "kicks.cfg", KICKS_CFG)
+    out = tmp_path / "phi.csv"
+    for qmax in ("-3", "0"):
+        assert main(["phi", "--config", cfg, "--qmax", qmax, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cmd_support_and_momentum_dist(tmp_path):

@@ -34,6 +34,14 @@ def test_print_round_trip():
     assert [c.ast for c in again.channels] == [c.ast for c in sch.channels]
 
 
+def test_print_scheme_rejects_non_expression_channels(sign):
+    parsed = wwm.parse_scheme("O = theta(x)\nO = theta(-x)")
+    rebased = wwm.rebase(parsed, wwm.haar_unitary(2, np.random.default_rng(0)))
+    for sch in (sign, rebased):
+        with pytest.raises(wwm.SchemeError):
+            wwm.print_scheme(sch)
+
+
 def test_completeness_residuals(grid, sign, kick_pair):
     assert wwm.check_completeness(sign, grid, S) < 1e-12  # x=0 spike exempted
     assert wwm.check_completeness(kick_pair, grid, S) < 1e-12

@@ -85,9 +85,9 @@ def test_chi_random_schemes_bounds(state_a20):
 
 
 def test_phi_narrow_values(sign, identity):
-    assert wwm.phi_narrow_at(sign, S, S) == pytest.approx(0.5)
-    assert wwm.phi_narrow_at(sign, S, 0.0) == pytest.approx(1.0)
-    assert wwm.phi_narrow_at(identity, S, 2.7) == pytest.approx(1.0)
+    assert wwm.phi_symmetric(sign, wwm.narrow_twin_slits(S), S) == pytest.approx(0.5)
+    assert wwm.phi_symmetric(sign, wwm.narrow_twin_slits(S), 0.0) == pytest.approx(1.0)
+    assert wwm.phi_symmetric(identity, wwm.narrow_twin_slits(S), 2.7) == pytest.approx(1.0)
 
 
 def test_half_bound_at_s_for_zero_visibility(sign, sew, kick_pair, narrow):

@@ -171,6 +171,18 @@ def test_rebin_and_conditional_cells(state_a50, sign):
     assert cells.shape == (8, 8)
 
 
+def test_unsettled_tails_warn(grid_small):
+    # a chirp channel never settles at the box edges, on either route
+    chirp = wwm.parse_scheme("O = exp(i*x^2)")
+    state = wwm.gaussian_twin_slits(S, S / 20, grid_small)
+    with pytest.warns(UserWarning):
+        wwm.pwv_marginal(chirp, state)
+    with pytest.warns(UserWarning):
+        wwm.wigner_kernel(chirp, S / 4, grid_small, S)
+    with pytest.warns(UserWarning):
+        wwm.pwv_joint(chirp, state)
+
+
 def test_random_scheme_basis_invariance(grid, state_a20):
     rng = np.random.default_rng(31)
     sch = random_complete_scheme(rng)
