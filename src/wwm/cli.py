@@ -194,8 +194,14 @@ def cmd_wigner(cfg, args):
     x = args.x if args.x is not None else (
         cfg.wigner_x if cfg.wigner_x is not None else cfg.s / 4.0
     )
+    if not np.isfinite(x):
+        raise WWMError(f"wigner slice x must be a finite number, got {x}")
     dist = wigner_kernel(scheme, x, grid, cfg.s)
     residual = verify_wigner_identity(scheme, state)
+    if not np.isfinite(residual):
+        raise WWMError(f"wigner identity residual is not finite: {residual}")
+    if not np.all(np.isfinite(dist.density)):
+        raise WWMError(f"wigner kernel density at x = {x} is not finite")
     lead = [f"x,{FMT % x}", f"identity_residual,{FMT % residual}"]
     _write_out(args.out or cfg.out, _dist_csv(dist, cfg.s, lead))
     return 0

@@ -147,6 +147,8 @@ def parse_config(text):
             cfg.out = value
         elif key == "n_bins":
             cfg.n_bins = _integer(value, where)
+            if cfg.n_bins < 1:
+                raise ConfigError(f"{where}: n_bins must be at least 1, got {value!r}")
         elif key == "bin_span":
             cfg.bin_span = _number(value, cfg.s, where)
         elif key == "x":

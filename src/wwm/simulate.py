@@ -45,8 +45,11 @@ class MCConfig:
     def __post_init__(self):
         self.p_i_edges = np.asarray(self.p_i_edges, dtype=float)
         self.p_f_edges = np.asarray(self.p_f_edges, dtype=float)
-        if self.sigma < 5:
-            raise WWMError("sigma must be at least 5 for the weak-probe model")
+        if not (np.isfinite(self.sigma) and self.sigma >= 5):
+            raise WWMError(
+                "sigma must be a finite number of at least 5 for the weak-probe "
+                f"model, got {self.sigma}"
+            )
         if self.shots_per_bin < 1:
             raise WWMError("shots_per_bin must be positive")
         for edges in (self.p_i_edges, self.p_f_edges):

@@ -104,6 +104,15 @@ def test_fractional_integer_fields_exit_2(tmp_path):
         assert main(["check", "--config", cfg]) == 2
 
 
+def test_nonpositive_n_bins_exit_2(tmp_path):
+    for n_bins in ("-3", "0"):
+        text = SIGN_CFG.replace("mode = grid", f"mode = grid\nn_bins = {n_bins}")
+        with pytest.raises(wwm.ConfigError):
+            parse_config(text)
+        cfg = write(tmp_path, "bins.cfg", text)
+        assert main(["simulate", "--config", cfg, "--shots", "10"]) == 2
+
+
 def test_cmd_check_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "sign.cfg", SIGN_CFG)
     assert main(["check", "--config", good]) == 0
@@ -216,21 +225,83 @@ def test_cmd_simulate_csv(tmp_path):
     assert len(lines) == 4 + 16  # 4x4 cells
 
 
+def test_cmd_simulate_rejects_nonfinite_sigma(tmp_path):
+    cfg = write(tmp_path, "kicks.cfg", KICKS_CFG + "\n[run]\nn_bins = 4\n")
+    out = tmp_path / "mc.csv"
+    for sigma in ("nan", "inf"):
+        args = ["simulate", "--config", cfg, "--sigma", sigma, "--shots", "10"]
+        assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_cmd_simulate_rejected_in_narrow_mode(tmp_path):
     cfg = write(tmp_path, "narrow.cfg", CUSTOM_CFG)
     assert main(["simulate", "--config", cfg, "--shots", "10"]) == 1
 
 
+WIGNER_CFG = SIGN_CFG.replace("n = 4096", "n = 1024").replace("xmin = -8", "xmin = -4").replace(
+    "xmax = 8", "xmax = 4"
+).replace("a = 0.02", "a = 0.05")
+
+
 def test_cmd_wigner(tmp_path):
-    text = SIGN_CFG.replace("n = 4096", "n = 1024").replace("xmin = -8", "xmin = -4").replace(
-        "xmax = 8", "xmax = 4"
-    ).replace("a = 0.02", "a = 0.05")
-    cfg = write(tmp_path, "sign.cfg", text)
+    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
     out = tmp_path / "wig.csv"
     assert main(["wigner", "--config", cfg, "--x", "0.25", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     residual = float(next(l for l in lines if l.startswith("# identity_residual")).split(",")[1])
     assert residual < 1e-8
+
+
+def test_cmd_wigner_rejects_nonfinite_x(tmp_path):
+    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
+    out = tmp_path / "wig.csv"
+    for x in ("nan", "inf"):
+        assert main(["wigner", "--config", cfg, "--x", x, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+X_NAN = 0.5  # a sample of WIGNER_CFG's grid, inside the state's support
+
+
+def nan_contraction(original, ndim):
+    """Scheme.contraction that writes NaN into its calls of the given ndim.
+
+    For ndim = 2 (a block of x rows in the identity check) only the row at
+    X_NAN is poisoned; for ndim = 1 (the kernel slice) the whole slice is.
+    """
+
+    def contraction(self, a, b, s=None):
+        out = original(self, a, b, s)
+        if out.ndim != ndim:
+            return out
+        if ndim == 2:
+            out[np.asarray(a)[:, 0] == X_NAN] = np.nan
+        else:
+            out[:] = np.nan
+        return out
+
+    return contraction
+
+
+def test_wigner_nan_row_is_not_swallowed(tmp_path, monkeypatch):
+    monkeypatch.setattr(wwm.Scheme, "contraction", nan_contraction(wwm.Scheme.contraction, 2))
+    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
+    state = build_state(parse_config(WIGNER_CFG))
+    (at_nan_row,) = state.values[state.grid.xs == X_NAN]
+    assert at_nan_row != 0
+    assert np.isnan(wwm.verify_wigner_identity(wwm.builtin("sign"), state))
+    out = tmp_path / "wig.csv"
+    assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_cmd_wigner_rejects_nonfinite_kernel(tmp_path, monkeypatch):
+    monkeypatch.setattr(wwm.Scheme, "contraction", nan_contraction(wwm.Scheme.contraction, 1))
+    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
+    out = tmp_path / "wig.csv"
+    assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cmd_audit_text_and_csv(tmp_path, capsys):

@@ -24,8 +24,9 @@ def small_cfg(seed=42, shots=400, n_bins=6, sigma=10.0):
 
 def test_config_validation():
     edges = wwm.default_bins(S, 4)
-    with pytest.raises(wwm.WWMError):
-        wwm.MCConfig(sigma=2.0, shots_per_bin=10, p_i_edges=edges, p_f_edges=edges)
+    for sigma in (2.0, np.nan, np.inf):
+        with pytest.raises(wwm.WWMError):
+            wwm.MCConfig(sigma=sigma, shots_per_bin=10, p_i_edges=edges, p_f_edges=edges)
     with pytest.raises(wwm.WWMError):
         wwm.MCConfig(sigma=10.0, shots_per_bin=0, p_i_edges=edges, p_f_edges=edges)
     with pytest.raises(wwm.WWMError):
