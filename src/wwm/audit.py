@@ -6,13 +6,14 @@ total absolute mass, a random-unitary basis-invariance residual, and
 yes/no flags derived from them at fixed thresholds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .scheme import completeness_residual, haar_unitary, rebase, visibility
+from .simulate import require_seed
 from .state import apply_wwm, momentum_density
-from .transfer import char_fn, correlation_g, moments, support_metric
+from .transfer import char_fn, moments, phi_symmetric, support_metric
 from .weakvalue import pwv_marginal
 
 POSITIVE_TOL = 1e-6
@@ -65,6 +66,7 @@ class AuditReport:
 
 
 def run_audit(scheme, state, grid=None, seed=0):
+    require_seed(seed)
     s = state.s
     residual = completeness_residual(scheme, state)
     vis = visibility(scheme, s)
@@ -73,7 +75,7 @@ def run_audit(scheme, state, grid=None, seed=0):
     chi = char_fn(scheme, state, qs=qs)
     idx_s = int(np.argmin(np.abs(qs - s)))
     chi_at_s = float(np.abs(chi.values[idx_s]))
-    re_gap = float(np.max(np.abs(chi.values - np.real(correlation_g(scheme, state, qs)))))
+    re_gap = float(np.max(np.abs(chi.values - phi_symmetric(scheme, state, qs))))
 
     qs_m = (s / 128.0) * np.arange(-16, 17)
     rep = moments(char_fn(scheme, state, qs=qs_m))
@@ -165,30 +167,16 @@ def render_text(report):
 
 
 def csv_rows(report):
+    """(field, value) rows: every numeric report field in declaration
+    order, moment_values as moment_1..moment_4, then the flags."""
     rows = [("field", "value")]
-    scalars = [
-        ("completeness_residual", report.completeness_residual),
-        ("visibility", report.visibility),
-        ("chi_at_0", report.chi_at_0),
-        ("max_abs_chi", report.max_abs_chi),
-        ("abs_chi_at_s", report.abs_chi_at_s),
-        ("moment_1", report.moment_values[0]),
-        ("moment_2", report.moment_values[1]),
-        ("moment_3", report.moment_values[2]),
-        ("moment_4", report.moment_values[3]),
-        ("moment_imag_residual", report.moment_imag_residual),
-        ("support_outside_pi_3s", report.support_outside_pi_3s),
-        ("support_outside_inv_s", report.support_outside_inv_s),
-        ("total_abs_mass", report.total_abs_mass),
-        ("basis_residual", report.basis_residual),
-        ("re_form_gap", report.re_form_gap),
-        ("pattern_l1_change", report.pattern_l1_change),
-        ("moment_change_mismatch", report.moment_change_mismatch),
-    ]
-    rows.extend((name, f"{value:.12e}") for name, value in scalars)
-    rows.append(("flag_positive", _yesno(report.flag_positive)))
-    rows.append(("flag_reflects_pattern_change", _yesno(report.flag_reflects_pattern_change)))
-    rows.append(("flag_reflects_moment_change", _yesno(report.flag_reflects_moment_change)))
-    rows.append(("flag_basis_independent", _yesno(report.flag_basis_independent)))
+    for f in fields(report)[1:]:  # all but scheme_label
+        value = getattr(report, f.name)
+        if f.name == "moment_values":
+            rows.extend((f"moment_{k}", f"{v:.12e}") for k, v in enumerate(value, start=1))
+        else:
+            rows.append((f.name, f"{value:.12e}"))
+    flags = [name for name in vars(AuditReport) if name.startswith("flag_")]  # declared order
+    rows.extend((name, _yesno(getattr(report, name))) for name in flags)
     rows.append(("bohmian_row", "not computed"))
     return rows

@@ -4,10 +4,12 @@
         [--sigma f] [--shots n] [--seed u64] [--qmax f] [--nmoments k] [--x f]
 
 Commands: check, pwv, phi, moments, support, simulate, audit, wigner,
-momentum-dist.  CSV output uses %.12e formatting with point masses as
-leading `# atom,<location>,<weight>` comment lines, and is written
-atomically (temp file + rename).  Exit codes: 0 success, 1 validation
-failure, 2 parse error.
+momentum-dist.  Each returns (text, exit code[, report]); `main` writes
+the text to the output path, or stdout when none is set, and then prints
+the report, if any, to stdout.  CSV output uses %.12e formatting with
+point masses as leading `# atom,<location>,<weight>` comment lines, and
+is written atomically (temp file + rename).  Exit codes: 0 success,
+1 validation failure, 2 parse error.
 """
 
 import argparse
@@ -18,9 +20,9 @@ import tempfile
 import numpy as np
 
 from . import audit as audit_mod
-from .config import build_grid, build_scheme, build_state, load_config
+from .config import MODE_KINDS, build_grid, build_scheme, build_state, load_config
 from .errors import ConfigError, ExpressionError, WWMError
-from .scheme import check_completeness, visibility
+from .scheme import COMPLETENESS_TOL, check_completeness, visibility
 from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import char_fn, moments, support_metric, verify_wigner_identity, wigner_kernel
@@ -45,13 +47,17 @@ def _write_out(path, text):
         raise
 
 
+def _lines(lines):
+    return "\n".join(lines) + "\n"
+
+
 def _csv(header, columns, comments=()):
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     rows = np.column_stack(columns)
     for row in rows:
         lines.append(",".join(FMT % v for v in row))
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def _dist_csv(dist, s, lead=()):
@@ -79,15 +85,13 @@ def cmd_check(cfg, args):
         f"completeness_residual = {residual:.12e}\n"
         f"visibility = {vis:.12e}\n"
     )
-    _write_out(args.out or cfg.out, text)
-    return 0 if residual < 1e-8 else 1
+    return text, 0 if residual < COMPLETENESS_TOL else 1
 
 
 def cmd_pwv(cfg, args):
     grid, scheme, state = _build(cfg)
     dist = pwv_marginal(scheme, state, grid=grid)
-    _write_out(args.out or cfg.out, _dist_csv(dist, cfg.s))
-    return 0
+    return _dist_csv(dist, cfg.s), 0
 
 
 def cmd_phi(cfg, args):
@@ -99,16 +103,14 @@ def cmd_phi(cfg, args):
     half = max(8, int(round(qmax / dq)))
     qs = dq * np.arange(-half, half + 1)
     chi = char_fn(scheme, state, qs=qs)
-    text = _csv(
+    return _csv(
         ("q", "re_chi", "im_chi"),
         (qs, chi.values.real, chi.values.imag),
         [
             f"asymptote_even,{FMT % np.real(chi.even_const)}",
             f"asymptote_odd_imag,{FMT % np.imag(chi.odd_const)}",
         ],
-    )
-    _write_out(args.out or cfg.out, text)
-    return 0
+    ), 0
 
 
 def cmd_moments(cfg, args):
@@ -120,8 +122,7 @@ def cmd_moments(cfg, args):
     for k, value in enumerate(rep.values, start=1):
         lines.append(f"{k},{FMT % value}")
     lines.append(f"# imag_residual,{FMT % rep.imag_residual}")
-    _write_out(args.out or cfg.out, "\n".join(lines) + "\n")
-    return 0
+    return _lines(lines), 0
 
 
 def cmd_support(cfg, args):
@@ -133,15 +134,13 @@ def cmd_support(cfg, args):
         (FMT % (np.pi / (3 * s)), FMT % (np.pi / 3), FMT % support_metric(dist, np.pi / (3 * s))),
         (FMT % (1.0 / s), FMT % 1.0, FMT % support_metric(dist, 1.0 / s)),
     ]
-    _write_out(args.out or cfg.out, "\n".join(",".join(r) for r in rows) + "\n")
-    return 0
+    return _lines(",".join(r) for r in rows), 0
 
 
 def cmd_simulate(cfg, args):
     grid, scheme, state = _build(cfg)
     state.require_grid("simulate")
-    span = cfg.bin_span if cfg.bin_span is not None else 6.0 * np.pi / cfg.s
-    edges = default_bins(cfg.s, cfg.n_bins, span)
+    edges = default_bins(cfg.s, cfg.n_bins, cfg.bin_span)
     mc_cfg = MCConfig(
         sigma=args.sigma,
         shots_per_bin=args.shots,
@@ -174,18 +173,14 @@ def cmd_simulate(cfg, args):
                     ]
                 )
             )
-    _write_out(args.out or cfg.out, "\n".join(lines) + "\n")
-    return 0
+    return _lines(lines), 0
 
 
 def cmd_audit(cfg, args):
     grid, scheme, state = _build(cfg)
     report = audit_mod.run_audit(scheme, state, grid=grid, seed=args.seed)
-    if args.out or cfg.out:
-        rows = audit_mod.csv_rows(report)
-        _write_out(args.out or cfg.out, "\n".join(",".join(r) for r in rows) + "\n")
-    sys.stdout.write(audit_mod.render_text(report) + "\n")
-    return 0
+    csv = _lines(",".join(r) for r in audit_mod.csv_rows(report)) if args.out else None
+    return csv, 0, audit_mod.render_text(report) + "\n"
 
 
 def cmd_wigner(cfg, args):
@@ -203,8 +198,7 @@ def cmd_wigner(cfg, args):
     if not np.all(np.isfinite(dist.density)):
         raise WWMError(f"wigner kernel density at x = {x} is not finite")
     lead = [f"x,{FMT % x}", f"identity_residual,{FMT % residual}"]
-    _write_out(args.out or cfg.out, _dist_csv(dist, cfg.s, lead))
-    return 0
+    return _dist_csv(dist, cfg.s, lead), 0
 
 
 def cmd_momentum_dist(cfg, args):
@@ -212,12 +206,10 @@ def cmd_momentum_dist(cfg, args):
     state.require_grid("momentum-dist")
     initial = momentum_density(state)
     final = momentum_density(apply_wwm(scheme, state))
-    text = _csv(
+    return _csv(
         ("p", "p_hbar_over_s", "initial", "final"),
         (grid.ps, grid.ps * cfg.s, initial, final),
-    )
-    _write_out(args.out or cfg.out, text)
-    return 0
+    ), 0
 
 
 COMMANDS = {
@@ -240,7 +232,7 @@ def make_parser():
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--mode", choices=["grid", "narrow"])
+    parser.add_argument("--mode", choices=sorted(MODE_KINDS))
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--sigma", type=float, default=10.0)
     parser.add_argument("--shots", type=int, default=10 ** 4)
@@ -256,9 +248,13 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.mode:
-            cfg.mode = args.mode
-            cfg.kind = "narrow" if args.mode == "narrow" else "gaussian"
-        return COMMANDS[args.command](cfg, args)
+            cfg.kind = MODE_KINDS[args.mode]
+        args.out = args.out or cfg.out
+        text, code, *report = COMMANDS[args.command](cfg, args)
+        if text is not None:
+            _write_out(args.out, text)
+        sys.stdout.writelines(report)
+        return code
     except (ConfigError, ExpressionError) as err:
         print(f"wwm: parse error: {err}", file=sys.stderr)
         return 2

@@ -17,6 +17,10 @@ from .scheme import Scheme, builtin, parse_scheme
 from .state import gaussian_twin_slits, narrow_twin_slits
 
 
+# [run] mode and --mode set the state kind; [run] is parsed after [state]
+MODE_KINDS = {"grid": "gaussian", "narrow": "narrow"}
+
+
 @dataclass
 class RunConfig:
     grid_spec: tuple = None  # (xmin, xmax, n)
@@ -27,16 +31,10 @@ class RunConfig:
     scheme_builtin: str = None
     scheme_params: dict = field(default_factory=dict)
     scheme_lines: list = field(default_factory=list)
-    mode: str = None  # grid | narrow; defaults from kind
     out: str = None
     n_bins: int = 16
     bin_span: float = None
     wigner_x: float = None
-
-    def resolved_mode(self):
-        if self.mode is not None:
-            return self.mode
-        return "narrow" if self.kind == "narrow" else "grid"
 
 
 def _sections(text):
@@ -140,9 +138,9 @@ def parse_config(text):
     for key, value, lineno in sections.get("run", []):
         where = f"[run] line {lineno}"
         if key == "mode":
-            if value not in ("grid", "narrow"):
+            if value not in MODE_KINDS:
                 raise ConfigError(f"{where}: mode must be grid or narrow")
-            cfg.mode = value
+            cfg.kind = MODE_KINDS[value]
         elif key == "out":
             cfg.out = value
         elif key == "n_bins":
@@ -178,16 +176,11 @@ def build_grid(cfg):
 def build_scheme(cfg) -> Scheme:
     if cfg.scheme_lines:
         return parse_scheme("\n".join(cfg.scheme_lines))
-    name = cfg.scheme_builtin
-    if name == "kicks":
-        return builtin("kicks", kicks=cfg.scheme_params.get("kicks"))
-    if name == "sew_flat":
-        return builtin("sew_flat", w=cfg.scheme_params.get("w"), s=cfg.s)
-    return builtin(name)
+    return builtin(cfg.scheme_builtin, s=cfg.s, **cfg.scheme_params)
 
 
 def build_state(cfg, grid=None):
-    if cfg.resolved_mode() == "narrow":
+    if cfg.kind == "narrow":
         return narrow_twin_slits(cfg.s, cfg.amplitudes)
     a = cfg.a if cfg.a is not None else cfg.s / 50.0
     grid = grid or build_grid(cfg)

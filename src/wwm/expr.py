@@ -245,19 +245,20 @@ def _level(node):
 
 
 def _emit(node, minimum):
-    text = _print(node)
+    text = print_expr(node)
     if _level(node) < minimum:
         return f"({text})"
     return text
 
 
-def _print(node):
+def print_expr(node):
+    """Render an AST back to grammar text; parse_expr(print_expr(t)) == t."""
     if isinstance(node, Number):
         return repr(node.value)
     if isinstance(node, Symbol):
         return node.name
     if isinstance(node, Call):
-        return f"{node.fn}({_print(node.arg)})"
+        return f"{node.fn}({print_expr(node.arg)})"
     if isinstance(node, Neg):
         return "-" + _emit(node.operand, _LEVEL_UNARY)
     if node.op in "+-":
@@ -265,8 +266,3 @@ def _print(node):
     if node.op in "*/":
         return f"{_emit(node.left, _LEVEL_TERM)}{node.op}{_emit(node.right, _LEVEL_FACTOR)}"
     return f"{_emit(node.left, _LEVEL_UNARY)}^{_emit(node.right, _LEVEL_FACTOR)}"
-
-
-def print_expr(node):
-    """Render an AST back to grammar text; parse_expr(print_expr(t)) == t."""
-    return _print(node)

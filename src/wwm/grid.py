@@ -92,6 +92,13 @@ class ComplexField:
         return float(np.sum(np.abs(self.values) ** 2) * d)
 
 
+def bin_indices(edges, values):
+    """Index b of the half-open bin edges[b] <= value < edges[b + 1]; -1 outside."""
+    idx = np.searchsorted(edges, values, side="right") - 1
+    idx[~(values < edges[-1])] = -1
+    return idx
+
+
 def position_field(grid, values):
     return ComplexField(grid, values, "position")
 

@@ -11,6 +11,7 @@ from .errors import CompletenessError, EvaluationError, SchemeError
 from . import expr as _expr
 
 MAX_CHANNELS = 16
+COMPLETENESS_TOL = 1e-8  # max | sum_xi |O_xi(x)|^2 - 1 | of a complete scheme
 
 
 class Channel:
@@ -45,7 +46,7 @@ class Scheme:
     it, since every distribution computed here is basis invariant).
     """
 
-    def __init__(self, labels, channels, base="custom", kick_terms=None, params=None):
+    def __init__(self, labels, channels, base="custom", kick_terms=None):
         if not channels:
             raise SchemeError("a scheme needs at least one channel")
         if len(channels) > MAX_CHANNELS:
@@ -56,7 +57,6 @@ class Scheme:
         self.channels = list(channels)
         self.base = base
         self.kick_terms = kick_terms
-        self.params = dict(params or {})
 
     def __len__(self):
         return len(self.channels)
@@ -193,14 +193,14 @@ def builtin(name, kicks=None, w=None, s=None):
         sin_ch = Channel(
             lambda x, s_, w=w: np.sin(_sew_angle(x, w)).astype(complex), f"sin(angle;w={w})"
         )
-        return Scheme(["c", "s"], [cos_ch, sin_ch], base="sew_flat", params={"w": w})
+        return Scheme(["c", "s"], [cos_ch, sin_ch], base="sew_flat")
     raise SchemeError(f"unknown builtin scheme {name!r}")
 
 
 # --- operations --------------------------------------------------------
 
 
-def check_completeness(scheme, grid, s=None, tol=1e-8):
+def check_completeness(scheme, grid, s=None):
     """Max over grid points of | sum_xi |O_xi(x)|^2 - 1 |.
 
     Isolated violations (a spike at a single grid point whose neighbours
@@ -210,7 +210,7 @@ def check_completeness(scheme, grid, s=None, tol=1e-8):
     """
     vals = scheme.evaluate(grid.xs, s)
     residual = np.abs(np.sum(np.abs(vals) ** 2, axis=0) - 1.0)
-    bad = residual > tol
+    bad = residual > COMPLETENESS_TOL
     if bad.any():
         left = np.concatenate([[False], bad[:-1]])
         right = np.concatenate([bad[1:], [False]])
@@ -230,8 +230,10 @@ def completeness_residual(scheme, state):
 
 def require_complete(scheme, state):
     residual = completeness_residual(scheme, state)
-    if residual >= 1e-8:
-        raise CompletenessError(f"scheme is not complete: residual {residual:.3e} >= 1e-08")
+    if residual >= COMPLETENESS_TOL:
+        raise CompletenessError(
+            f"scheme is not complete: residual {residual:.3e} >= {COMPLETENESS_TOL:.0e}"
+        )
     return residual
 
 
@@ -268,13 +270,7 @@ def rebase(scheme, unitary):
         for eta in range(m)
     ]
     labels = [f"u{eta}" for eta in range(m)]
-    return Scheme(
-        labels,
-        channels,
-        base=scheme.base,
-        kick_terms=scheme.kick_terms,
-        params=scheme.params,
-    )
+    return Scheme(labels, channels, base=scheme.base, kick_terms=scheme.kick_terms)
 
 
 def haar_unitary(dim, rng):

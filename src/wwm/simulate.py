@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import WWMError
 from .grid import (
+    bin_indices,
     fourier_values,
     inverse_fourier_values,
     momentum_field,
@@ -55,8 +56,7 @@ class MCConfig:
         for edges in (self.p_i_edges, self.p_f_edges):
             if edges.size < 2 or np.any(np.diff(edges) <= 0):
                 raise WWMError("bin edges must be strictly increasing")
-        if not 0 <= self.seed < 2 ** 64:
-            raise WWMError("seed must fit in 64 bits")
+        require_seed(self.seed)
 
     @property
     def n_i(self):
@@ -65,6 +65,11 @@ class MCConfig:
     @property
     def n_f(self):
         return self.p_f_edges.size - 1
+
+
+def require_seed(seed):
+    if not 0 <= seed < 2 ** 64:
+        raise WWMError(f"seed must fit in 64 bits, got {seed}")
 
 
 def default_bins(s, n_bins=16, span=None):
@@ -82,14 +87,7 @@ class MCEstimate:
     overflow: np.ndarray  # shots per p_i bin that missed every p_f bin
     channel_sums: np.ndarray  # (n_i, n_f, n_channels) accumulated r
     channel_counts: np.ndarray
-    bin_expectations: np.ndarray  # <Pi_b> per p_i bin
     config: MCConfig = field(repr=False)
-
-
-def _bin_indices(edges, values):
-    idx = np.searchsorted(edges, values, side="right") - 1
-    idx[values >= edges[-1]] = -1
-    return idx
 
 
 def back_action(psi, p_bin, S, sigma):
@@ -137,8 +135,9 @@ class _ShotTables:
         self.expectations = np.empty(cfg.n_i)
         self.v = np.empty((cfg.n_i, self.n_ch, grid.n))
         self.w = np.empty((cfg.n_i, self.n_ch, grid.n))
+        i_bins = bin_indices(cfg.p_i_edges, self.ps)
         for b in range(cfg.n_i):
-            mask = (self.ps >= cfg.p_i_edges[b]) & (self.ps < cfg.p_i_edges[b + 1])
+            mask = i_bins == b
             self.expectations[b] = np.sum(np.abs(psit[mask]) ** 2) * dp
             phi_pos = inverse_fourier_values(grid, mask * psit)
             h = np.stack(
@@ -204,7 +203,7 @@ def run_weak_experiment(scheme, state, cfg):
         f_idx = hi
 
         r = tables.expectations[b] + cfg.sigma * S
-        c_bin = _bin_indices(cfg.p_f_edges, tables.ps[f_idx])
+        c_bin = bin_indices(cfg.p_f_edges, tables.ps[f_idx])
         ok = c_bin >= 0
         overflow[b] = int((~ok).sum())
         flat = c_bin[ok] * n_ch + picked[ok]
@@ -233,7 +232,6 @@ def run_weak_experiment(scheme, state, cfg):
         overflow,
         sum_r,
         counts_ch,
-        tables.expectations.copy(),
         cfg,
     )
 
@@ -252,12 +250,11 @@ def run_reference(scheme, state, cfg):
     sum_r = np.zeros((nb, nc, n_ch))
     counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
     overflow = np.zeros(nb, dtype=np.int64)
-    expectations = np.empty(nb)
+    i_bins = bin_indices(cfg.p_i_edges, grid.ps)
 
     for b in range(nb):
-        mask = (grid.ps >= cfg.p_i_edges[b]) & (grid.ps < cfg.p_i_edges[b + 1])
+        mask = i_bins == b
         expectation = float(np.sum(np.abs(psit[mask]) ** 2) * dp)
-        expectations[b] = expectation
         S, u_channel, u_pf = _draws(cfg, b)
         for k in range(cfg.shots_per_bin):
             lam = S[k] / (2.0 * cfg.sigma)
@@ -272,7 +269,7 @@ def run_reference(scheme, state, cfg):
             cdf = np.cumsum(dens[xi])
             f_idx = int(np.searchsorted(cdf, u_pf[k] * cdf[-1], side="left"))
             r = expectation + cfg.sigma * S[k]
-            c = int(_bin_indices(cfg.p_f_edges, grid.ps[f_idx : f_idx + 1])[0])
+            c = int(bin_indices(cfg.p_f_edges, grid.ps[f_idx : f_idx + 1])[0])
             if c < 0:
                 overflow[b] += 1
                 continue
@@ -290,12 +287,14 @@ def run_reference(scheme, state, cfg):
         overflow,
         sum_r,
         counts_ch,
-        expectations,
         cfg,
     )
 
 
-def deterministic_cells(scheme, state, cfg, sigma=None, nodes=61):
+_HERMITE_NODES = 61  # Gauss-Hermite nodes for the finite-sigma average
+
+
+def deterministic_cells(scheme, state, cfg, sigma=None):
     """Expected value of the estimator without sampling noise.
 
     sigma=None gives the weak-probe limit; a finite sigma averages the
@@ -304,7 +303,7 @@ def deterministic_cells(scheme, state, cfg, sigma=None, nodes=61):
     """
     tables = _ShotTables(scheme, state, cfg)
     nb, nc = cfg.n_i, cfg.n_f
-    f_bins = _bin_indices(cfg.p_f_edges, tables.ps)
+    f_bins = bin_indices(cfg.p_f_edges, tables.ps)
     valid = f_bins >= 0
 
     def per_cell(arr):  # (n_ch, n) -> (nc,) column-aggregated over channels
@@ -323,7 +322,7 @@ def deterministic_cells(scheme, state, cfg, sigma=None, nodes=61):
             numerator = 0.5 * v_cells
             denominator = u_cells
         else:
-            t, wts = np.polynomial.hermite.hermgauss(nodes)
+            t, wts = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
             s_nodes = np.sqrt(2.0) * t
             wts = wts / np.sqrt(np.pi)
             numerator = np.zeros(nc)

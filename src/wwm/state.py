@@ -114,7 +114,7 @@ def apply_wwm(scheme, state):
     return PostMeasurementEnsemble(list(scheme.labels), np.asarray(probs), states, grid)
 
 
-def momentum_density(obj, state=None):
+def momentum_density(obj):
     """Momentum probability density on the grid's momentum samples.
 
     Accepts either a gaussian SlitState (initial pattern |psi~(p)|^2) or a

@@ -343,6 +343,8 @@ def _central_diff(chi, order, step_bins):
         if idx < 0 or idx >= chi.values.size:
             raise WWMError("finite-difference stencil exceeds the q grid")
         total += coef * chi.values[idx]
+    if not abs(np.log2(abs(h))) * power < 1020:  # h ** power would leave the normal range
+        raise WWMError(f"finite-difference step {h:.3e} to the power {power} is out of range")
     return total / (denom * h ** power)
 
 
@@ -364,6 +366,8 @@ def moments(chi, n_max=4):
         r1b = (4.0 * d1 - d2) / 3.0
         extrapolated = (16.0 * r1b - r1a) / 15.0
         moment = (-1j) ** order * extrapolated
+        if not np.isfinite(moment):
+            raise WWMError(f"transfer moment <p^{order}> is not finite: {moment.real}")
         values.append(moment.real)
         residual = max(residual, abs(moment.imag))
     return MomentsReport(np.asarray(values), residual)
@@ -400,6 +404,7 @@ def _pair_products(values, rows=None):
 
 
 def _wigner_rows(pair_rows, dx):
+    """(dx / pi) x the FFT along u (FFT order) of each row, p ascending."""
     return (dx / np.pi) * np.fft.fftshift(np.fft.fft(pair_rows, axis=-1), axes=-1)
 
 
@@ -457,9 +462,7 @@ def wigner_kernel(scheme, x, grid, s=None):
     atoms, remainder, tail_density = tail_split(
         u_sym, pair, f"wigner kernel tail at x={x}", ps_fine, 2.0
     )
-    density = (grid.dx / np.pi) * np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(remainder))
-    )
+    density = _wigner_rows(np.fft.ifftshift(remainder), grid.dx)
     return MixedDistribution(atoms, ps_fine, density.real + tail_density, s)
 
 
@@ -505,8 +508,7 @@ def verify_wigner_identity(scheme, state):
 
         xb = grid.xs[rows, None]
         kernel_rows = scheme.contraction(xb + u_fft, xb - u_fft, state.s)
-        kernel_density = (dx / np.pi) * np.fft.fft(kernel_rows, axis=1)
-        kernel_density = np.fft.fftshift(kernel_density, axes=1).real
+        kernel_density = _wigner_rows(kernel_rows, dx).real
 
         conv = np.fft.ifft(
             np.fft.fft(w_i, axis=1) * np.fft.fft(kernel_density, axis=1), axis=1

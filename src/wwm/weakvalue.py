@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateError, WWMError
-from .grid import GridSpec, SQRT_2PI, fourier_values
+from .grid import GridSpec, SQRT_2PI, bin_indices, fourier_values
 from .scheme import require_complete
 from .transfer import (
     MixedDistribution,
@@ -162,10 +162,10 @@ def pwv_joint(scheme, state):
     psit_rows = psit[rows]
 
     matrix = np.zeros((rows.size, n))
+    fields = [ch.evaluate(grid.xs, state.s) * state.values for ch in scheme.channels]
+    transforms = [fourier_values(grid, field) for field in fields]
     if scheme.kick_terms is not None:
-        for (nw, k), ch in zip(scheme.kick_terms, scheme.channels):
-            field = ch.evaluate(grid.xs, state.s) * state.values
-            g = fourier_values(grid, field)
+        for (nw, k), g in zip(scheme.kick_terms, transforms):
             shift = int(np.rint(k / dp))
             if abs(shift * dp - k) > 1e-9 * dp:
                 warnings.warn(
@@ -183,9 +183,7 @@ def pwv_joint(scheme, state):
         pv_kernel = np.zeros_like(diff)
         off_diag = diff != 0.0
         pv_kernel[off_diag] = 1.0 / diff[off_diag]
-        for ch in scheme.channels:
-            field = ch.evaluate(grid.xs, state.s) * state.values
-            g = fourier_values(grid, field)
+        for ch, field, g in zip(scheme.channels, fields, transforms):
             outer = psit_rows[:, None] * np.conj(g)[None, :]
             a_const, b_const, r_tilde = _channel_decomposition(ch, grid, state.s)
             kernel = (-1j * b_const / np.pi) * pv_kernel + r_tilde[diff_index] / SQRT_2PI
@@ -232,13 +230,12 @@ def rebin_joint(table, pi_edges, pf_edges):
     pf_edges = np.asarray(pf_edges, dtype=float)
     nb = pi_edges.size - 1
     nc = pf_edges.size - 1
-    bi = np.searchsorted(pi_edges, table.p_i, side="right") - 1
-    bf = np.searchsorted(pf_edges, table.p_f, side="right") - 1
-    ok_i = (bi >= 0) & (bi < nb) & (table.p_i < pi_edges[-1])
-    ok_f = (bf >= 0) & (bf < nc) & (table.p_f < pf_edges[-1])
+    bi = bin_indices(pi_edges, table.p_i)
+    bf = bin_indices(pf_edges, table.p_f)
+    ok_f = bf >= 0
     cells = np.zeros((nb, nc))
     for b in range(nb):
-        block = table.matrix[ok_i & (bi == b)].sum(axis=0)
+        block = table.matrix[bi == b].sum(axis=0)
         cells[b] = np.bincount(bf[ok_f], weights=block[ok_f], minlength=nc)
     return cells, cells.sum(axis=0)
 

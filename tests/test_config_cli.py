@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wwm
-from wwm.cli import main
+from wwm.cli import COMMANDS, main
 from wwm.config import build_scheme, build_state, parse_config
 
 SIGN_CFG = """
@@ -74,10 +74,18 @@ def test_parse_config_fields():
 
 def test_parse_config_narrow_custom():
     cfg = parse_config(CUSTOM_CFG)
-    assert cfg.resolved_mode() == "narrow"
+    assert cfg.kind == "narrow"
     state = build_state(cfg)
     assert state.kind == "narrow" and state.s == 2.0
     assert len(build_scheme(cfg)) == 2
+
+
+def test_run_mode_overrides_state_kind():
+    # [run] is read after [state] wherever it stands in the file
+    grid_first = "[run]\nmode = grid\n" + CUSTOM_CFG.replace("mode = narrow", "")
+    assert build_state(parse_config(grid_first)).kind == "gaussian"
+    narrow = SIGN_CFG.replace("mode = grid", "mode = narrow")
+    assert build_state(parse_config(narrow)).kind == "narrow"
 
 
 @pytest.mark.parametrize(
@@ -139,13 +147,35 @@ def test_cmd_pwv_csv_format(tmp_path):
     assert float(row[1]) == pytest.approx(float(row[0]) * 1.0)
 
 
-def test_cli_reruns_byte_identical(tmp_path):
-    cfg = write(tmp_path, "sign.cfg", SIGN_CFG)
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    for target in (first, second):
-        assert main(["pwv", "--config", cfg, "--out", str(target)]) == 0
-    assert first.read_bytes() == second.read_bytes()
+def test_cli_reruns_byte_identical(tmp_path, capsys):
+    """Every command on a small grid config, and every command that takes
+    one on a narrow config: a rerun writes the same bytes, --out gets what
+    stdout gets without it, and audit's stdout is its report, never CSV."""
+    grid_text = WIGNER_CFG.replace("mode = grid", "mode = grid\nn_bins = 4")
+    grid_cfg = write(tmp_path, "grid.cfg", grid_text)
+    narrow_cfg = write(tmp_path, "narrow.cfg", NARROW_SIGN_CFG)
+    narrow_commands = ("check", "pwv", "phi", "moments", "support", "audit")
+    runs = [(grid_cfg, command) for command in sorted(COMMANDS)]
+    runs += [(narrow_cfg, command) for command in narrow_commands]
+    for cfg, command in runs:
+        argv = [command, "--config", cfg] + (["--shots", "300"] if command == "simulate" else [])
+        assert main(argv) == 0, (cfg, command)
+        stdout = capsys.readouterr().out
+        written, printed = [], []
+        for name in ("a.csv", "b.csv"):
+            target = tmp_path / name
+            assert main(argv + ["--out", str(target)]) == 0, (cfg, command)
+            written.append(target.read_bytes())
+            printed.append(capsys.readouterr().out)
+        assert written[0] == written[1], (cfg, command)
+        if command == "audit":
+            assert "which-way momentum transfer audit" in stdout
+            assert "field,value" not in stdout
+            assert written[0].startswith(b"field,value\n")
+            assert printed == [stdout, stdout]
+        else:
+            assert written[0] == stdout.encode("utf-8"), (cfg, command)
+            assert printed == ["", ""]
 
 
 NARROW_SIGN_CFG = """
@@ -333,3 +363,25 @@ def test_mode_flag_overrides(tmp_path):
     out = tmp_path / "pwv.csv"
     assert main(["pwv", "--config", cfg, "--mode", "narrow", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "# atom,0.000000000000e+00,5.000000000000e-01"
+
+
+@pytest.mark.parametrize("s", ["1e300", "1e-300"])
+def test_moments_out_of_float_range_exit_1(tmp_path, capsys, s):
+    # the moment stencil divides by (k s/128)^n: inf at s = 1e300, 0 at 1e-300
+    cfg = write(tmp_path, "narrow.cfg", NARROW_SIGN_CFG.replace("s = 2.0", f"s = {s}"))
+    out = tmp_path / "out.csv"
+    for command in ("moments", "audit"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "out of range" in captured.err
+
+
+def test_cmd_audit_rejects_out_of_range_seed(tmp_path, capsys):
+    cfg = write(tmp_path, "narrow.cfg", NARROW_SIGN_CFG)
+    out = tmp_path / "audit.csv"
+    for seed in (-1, 2 ** 64):
+        assert main(["audit", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must fit in 64 bits" in captured.err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wwm
-from wwm.grid import fourier_values, inverse_fourier_values, spectral_refine
+from wwm.grid import bin_indices, fourier_values, inverse_fourier_values, spectral_refine
 
 
 def random_field(grid, seed):
@@ -90,3 +90,9 @@ def test_spectral_refine_exact_for_bandlimited():
     ref = np.exp(-fine.xs ** 2) * np.exp(2j * fine.xs)
     assert fine.n == 1024 and fine.dx == pytest.approx(g.dx / 4)
     assert np.max(np.abs(values - ref)) < 1e-10
+
+
+def test_bin_indices_half_open():
+    edges = np.array([-1.0, 0.0, 2.0])
+    values = np.array([-1.5, -1.0, -0.5, 0.0, 1.999, 2.0, 3.0, np.nan])
+    assert bin_indices(edges, values).tolist() == [-1, 0, 0, 1, 1, -1, -1, -1]
