@@ -202,67 +202,66 @@ def tail_split(xs, values, what, ps, frequency_factor=1.0):
     return atoms, remainder, tail_density
 
 
-def _channel_weights(state):
-    """Quadrature weights |psi|^2 dx (grid) or the two slit masses (narrow)."""
-    if state.is_grid:
-        return np.abs(state.values) ** 2 * state.grid.dx
-    c_minus, c_plus = state.amplitudes
-    return np.array([abs(c_minus) ** 2, abs(c_plus) ** 2])
+_REFINE = 4  # oversampling of the x quadrature on the lattice route
 
 
-_REFINE = 4  # oversampling of the x quadrature on the lattice path
-
-
-def _linear_correlate(a, b):
-    """c[m] = sum_j a[j] * b_offsets[j - m] for m = 0..len(a)-1.
-
-    b holds values at offsets -(n-1)..(n-1).  FFT-based linear convolution.
-    """
-    n = a.size
-    full = n + b.size - 1
-    size = 1 << (full - 1).bit_length()
-    d = b[::-1]
-    out = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(d, size))
-    return out[n - 1 : 2 * n - 1]
+def _lattice_g(scheme, state):
+    """g at every x lattice point: one FFT linear correlation per channel
+    on a band-limited 4x refinement of psi, since step-like channels
+    otherwise leave an O(dx^2) Riemann residue in the density tails."""
+    fine, psi_fine = spectral_refine(state.grid, state.values, _REFINE)
+    weights = np.abs(psi_fine) ** 2 * fine.dx
+    m = fine.n
+    offsets = fine.dx * np.arange(-(m - 1), m)
+    # g[k] = sum_j a[j] conj(O((j - k) dx)), zero-padded so nothing wraps
+    size = 1 << (3 * m - 3).bit_length()
+    g = np.zeros(m, dtype=complex)
+    for ch in scheme.channels:
+        a = np.fft.fft(weights * ch.evaluate(fine.xs, state.s), size)
+        b = np.fft.fft(np.conj(ch.evaluate(offsets, state.s))[::-1], size)
+        g += np.fft.ifft(a * b)[m - 1 : 2 * m - 1]
+    return g[::_REFINE]
 
 
 def correlation_g(scheme, state, qs):
     """g(q) = sum_xi integral |psi|^2 O_xi(x) conj(O_xi(x-q)) dx at given qs.
 
-    Channels are always evaluated analytically at the shifted points, so no
-    periodic wrap-around ever enters.  When qs is the state's own grid the
-    quadrature runs on a band-limited 4x refinement of psi and reduces to a
-    single linear correlation per channel: step-like channels otherwise
-    leave an O(dx^2) Riemann residue in the density tails.
+    Narrow states take the two-slit sum.  On a grid, kick schemes, rebased
+    or not, take g(q) = sum_xi N_xi exp(i k_xi q): the transform of the
+    kick atoms, exact for the normalized psi every builder returns.
+    Otherwise a q on the x lattice ((q - x_min)/dx an integer to 1e-9, the
+    index in [0, n)) reads from one _lattice_g per call, so it gets the
+    same value whatever else qs holds; only the rest (off-lattice, x_max,
+    beyond the box, non-finite) take the direct q x x quadrature.  Channels
+    are evaluated analytically at shifted points: no periodic wrap-around.
     """
     qs = np.asarray(qs, dtype=float)
+    s = state.s
     if not state.is_grid:
-        s = state.s
-        w_minus, w_plus = _channel_weights(state)
-        return w_minus * scheme.contraction(-s / 2, -s / 2 - qs, s) + (
-            w_plus * scheme.contraction(s / 2, s / 2 - qs, s)
+        c_minus, c_plus = state.amplitudes
+        return abs(c_minus) ** 2 * scheme.contraction(-s / 2, -s / 2 - qs, s) + (
+            abs(c_plus) ** 2 * scheme.contraction(s / 2, s / 2 - qs, s)
         )
+    if scheme.kick_terms is not None:
+        return sum(nw * np.exp(1j * k * qs) for nw, k in scheme.kick_terms)
     grid = state.grid
-    if qs.shape == grid.xs.shape and np.allclose(qs, grid.xs, atol=1e-12 * grid.dx):
-        fine, psi_fine = spectral_refine(grid, state.values, _REFINE)
-        weights = np.abs(psi_fine) ** 2 * fine.dx
-        m = fine.n
-        offsets = fine.dx * np.arange(-(m - 1), m)
-        g = np.zeros(m, dtype=complex)
-        for ch in scheme.channels:
-            a = weights * ch.evaluate(fine.xs, state.s)
-            b = np.conj(ch.evaluate(offsets, state.s))
-            g += _linear_correlate(a, b)
-        return g[::_REFINE]
-    weights = _channel_weights(state)
+    weights = np.abs(state.values) ** 2 * grid.dx
+    # clipping keeps +-inf out of the index arithmetic; NaN fails every test
+    pos = (np.clip(qs, grid.x_min - grid.dx, grid.x_max) - grid.x_min) / grid.dx
+    idx = np.rint(pos)
+    on = (np.abs(pos - idx) <= 1e-9) & (idx >= 0) & (idx < grid.n)
     g = np.zeros(qs.shape, dtype=complex)
+    if on.any():
+        g[on] = _lattice_g(scheme, state)[idx[on].astype(int)]
+    off = qs[~on]
+    direct = np.zeros(off.shape, dtype=complex)
     chunk = max(1, 2 ** 22 // grid.n)
-    for lo in range(0, qs.size, chunk):
-        qblock = qs[lo : lo + chunk]
-        diffs = grid.xs[None, :] - qblock[:, None]
+    for lo in range(0, off.size, chunk):
+        diffs = grid.xs[None, :] - off[lo : lo + chunk, None]
         for ch in scheme.channels:
-            a = weights * ch.evaluate(grid.xs, state.s)
-            g[lo : lo + chunk] += np.conj(ch.evaluate(diffs, state.s)) @ a
+            a = weights * ch.evaluate(grid.xs, s)
+            direct[lo : lo + chunk] += np.conj(ch.evaluate(diffs, s)) @ a
+    g[~on] = direct
     return g
 
 
@@ -280,6 +279,8 @@ def char_fn(scheme, state, qs=None, grid=None):
 
     qs=None picks the natural grid: the state's position grid (gaussian) or
     the supplied GridSpec's (narrow).  The grid must be symmetric about 0.
+    g(q) and g(-q) come from one correlation_g call, so all lattice q
+    share one FFT correlation (qs=None: all but g(x_max) = g(-x_min)).
     Raises if the scheme is incomplete; validates chi(0) = 1 and |chi| <= 1.
     """
     require_complete(scheme, state)
@@ -288,18 +289,12 @@ def char_fn(scheme, state, qs=None, grid=None):
         if abs(qgrid.x_min + qgrid.x_max) > 1e-9 * qgrid.length:
             raise WWMError("char_fn needs a grid symmetric about q = 0")
         qs = qgrid.xs
-        g = correlation_g(scheme, state, qs)
-        g_at_xmax = complex(
-            correlation_g(scheme, state, np.array([qgrid.x_max]))[0]
-        )
-        chi = np.empty_like(g)
-        chi[0] = 0.5 * (g[0] + np.conj(g_at_xmax))
-        chi[1:] = 0.5 * (g[1:] + np.conj(g[:0:-1]))
+        minus_qs = np.concatenate([[qgrid.x_max], qs[:0:-1]])  # -qs, on the grid
     else:
         qs = np.asarray(qs, dtype=float)
-        g_plus = correlation_g(scheme, state, qs)
-        g_minus = correlation_g(scheme, state, -qs)
-        chi = 0.5 * (g_plus + np.conj(g_minus))
+        minus_qs = -qs
+    g = correlation_g(scheme, state, np.concatenate([qs, minus_qs]))
+    chi = 0.5 * (g[: qs.size] + np.conj(g[qs.size :]))
     even_c, odd_c, _, spread = asymptote_split(qs, chi)
     cf = CharacteristicFunction(qs, chi, even_c, odd_c, spread, state.s)
     at0 = cf.at0()

@@ -1,0 +1,155 @@
+"""correlation_g's per-q dispatch: the lattice route, the kick closed form,
+and the direct quadrature that remains for off-lattice q."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import wwm
+from wwm.cli import main
+from wwm.transfer import correlation_g
+from conftest import S
+
+PHASE_RAMP = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+PHI_QS = (S / 64.0) * np.arange(-256, 257)  # the q grid of `wwm phi`
+
+
+def dense_direct_g(scheme, state, qs):
+    """Reference: the q x x Riemann sum at every q, the route every q grid
+    other than the state's own x grid used to take.  Samples where
+    |psi|^2 underflows to 0 are dropped: they add exact zeros."""
+    grid = state.grid
+    weights = np.abs(state.values) ** 2 * grid.dx
+    xs, weights = grid.xs[weights > 0], weights[weights > 0]
+    g = np.zeros(qs.shape, dtype=complex)
+    chunk = max(1, 2 ** 22 // grid.n)
+    for lo in range(0, qs.size, chunk):
+        diffs = xs[None, :] - qs[lo : lo + chunk, None]
+        for ch in scheme.channels:
+            a = weights * ch.evaluate(xs, state.s)
+            g[lo : lo + chunk] += np.conj(ch.evaluate(diffs, state.s)) @ a
+    return g
+
+
+def twin(a, n):
+    return wwm.gaussian_twin_slits(S, a, wwm.make_grid(-8, 8, n))
+
+
+# --- convergence --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "scheme, a",
+    [(wwm.builtin("sign"), 0.02), (wwm.parse_scheme(PHASE_RAMP), 0.05)],
+    ids=["sign", "phase_ramp"],
+)
+def test_lattice_route_converges_faster_than_direct(scheme, a):
+    lattice = {n: correlation_g(scheme, twin(a, n), PHI_QS) for n in (4096, 16384, 65536)}
+    ref = lattice[65536]
+    err = {n: np.max(np.abs(lattice[n] - ref)) for n in (4096, 16384)}
+    for n in (4096, 16384):
+        direct_err = np.max(np.abs(dense_direct_g(scheme, twin(a, n), PHI_QS) - ref))
+        assert err[n] <= direct_err / 8.0
+    # O(dx^2): a 4x finer grid cuts the error 16x, against the reference...
+    assert err[4096] / err[16384] >= 12.0
+    # ...and between successive grids, which does not trust the reference
+    step_ratio = np.max(np.abs(lattice[4096] - lattice[16384])) / err[16384]
+    assert step_ratio >= 12.0
+
+
+def test_lattice_route_matches_direct_on_smooth_scheme():
+    sew = wwm.builtin("sew_flat", w=0.25, s=S)
+    st = twin(0.05, 4096)
+    gap = np.max(np.abs(correlation_g(sew, st, PHI_QS) - dense_direct_g(sew, st, PHI_QS)))
+    assert gap < 1e-8
+
+
+# --- dispatch -----------------------------------------------------------
+
+
+def test_on_lattice_entries_do_not_depend_on_the_rest(sign, state_a50):
+    grid = state_a50.grid
+    whole = correlation_g(sign, state_a50, grid.xs)
+    picks = np.array([0, 5, 1000, 2048, 4095])
+    off = np.array([grid.xs[10] + 0.3 * grid.dx, grid.x_max, 12.0, -12.0])
+    qs = np.concatenate([grid.xs[picks[:2]], off, grid.xs[picks[2:]]])
+    g = correlation_g(sign, state_a50, qs)
+    assert np.array_equal(g[[0, 1, 6, 7, 8]], whole[picks])
+    # a lattice q built another way (phi's s/64 steps) reads the same bits
+    assert np.array_equal(correlation_g(sign, state_a50, PHI_QS[::-1]), whole[1024:3073:4][::-1])
+
+
+def test_box_edges_and_out_of_box_match_direct(sign, state_a50):
+    grid = state_a50.grid
+    qs = np.array([grid.x_max, -grid.x_max, 9.5, -9.5, 40.0, -40.0])
+    ref = dense_direct_g(sign, state_a50, qs)
+    assert np.max(np.abs(correlation_g(sign, state_a50, qs) - ref)) < 1e-12
+
+
+def test_non_finite_q_do_not_raise_in_the_dispatch(sign, state_a50):
+    grid = state_a50.grid
+    qs = np.array([np.nan, grid.xs[3], np.inf, -np.inf, grid.xs[7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = correlation_g(sign, state_a50, qs)
+    whole = correlation_g(sign, state_a50, grid.xs)
+    assert g[1] == whole[3] and g[4] == whole[7]
+    assert np.all(np.isfinite(g[[2, 3]]))  # each slit is wholly on one side
+
+
+# --- kick closed form ----------------------------------------------------
+
+
+def test_kick_closed_form_matches_direct(identity, kick_pair, state_a50):
+    rng = np.random.default_rng(3)
+    schemes = {
+        "identity": identity,
+        "kick_pair": kick_pair,
+        "single": wwm.builtin("kicks", kicks=[(1.0, 2.0)]),
+        "rebased": wwm.rebase(kick_pair, wwm.haar_unitary(2, rng)),
+    }
+    qs = np.concatenate([PHI_QS[::8], [0.3 * state_a50.grid.dx, 8.0, 11.0, -11.0]])
+    for name, sch in schemes.items():
+        gap = np.max(np.abs(correlation_g(sch, state_a50, qs) - dense_direct_g(sch, state_a50, qs)))
+        assert gap < 1e-14, name
+
+
+def test_identity_moments_exactly_zero(identity, state_a50):
+    qs = (S / 128.0) * np.arange(-16, 17)
+    rep = wwm.moments(wwm.char_fn(identity, state_a50, qs=qs))
+    assert np.all(rep.values == 0.0)
+
+
+# --- CLI ----------------------------------------------------------------
+
+SMALL_SIGN_CFG = """
+[grid]
+xmin = -8
+xmax = 8
+n = 2048
+
+[state]
+kind = gaussian
+s = 1.0
+a = 0.05
+
+[scheme]
+builtin = sign
+"""
+
+
+def phi_rows(tmp_path, qmax):
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text(SMALL_SIGN_CFG)
+    out = tmp_path / f"phi_{qmax}.csv"
+    assert main(["phi", "--config", str(cfg), "--qmax", qmax, "--out", str(out)]) == 0
+    return [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+
+
+def test_phi_rows_do_not_depend_on_qmax(tmp_path):
+    wide = phi_rows(tmp_path, "12")  # beyond the +-8 box
+    data = np.array([[float(v) for v in row.split(",")] for row in wide])
+    assert np.all(np.isfinite(data)) and data[-1, 0] == 12.0
+    inner = [row for row, q in zip(wide, data[:, 0]) if abs(q) <= 4.0]
+    assert inner == phi_rows(tmp_path, "4")
