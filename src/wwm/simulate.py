@@ -4,9 +4,12 @@ Per shot (initial momentum bin b): draw a standard normal S; record
 r = <Pi_b> + sigma*S; disturb the state by the exact normalized update
 psi -> N [1 + (Pi_b - <Pi_b>) S / (2 sigma)] psi; pick a which-way channel
 with probability |O_xi psi'|^2; sample the final momentum p_f from that
-channel's momentum density by inverting its cumulative distribution on
-the grid.  Cell means of r over shots that landed in a p_f bin estimate
-the weak-valued conditional probability mass.
+channel's momentum density.  Every output depends on p_f only through its
+bin, so the fast path never locates p_f on the grid: it bisects the
+channel's cumulative distribution over the first grid index of each p_f
+bin edge, which gives the bin the grid inversion would.  Cell means of r
+over shots that landed in a p_f bin estimate the weak-valued conditional
+probability mass.
 
 The disturbed state always lives in span{psi, Pi_b psi}, so channel norms
 and p_f distributions are quadratic forms in the two per-shot coefficients
@@ -15,9 +18,11 @@ runner exploits that; run_reference executes the same protocol state by
 state on identical random draws and exists to cross-check the fast path.
 
 Randomness: one counter-based Philox stream per (seed, bin), from which a
-bin's shots consume fixed-layout batches (S first, then the channel and
-p_f uniforms).  Results are therefore bit-reproducible for a given seed
-no matter how bins are scheduled.
+bin's shots consume a fixed layout (all S first, then the channel
+uniforms, then the p_f uniforms).  The fast path streams that layout in
+chunks of _SHOT_CHUNK shots, so its memory does not grow with the shot
+count and any chunk size gives the same bits.  Results are therefore
+bit-reproducible for a given seed no matter how bins are scheduled.
 """
 
 from dataclasses import dataclass, field
@@ -130,8 +135,8 @@ class _ShotTables:
             [fourier_values(grid, cv * state.values) for cv in chan_vals]
         )  # (n_ch, n)
         self.u = np.abs(g) ** 2 * dp
-        self.cu = np.cumsum(self.u, axis=1)
-        self.na = self.cu[:, -1]
+        cu = np.cumsum(self.u, axis=1)
+        self.na = cu[:, -1]
         self.expectations = np.empty(cfg.n_i)
         self.v = np.empty((cfg.n_i, self.n_ch, grid.n))
         self.w = np.empty((cfg.n_i, self.n_ch, grid.n))
@@ -145,74 +150,127 @@ class _ShotTables:
             )
             self.v[b] = 2.0 * np.real(np.conj(g) * h) * dp
             self.w[b] = np.abs(h) ** 2 * dp
-        self.cv = np.cumsum(self.v, axis=2)
-        self.cw = np.cumsum(self.w, axis=2)
-        self.nv = self.cv[:, :, -1]
-        self.nw = self.cw[:, :, -1]
+        cv = np.cumsum(self.v, axis=2)
+        cw = np.cumsum(self.w, axis=2)
+        self.nv = cv[:, :, -1]
+        self.nw = cw[:, :, -1]
+
+        # A shot lands at or beyond p_f edge k when its channel's cumulative
+        # mass just before the edge's first grid index is below its target.
+        # Edges at index 0 are always passed; edges at index n never are
+        # (the grid inversion tops out at n - 1).  Only the edges between
+        # are searched, through the cumulative tables sampled there.
+        first = np.searchsorted(self.ps, cfg.p_f_edges, side="left")
+        self.edge_lo = int(np.sum(first == 0))
+        self.edge_hi = int(np.sum(first < grid.n))
+        before = first[self.edge_lo : self.edge_hi] - 1
+        self.cu_edges = cu[:, before]  # (n_ch, searched edges)
+        self.cv_edges = cv[:, :, before]  # (n_i, n_ch, searched edges)
+        self.cw_edges = cw[:, :, before]
+
+    def landing_bins(self, b, picked, a2, ab, b2, targets):
+        """p_f bin of each shot: the last edge passed, by bisection.
+
+        The cumulative distribution |alpha g + beta h|^2 is monotone, so the
+        passed edges are a prefix.  Returns -1 below the first edge and
+        n_f at or beyond the last, i.e. outside every p_f bin.
+        """
+        m = self.edge_hi - self.edge_lo
+        cu, cv, cw = self.cu_edges.ravel(), self.cv_edges[b].ravel(), self.cw_edges[b].ravel()
+        row = picked * m
+        count = np.zeros(picked.shape, dtype=np.int64)  # searched edges passed
+        step = 1 << m.bit_length()
+        while step > 1:
+            step >>= 1
+            # Test edge count + step - 1; a lane moves only if it is in range
+            # and passed, so the count never overshoots the passed prefix.
+            col = count + (step - 1)
+            inside = col < m
+            at = row + np.minimum(col, m - 1)
+            vals = a2 * cu[at] + ab * cv[at] + b2 * cw[at]
+            count += step * (inside & (vals < targets))
+        return count + (self.edge_lo - 1)
+
+
+# Shots per streamed chunk: bounds the fast path's working set, whatever
+# shots_per_bin is.  Any value gives the same bits.
+_SHOT_CHUNK = 2 ** 14
+
+
+def _philox(cfg, b):
+    return np.random.Generator(
+        np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64))
+    )
 
 
 def _draws(cfg, b):
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64))
-    )
+    """The bin's whole draw layout in one call: all S, channel, p_f uniforms."""
+    gen = _philox(cfg, b)
     shots = cfg.shots_per_bin
     return gen.standard_normal(shots), gen.random(shots), gen.random(shots)
 
 
+def _draw_chunks(cfg, b):
+    """The layout of _draws, yielded in chunks of _SHOT_CHUNK shots.
+
+    The ziggurat normals take a variable number of raw words, so the
+    uniforms' offset is found by running the S stream through once; each
+    uniform then takes exactly one word, which locates the p_f uniforms.
+    """
+    shots = cfg.shots_per_bin
+    starts = range(0, shots, _SHOT_CHUNK)
+    normals = _philox(cfg, b)
+    for lo in starts:
+        normals.standard_normal(min(_SHOT_CHUNK, shots - lo))
+    channel, pf = _philox(cfg, b), _philox(cfg, b)
+    channel.bit_generator.state = pf.bit_generator.state = normals.bit_generator.state
+    pf.bit_generator.random_raw(shots, output=False)
+    normals = _philox(cfg, b)
+    for lo in starts:
+        size = min(_SHOT_CHUNK, shots - lo)
+        yield normals.standard_normal(size), channel.random(size), pf.random(size)
+
+
 def run_weak_experiment(scheme, state, cfg):
-    """Run the full protocol; vectorized over the shots of each bin."""
+    """Run the full protocol; vectorized over each chunk of a bin's shots."""
     tables = _ShotTables(scheme, state, cfg)
-    n = tables.grid.n
     n_ch = tables.n_ch
     nb, nc = cfg.n_i, cfg.n_f
+    size = nc * n_ch
     sum_r = np.zeros((nb, nc, n_ch))
     sum_r2 = np.zeros((nb, nc))
     counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
     overflow = np.zeros(nb, dtype=np.int64)
 
     for b in range(nb):
-        S, u_channel, u_pf = _draws(cfg, b)
-        lam = S / (2.0 * cfg.sigma)
-        alpha = 1.0 - lam * tables.expectations[b]
-        beta = lam
-        a2, ab, b2 = alpha * alpha, alpha * beta, beta * beta
-        probs = (
-            a2[None, :] * tables.na[:, None]
-            + ab[None, :] * tables.nv[b][:, None]
-            + b2[None, :] * tables.nw[b][:, None]
-        )  # (n_ch, shots)
-        cum = np.cumsum(probs, axis=0)
-        total = cum[-1]
-        targets = u_channel * total
-        picked = np.minimum((cum < targets[None, :]).sum(axis=0), n_ch - 1)
+        for S, u_channel, u_pf in _draw_chunks(cfg, b):
+            lam = S / (2.0 * cfg.sigma)
+            alpha = 1.0 - lam * tables.expectations[b]
+            beta = lam
+            a2, ab, b2 = alpha * alpha, alpha * beta, beta * beta
+            probs = (
+                a2[None, :] * tables.na[:, None]
+                + ab[None, :] * tables.nv[b][:, None]
+                + b2[None, :] * tables.nw[b][:, None]
+            )  # (n_ch, shots)
+            cum = np.cumsum(probs, axis=0)
+            total = cum[-1]
+            targets = u_channel * total
+            picked = np.minimum((cum < targets[None, :]).sum(axis=0), n_ch - 1)
+            t2 = u_pf * (
+                a2 * tables.na[picked] + ab * tables.nv[b][picked] + b2 * tables.nw[b][picked]
+            )
+            c_bin = tables.landing_bins(b, picked, a2, ab, b2, t2)
 
-        cu = tables.cu
-        cv = tables.cv[b]
-        cw = tables.cw[b]
-        t2 = u_pf * (
-            a2 * tables.na[picked] + ab * tables.nv[b][picked] + b2 * tables.nw[b][picked]
-        )
-        lo = np.full(S.shape, -1, dtype=np.int64)
-        hi = np.full(S.shape, n - 1, dtype=np.int64)
-        while int((hi - lo).max()) > 1:
-            mid = (lo + hi) // 2
-            vals = a2 * cu[picked, mid] + ab * cv[picked, mid] + b2 * cw[picked, mid]
-            ge = vals >= t2
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        f_idx = hi
-
-        r = tables.expectations[b] + cfg.sigma * S
-        c_bin = bin_indices(cfg.p_f_edges, tables.ps[f_idx])
-        ok = c_bin >= 0
-        overflow[b] = int((~ok).sum())
-        flat = c_bin[ok] * n_ch + picked[ok]
-        size = nc * n_ch
-        counts_ch[b] += np.bincount(flat, minlength=size).reshape(nc, n_ch)
-        sum_r[b] += np.bincount(flat, weights=r[ok], minlength=size).reshape(nc, n_ch)
-        sum_r2[b] += np.bincount(
-            c_bin[ok], weights=r[ok] ** 2, minlength=nc
-        )
+            r = tables.expectations[b] + cfg.sigma * S
+            ok = (c_bin >= 0) & (c_bin < nc)
+            overflow[b] += int((~ok).sum())
+            flat = c_bin[ok] * n_ch + picked[ok]
+            counts_ch[b] += np.bincount(flat, minlength=size).reshape(nc, n_ch)
+            # add.at sums shot by shot into the running totals, the order a
+            # single bincount over all of the bin's shots would use.
+            np.add.at(sum_r[b].reshape(size), flat, r[ok])
+            np.add.at(sum_r2[b], c_bin[ok], r[ok] ** 2)
 
     counts = counts_ch.sum(axis=2)
     means = np.full((nb, nc), np.nan)

@@ -320,24 +320,34 @@ class MomentsReport:
     imag_residual: float  # should be ~0; diagnostic for asymmetric rounding
 
 
+# order -> (coefficients of the offsets +-k for k = 1, 2, ..., denominator,
+# power of h).  Even orders weight the pair (chi[+k] - chi[0]) +
+# (chi[-k] - chi[0]), odd ones chi[+k] - chi[-k]: summed by mirrored pairs,
+# an exactly flat chi gives exactly 0, and so does an exactly even one at
+# odd orders.
 _STENCILS = {
-    1: ([1, -1], [1.0, -1.0], 2.0, 1),
-    2: ([1, 0, -1], [1.0, -2.0, 1.0], 1.0, 2),
-    3: ([2, 1, -1, -2], [1.0, -2.0, 2.0, -1.0], 2.0, 3),
-    4: ([2, 1, 0, -1, -2], [1.0, -4.0, 6.0, -4.0, 1.0], 1.0, 4),
+    1: ([1.0], 2.0, 1),
+    2: ([1.0], 1.0, 2),
+    3: ([-2.0, 1.0], 2.0, 3),
+    4: ([-4.0, 1.0], 1.0, 4),
 }
 
 
 def _central_diff(chi, order, step_bins):
-    offsets, coeffs, denom, power = _STENCILS[order]
+    coeffs, denom, power = _STENCILS[order]
     i0 = chi.index0
     h = step_bins * chi.dq
+    if not 0 <= i0 - len(coeffs) * step_bins <= i0 + len(coeffs) * step_bins < chi.values.size:
+        raise WWMError("finite-difference stencil exceeds the q grid")
+    centre = chi.values[i0]
     total = 0.0 + 0.0j
-    for off, coef in zip(offsets, coeffs):
-        idx = i0 + off * step_bins
-        if idx < 0 or idx >= chi.values.size:
-            raise WWMError("finite-difference stencil exceeds the q grid")
-        total += coef * chi.values[idx]
+    for k, coef in enumerate(coeffs, start=1):
+        plus = chi.values[i0 + k * step_bins]
+        minus = chi.values[i0 - k * step_bins]
+        if order % 2:
+            total += coef * (plus - minus)
+        else:
+            total += coef * ((plus - centre) + (minus - centre))
     if not abs(np.log2(abs(h))) * power < 1020:  # h ** power would leave the normal range
         raise WWMError(f"finite-difference step {h:.3e} to the power {power} is out of range")
     return total / (denom * h ** power)

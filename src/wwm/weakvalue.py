@@ -38,6 +38,9 @@ from .transfer import (
 
 _PROMOTE_SHARE = 0.99
 _PROMOTE_FLOOR = 1e-8
+# Samples per row block of the joint table's kernel temporaries (16 rows
+# at n = 16384), which bounds them independently of the table's size.
+_JOINT_BLOCK = 2 ** 18
 
 
 def pwv_narrow_sign(s, ps):
@@ -178,27 +181,39 @@ def pwv_joint(scheme, state):
                 np.sqrt(nw) * np.real(psit_rows[ok] * np.conj(g[cols[ok]])) * dp
             )
     else:
-        diff = ps[None, :] - ps[rows][:, None]  # p_f - p_i
-        diff_index = np.rint(diff / dp).astype(int) + n
-        pv_kernel = np.zeros_like(diff)
-        off_diag = diff != 0.0
-        pv_kernel[off_diag] = 1.0 / diff[off_diag]
+        terms = []
         for ch, field, g in zip(scheme.channels, fields, transforms):
-            outer = psit_rows[:, None] * np.conj(g)[None, :]
             a_const, b_const, r_tilde = _channel_decomposition(ch, grid, state.s)
-            kernel = (-1j * b_const / np.pi) * pv_kernel + r_tilde[diff_index] / SQRT_2PI
-            matrix += np.real(kernel * outer) * dp * dp
-            matrix[np.arange(rows.size), rows] += np.real(
-                a_const * psit_rows * np.conj(g[rows])
-            ) * dp
+            pv_coef = -1j * b_const / np.pi
             # Diagonal of the principal-value piece: the kernel 1/(p_f - p_i)
             # times the smooth correlation has a removable zero-transfer
             # limit, (-i B / pi) psi~(p) conj(dg/dp); dropping it loses
             # exactly the central density bin.
             g_deriv = fourier_values(grid, -1j * grid.xs * field)
-            matrix[np.arange(rows.size), rows] += np.real(
-                (-1j * b_const / np.pi) * psit_rows * np.conj(g_deriv[rows])
-            ) * dp * dp
+            diagonals = (
+                np.real(a_const * psit_rows * np.conj(g[rows])) * dp,
+                np.real(pv_coef * psit_rows * np.conj(g_deriv[rows])) * dp * dp,
+            )
+            terms.append((np.conj(g), pv_coef, r_tilde / SQRT_2PI, diagonals))
+        # The (rows, n) temporaries are built one row block at a time; each
+        # channel adds its full block, then its two diagonal terms, the
+        # order in which the entries were summed on the whole table.
+        step = max(1, _JOINT_BLOCK // n)
+        for lo_row in range(0, rows.size, step):
+            blk = slice(lo_row, lo_row + step)
+            diff = ps[None, :] - ps[rows[blk]][:, None]  # p_f - p_i
+            diff_index = np.rint(diff / dp).astype(int) + n
+            pv_kernel = np.zeros_like(diff)
+            off_diag = diff != 0.0
+            pv_kernel[off_diag] = 1.0 / diff[off_diag]
+            block = matrix[blk]
+            diag = (np.arange(block.shape[0]), rows[blk])
+            for conj_g, pv_coef, r_scaled, diagonals in terms:
+                outer = psit_rows[blk, None] * conj_g[None, :]
+                kernel = pv_coef * pv_kernel + r_scaled[diff_index]
+                block += np.real(kernel * outer) * dp * dp
+                for values in diagonals:
+                    block[diag] += values[blk]
 
     marginal = matrix.sum(axis=0)
     return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo, state.s)

@@ -141,6 +141,27 @@ def test_moments_kick_pair_analytic(kick_pair, narrow):
     assert rep.imag_residual < 1e-8
 
 
+def test_moments_flat_chi_exactly_zero(sign, narrow):
+    """Narrow-slit sign: chi is one value at every stencil point (1 + 2^-52),
+    so the stencils, summed by mirrored pairs, cancel exactly (<p^4> read
+    8.3e-8 when each stencil was summed left to right)."""
+    chi = moments_chi(sign, narrow)
+    assert np.all(chi.values == chi.values[chi.index0])
+    rep = wwm.moments(chi)
+    assert np.all(rep.values == 0.0)
+    assert rep.imag_residual == 0.0
+
+
+def test_moments_even_chi_has_exactly_zero_imag_residual(kick_pair, state_a50):
+    """kick_pair on its a = s/50 grid state: chi is exactly real and even, so
+    every odd-order difference is exactly 0 (the residual read 1.66e-10)."""
+    chi = moments_chi(kick_pair, state_a50)
+    assert np.all(chi.values == chi.values[::-1]) and np.all(chi.values.imag == 0)
+    rep = wwm.moments(chi)
+    assert rep.imag_residual == 0.0
+    assert rep.values[0] == 0.0 and rep.values[2] == 0.0
+
+
 def test_moments_single_kick_keeps_odd_orders(narrow):
     sch = wwm.builtin("kicks", kicks=[(1.0, 2.0)])
     rep = wwm.moments(moments_chi(sch, narrow))
