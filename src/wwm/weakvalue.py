@@ -195,9 +195,10 @@ def pwv_joint(scheme, state):
                 np.real(pv_coef * psit_rows * np.conj(g_deriv[rows])) * dp * dp,
             )
             terms.append((np.conj(g), pv_coef, r_tilde / SQRT_2PI, diagonals))
-        # The (rows, n) temporaries are built one row block at a time; each
-        # channel adds its full block, then its two diagonal terms, the
-        # order in which the entries were summed on the whole table.
+        # The (rows, n) temporaries are built one row block at a time.  Each
+        # channel adds its full block, then its two diagonal terms: every
+        # entry is summed in the order of a whole-table build, so the block
+        # size changes no bit.
         step = max(1, _JOINT_BLOCK // n)
         for lo_row in range(0, rows.size, step):
             blk = slice(lo_row, lo_row + step)
