@@ -73,7 +73,8 @@ class Scheme:
         """sum_xi O_xi(a) * conj(O_xi(b)) elementwise over broadcast a, b.
 
         This combination is invariant under unitary channel rebasing and
-        is the only way schemes enter every distribution in the package.
+        is how schemes enter every distribution in the package; the Wigner
+        identity check forms it from lattice samples of evaluate().
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)

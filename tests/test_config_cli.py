@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,35 +293,48 @@ def test_cmd_wigner_rejects_nonfinite_x(tmp_path):
     assert not out.exists()
 
 
-X_NAN = 0.5  # a sample of WIGNER_CFG's grid, inside the state's support
+# The last lattice sample of WIGNER_CFG's identity check, x_hi + (n/2) dx:
+# x_hi = 2.4296875 is the last row where psi != 0, so the kernel of that one
+# row, and of no other computed row, reaches this point beyond the box.
+X_NAN = 6.4296875
+X_NAN_ROW = X_NAN - 512 / 128
 
 
-def nan_contraction(original, ndim):
-    """Scheme.contraction that writes NaN into its calls of the given ndim.
-
-    For ndim = 2 (a block of x rows in the identity check) only the row at
-    X_NAN is poisoned; for ndim = 1 (the kernel slice) the whole slice is.
-    """
+def nan_contraction(original):
+    """Scheme.contraction whose 1-D calls (the kernel slice) come out NaN."""
 
     def contraction(self, a, b, s=None):
         out = original(self, a, b, s)
-        if out.ndim != ndim:
-            return out
-        if ndim == 2:
-            out[np.asarray(a)[:, 0] == X_NAN] = np.nan
-        else:
+        if out.ndim == 1:
             out[:] = np.nan
         return out
 
     return contraction
 
 
+def nan_lattice_sample(original):
+    """Scheme.evaluate that writes NaN into every channel's sample at X_NAN.
+
+    Only the identity check's lattice call reaches X_NAN, so one row of
+    one block goes NaN and the others stay finite: a fold that drops a NaN
+    block result, or a block maximum that skips NaN entries, returns a
+    finite residual.
+    """
+
+    def evaluate(self, x, s=None):
+        out = original(self, x, s)
+        out[..., np.asarray(x) == X_NAN] = np.nan
+        return out
+
+    return evaluate
+
+
 def test_wigner_nan_row_is_not_swallowed(tmp_path, monkeypatch):
-    monkeypatch.setattr(wwm.Scheme, "contraction", nan_contraction(wwm.Scheme.contraction, 2))
+    monkeypatch.setattr(wwm.Scheme, "evaluate", nan_lattice_sample(wwm.Scheme.evaluate))
     cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
     state = build_state(parse_config(WIGNER_CFG))
-    (at_nan_row,) = state.values[state.grid.xs == X_NAN]
-    assert at_nan_row != 0
+    (at_nan_row,) = state.values[state.grid.xs == X_NAN_ROW]
+    assert at_nan_row != 0 and not np.any(state.values[state.grid.xs > X_NAN_ROW])
     assert np.isnan(wwm.verify_wigner_identity(wwm.builtin("sign"), state))
     out = tmp_path / "wig.csv"
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
@@ -327,11 +342,34 @@ def test_wigner_nan_row_is_not_swallowed(tmp_path, monkeypatch):
 
 
 def test_cmd_wigner_rejects_nonfinite_kernel(tmp_path, monkeypatch):
-    monkeypatch.setattr(wwm.Scheme, "contraction", nan_contraction(wwm.Scheme.contraction, 1))
+    monkeypatch.setattr(wwm.Scheme, "contraction", nan_contraction(wwm.Scheme.contraction))
     cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
     out = tmp_path / "wig.csv"
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pole, code", [(11.0, 0), (8.50390625, 1)])
+def test_wigner_evaluates_channels_only_where_rows_reach(tmp_path, capsys, pole, code):
+    """O = exp(i/(x - pole)) is singular at one lattice point of SIGN_CFG's grid.
+
+    The identity check's kernel rows reach about [-9.6, 9.6], n/2 samples
+    beyond the state's support: x = 11 lies outside that reach (and outside
+    the scheme probe's [-10, 10]), so nothing may evaluate or warn there;
+    x = 8.50390625 lies inside it and must end the run with a message.
+    """
+    scheme = f"O = exp(i/(x-{pole!r}))"
+    cfg = write(tmp_path, "pole.cfg", SIGN_CFG.replace("builtin = sign", scheme))
+    out = tmp_path / "wig.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["wigner", "--config", cfg, "--out", str(out)]) == code
+    if code == 0:
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert out.exists()
+    else:
+        assert capsys.readouterr().err.startswith("wwm: ")
+        assert not out.exists()
 
 
 def test_cmd_audit_text_and_csv(tmp_path, capsys):

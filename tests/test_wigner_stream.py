@@ -1,16 +1,31 @@
 """The row-streamed Wigner identity check against its dense reference."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import wwm
+from wwm import transfer
 from wwm.state import apply_wwm
 from wwm.transfer import _pair_products, _wigner_rows
 from conftest import S, random_complete_scheme
 
 MIB = 2 ** 20
+
+PHASE_RAMP = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+
+
+def index_pair_products(values, rows=None):
+    """Reference gather: B[j, m] = psi(x_j + u_m) conj(psi(x_j - u_m)), u_m in
+    FFT order, psi zero outside its box, by int64 index arrays."""
+    n = values.size
+    pad = np.zeros(3 * n, dtype=complex)
+    pad[n : 2 * n] = values
+    j = np.arange(n)[slice(None) if rows is None else rows, None]
+    m_signed = (((np.arange(n) + n // 2) % n) - n // 2)[None, :]
+    return pad[n + j + m_signed] * np.conj(pad[n + j - m_signed])
 
 
 def dense_verify_wigner_identity(scheme, state):
@@ -24,9 +39,9 @@ def dense_verify_wigner_identity(scheme, state):
     w_f_direct = np.zeros((n, n))
     for prob, st in zip(ensemble.probabilities, ensemble.states):
         conditioned = np.sqrt(prob) * st.values  # undo the normalization
-        w_f_direct += _wigner_rows(_pair_products(conditioned), dx).real
+        w_f_direct += _wigner_rows(index_pair_products(conditioned), dx).real
 
-    w_i = _wigner_rows(_pair_products(state.values), dx).real
+    w_i = _wigner_rows(index_pair_products(state.values), dx).real
 
     u_fft = dx * (((np.arange(n) + n // 2) % n) - n // 2)
     xs = grid.xs
@@ -87,3 +102,60 @@ def test_identity_check_memory_is_bounded(sign, state_a50):
     finally:
         tracemalloc.stop()
     assert peak < 200 * MIB
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_strided_gather_equals_index_gather(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ext = np.pad(values, n // 2)
+    for start, stop in [(0, n), (n // 4, n // 2 + 3), (n - 5, n), (n // 3, n // 3 + 1)]:
+        strided = _pair_products(ext[start : stop + n], n)
+        assert np.array_equal(strided, index_pair_products(values, slice(start, stop)))
+
+
+def phase_ramp():
+    return wwm.parse_scheme(PHASE_RAMP)
+
+
+@pytest.mark.parametrize("box", [(-8, 8, 256), (-4.5, 4, 512)])
+def test_lattice_kernel_rows_equal_contraction(box, identity, sign, kick_pair, sew):
+    """On a dyadic grid x_j +- u_m is a lattice point, so pair products of
+    lattice channel samples are the kernel rows bit for bit."""
+    grid = wwm.make_grid(*box)
+    n, h, dx = grid.n, grid.n // 2, grid.dx
+    u_fft = dx * (((np.arange(n) + h) % n) - h)
+    rnd = random_complete_scheme(np.random.default_rng(11))
+    for sch in (identity, sign, kick_pair, sew, phase_ramp(), rnd):
+        for lo, hi in [(0, n - 1), (n // 3, n // 2), (n - 1, n - 1)]:
+            lattice = grid.x_min + dx * np.arange(lo - h, hi + h + 1)
+            rows = np.zeros((hi + 1 - lo, n), dtype=complex)
+            for samples in sch.evaluate(lattice, S):
+                rows += _pair_products(samples, n)
+            xb = grid.xs[lo : hi + 1, None]
+            assert np.array_equal(rows, sch.contraction(xb + u_fft, xb - u_fft, S))
+
+
+def test_identity_check_same_bits_on_any_worker_count(monkeypatch, sign, sew):
+    state = twin_a20()
+    rnd = random_complete_scheme(np.random.default_rng(3))
+    for sch in (sign, sew, phase_ramp(), rnd):
+        residuals = []
+        for cores, row_block in [
+            ({0}, transfer._ROW_BLOCK),  # 512-row blocks, one worker
+            ({0, 1}, transfer._ROW_BLOCK),  # 256-row blocks, two workers
+            ({0, 1, 2}, 3 * 37 * 1024),  # 37-row blocks, three workers
+        ]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            monkeypatch.setattr(transfer, "_ROW_BLOCK", row_block)
+            residuals.append(wwm.verify_wigner_identity(sch, state))
+        assert residuals[0] == residuals[1] == residuals[2]
+
+
+def test_identity_check_on_a_non_dyadic_box(sign, sew):
+    """dx = 8.3/1024 is not dyadic: x_j + u_m and the lattice point may
+    differ by rounding, so only the residual's size is checked."""
+    state = wwm.gaussian_twin_slits(S, S / 20, wwm.make_grid(-4.3, 4, 1024))
+    rnd = random_complete_scheme(np.random.default_rng(7))
+    for sch in (sign, sew, phase_ramp(), rnd):
+        assert wwm.verify_wigner_identity(sch, state) < 1e-8
