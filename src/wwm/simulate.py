@@ -21,8 +21,8 @@ Randomness: one counter-based Philox stream per (seed, bin), from which a
 bin's shots consume a fixed layout (all S first, then the channel
 uniforms, then the p_f uniforms).  The fast path streams that layout in
 chunks of _SHOT_CHUNK shots, so its memory does not grow with the shot
-count and any chunk size gives the same bits.  Results are therefore
-bit-reproducible for a given seed no matter how bins are scheduled.
+count and any chunk size gives the same bits.  Each bin is one thread
+task writing only its own rows, so no bit depends on the core count.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +37,7 @@ from .grid import (
     momentum_field,
     position_field,
 )
+from .parallel import map_threads
 from .scheme import require_complete
 
 
@@ -141,7 +142,8 @@ class _ShotTables:
         self.v = np.empty((cfg.n_i, self.n_ch, grid.n))
         self.w = np.empty((cfg.n_i, self.n_ch, grid.n))
         i_bins = bin_indices(cfg.p_i_edges, self.ps)
-        for b in range(cfg.n_i):
+
+        def bin_rows(b):  # writes only row b of expectations, v and w
             mask = i_bins == b
             self.expectations[b] = np.sum(np.abs(psit[mask]) ** 2) * dp
             phi_pos = inverse_fourier_values(grid, mask * psit)
@@ -150,6 +152,8 @@ class _ShotTables:
             )
             self.v[b] = 2.0 * np.real(np.conj(g) * h) * dp
             self.w[b] = np.abs(h) ** 2 * dp
+
+        map_threads(bin_rows, range(cfg.n_i))
         cv = np.cumsum(self.v, axis=2)
         cw = np.cumsum(self.w, axis=2)
         self.nv = cv[:, :, -1]
@@ -242,7 +246,7 @@ def run_weak_experiment(scheme, state, cfg):
     counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
     overflow = np.zeros(nb, dtype=np.int64)
 
-    for b in range(nb):
+    def run_bin(b):  # writes only row b of the sums, counts and overflow
         for S, u_channel, u_pf in _draw_chunks(cfg, b):
             lam = S / (2.0 * cfg.sigma)
             alpha = 1.0 - lam * tables.expectations[b]
@@ -272,6 +276,7 @@ def run_weak_experiment(scheme, state, cfg):
             np.add.at(sum_r[b].reshape(size), flat, r[ok])
             np.add.at(sum_r2[b], c_bin[ok], r[ok] ** 2)
 
+    map_threads(run_bin, range(nb))
     counts = counts_ch.sum(axis=2)
     means = np.full((nb, nc), np.nan)
     ses = np.full((nb, nc), np.nan)

@@ -18,7 +18,6 @@ against the transfer density: schemes with step-like channels produce
 q-side derivatives are perfectly well posed.
 """
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CompletenessError, SchemeError, StateError, WWMError
 from .grid import GridSpec, fourier_values, spectral_refine
+from .parallel import map_threads, usable_cores
 from .scheme import require_complete
 from .state import apply_wwm
 
@@ -495,8 +495,6 @@ def verify_wigner_identity(scheme, state):
     lattice points x_min + k dx, k in [lo - n/2, hi + n/2], that the rows
     reach; with a dyadic dx these equal x_j +- u_m exactly.
     """
-    from concurrent.futures import ThreadPoolExecutor  # ~8 ms; only this needs it
-
     state.require_grid("verify_wigner_identity")
     grid = state.grid
     n = grid.n
@@ -513,8 +511,7 @@ def verify_wigner_identity(scheme, state):
     channels = scheme.evaluate(grid.x_min + dx * np.arange(lo - h, hi + h + 1), state.s)
 
     d_fine = 0.5 * grid.dp
-    workers = len(os.sched_getaffinity(0))
-    block = max(1, _ROW_BLOCK // workers // n)
+    block = max(1, _ROW_BLOCK // usable_cores() // n)
 
     def block_residual(start):
         stop = min(start + block, hi + 1)
@@ -535,6 +532,5 @@ def verify_wigner_identity(scheme, state):
         w_f_conv = np.roll(conv, -h, axis=1) * d_fine
         return np.max(np.abs(w_f_direct - w_f_conv))
 
-    with ThreadPoolExecutor(workers) as pool:
-        residuals = list(pool.map(block_residual, range(lo, hi + 1, block)))
+    residuals = map_threads(block_residual, range(lo, hi + 1, block))
     return float(np.max(residuals))  # unlike max(), keeps a NaN from any block

@@ -23,9 +23,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import StateError, WWMError
 from .grid import GridSpec, SQRT_2PI, bin_indices, fourier_values
+from .parallel import map_threads, usable_cores
 from .scheme import require_complete
 from .transfer import (
     MixedDistribution,
@@ -38,8 +40,8 @@ from .transfer import (
 
 _PROMOTE_SHARE = 0.99
 _PROMOTE_FLOOR = 1e-8
-# Samples per row block of the joint table's kernel temporaries (16 rows
-# at n = 16384), which bounds them independently of the table's size.
+# Samples per row block of the joint table's kernel temporaries over all
+# threads (16 rows at n = 16384 on one core), bounding them for any table.
 _JOINT_BLOCK = 2 ** 18
 
 
@@ -194,27 +196,32 @@ def pwv_joint(scheme, state):
                 np.real(a_const * psit_rows * np.conj(g[rows])) * dp,
                 np.real(pv_coef * psit_rows * np.conj(g_deriv[rows])) * dp * dp,
             )
-            terms.append((np.conj(g), pv_coef, r_tilde / SQRT_2PI, diagonals))
-        # The (rows, n) temporaries are built one row block at a time.  Each
-        # channel adds its full block, then its two diagonal terms: every
-        # entry is summed in the order of a whole-table build, so the block
-        # size changes no bit.
-        step = max(1, _JOINT_BLOCK // n)
-        for lo_row in range(0, rows.size, step):
+            windows = sliding_window_view(r_tilde / SQRT_2PI, n)  # [n - i, f] = R~(p_f - p_i)
+            terms.append((np.conj(g), pv_coef, windows, diagonals))
+        # The (rows, n) temporaries are built one row block per thread task,
+        # the block shrinking with the thread count so the samples in flight
+        # do not grow.  Each channel adds its full block, then its diagonal
+        # terms, in the order of a whole-table build: no bit depends on the
+        # block size or the thread count.
+        step = max(1, _JOINT_BLOCK // usable_cores() // n)
+
+        def add_block(lo_row):  # writes only rows blk of matrix
             blk = slice(lo_row, lo_row + step)
             diff = ps[None, :] - ps[rows[blk]][:, None]  # p_f - p_i
-            diff_index = np.rint(diff / dp).astype(int) + n
-            pv_kernel = np.zeros_like(diff)
-            off_diag = diff != 0.0
-            pv_kernel[off_diag] = 1.0 / diff[off_diag]
+            pv_kernel = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0.0)
             block = matrix[blk]
             diag = (np.arange(block.shape[0]), rows[blk])
-            for conj_g, pv_coef, r_scaled, diagonals in terms:
-                outer = psit_rows[blk, None] * conj_g[None, :]
-                kernel = pv_coef * pv_kernel + r_scaled[diff_index]
-                block += np.real(kernel * outer) * dp * dp
+            for conj_g, pv_coef, windows, diagonals in terms:
+                kernel = pv_coef * pv_kernel
+                kernel += windows[n - rows[blk]]
+                kernel *= psit_rows[blk, None] * conj_g[None, :]
+                re = kernel.real * dp
+                re *= dp
+                block += re
                 for values in diagonals:
                     block[diag] += values[blk]
+
+        map_threads(add_block, range(0, rows.size, step))
 
     marginal = matrix.sum(axis=0)
     return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo, state.s)
