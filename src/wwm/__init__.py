@@ -8,6 +8,12 @@ diagnostics), and validates them against a Monte Carlo simulation of the
 weak-measurement / post-selection protocol.  hbar = 1 throughout.
 """
 
+import os
+
+# wwm.parallel is the only pool: an OpenBLAS pool would spin on every other
+# core and make reductions depend on the core count (a user value is kept)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     CompletenessError,
     ConfigError,

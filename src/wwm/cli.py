@@ -29,6 +29,7 @@ from .transfer import char_fn, moments, support_metric, verify_wigner_identity, 
 from .weakvalue import conditional_cells, pwv_joint, pwv_marginal
 
 FMT = "%.12e"
+PHI_MAX_HALF = 2 ** 15  # `phi` q samples per side: |q| <= 512 s at dq = s/64
 
 
 def _write_out(path, text):
@@ -54,9 +55,8 @@ def _lines(lines):
 def _csv(header, columns, comments=()):
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    rows = np.column_stack(columns)
-    for row in rows:
-        lines.append(",".join(FMT % v for v in row))
+    row_fmt = ",".join([FMT] * len(columns))
+    lines.extend(row_fmt % tuple(row) for row in np.column_stack(columns).tolist())
     return _lines(lines)
 
 
@@ -100,6 +100,8 @@ def cmd_phi(cfg, args):
     if not (np.isfinite(qmax) and qmax > 0):
         raise WWMError(f"--qmax must be a positive number, got {qmax}")
     dq = cfg.s / 64.0
+    if qmax / dq > PHI_MAX_HALF:
+        raise WWMError(f"--qmax {qmax} needs more than {2 * PHI_MAX_HALF + 1} q samples")
     half = max(8, int(round(qmax / dq)))
     qs = dq * np.arange(-half, half + 1)
     chi = char_fn(scheme, state, qs=qs)
@@ -149,6 +151,10 @@ def cmd_simulate(cfg, args):
         seed=args.seed,
     )
     est = run_weak_experiment(scheme, state, mc_cfg)
+    bad = ~np.isfinite(est.means) & (est.counts > 0)
+    bad |= ~np.isfinite(est.std_errors) & (est.counts > 1)
+    if bad.any():  # r**2 overflows for a huge sigma
+        raise WWMError(f"simulate statistics are not finite at sigma = {mc_cfg.sigma}")
     oracle = conditional_cells(pwv_joint(scheme, state), edges, edges)
     lines = [
         f"# sigma,{FMT % mc_cfg.sigma}",

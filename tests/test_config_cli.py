@@ -1,9 +1,11 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wwm
+from wwm import cli
 from wwm.cli import COMMANDS, main
 from wwm.config import build_scheme, build_state, parse_config
 
@@ -55,6 +57,9 @@ O = theta(-x)
 [run]
 mode = narrow
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write(tmp_path, name, text):
@@ -134,6 +139,32 @@ def test_cmd_check_exit_codes(tmp_path, capsys):
 
     broken = write(tmp_path, "broken.cfg", "[scheme]\nO = exp(\n")
     assert main(["check", "--config", broken]) == 2
+
+
+def reference_csv(header, columns, comments=()):
+    """The writer's first form: FMT % v on each numpy scalar of each row."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    for row in np.column_stack(columns):
+        lines.append(",".join(cli.FMT % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_per_value_reference():
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, tiny, -tiny, 3 * tiny, 1e-310])
+    rng = np.random.default_rng(7)
+    columns = (
+        np.concatenate([special, rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)]),
+        np.concatenate([special[::-1], rng.normal(size=50)]),
+        np.arange(59, dtype=float) - 29,
+    )
+    for cols in (columns, columns[:1], tuple(c[:0] for c in columns)):
+        header = ("a", "b", "c")[: len(cols)]
+        assert cli._csv(header, cols, ["x,1"]) == reference_csv(header, cols, ["x,1"])
+    text = cli._csv(("a", "b", "c"), columns)
+    assert "\nnan,1.000000000000e-310,-2.900000000000e+01\n" in text
+    assert "\n-0.000000000000e+00,4.940656458412e-324,-2.600000000000e+01\n" in text
 
 
 def test_cmd_pwv_csv_format(tmp_path):
@@ -224,7 +255,7 @@ def test_cmd_phi_and_moments(tmp_path):
 def test_cmd_phi_rejects_nonpositive_qmax(tmp_path):
     cfg = write(tmp_path, "kicks.cfg", KICKS_CFG)
     out = tmp_path / "phi.csv"
-    for qmax in ("-3", "0"):
+    for qmax in ("-3", "0", "1e300"):
         assert main(["phi", "--config", cfg, "--qmax", qmax, "--out", str(out)]) == 1
     assert not out.exists()
 
@@ -264,6 +295,17 @@ def test_cmd_simulate_rejects_nonfinite_sigma(tmp_path):
         args = ["simulate", "--config", cfg, "--sigma", sigma, "--shots", "10"]
         assert main(args + ["--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_cmd_simulate_rejects_overflowing_statistics(tmp_path, capsys):
+    """sigma = 1e160 is finite, but r**2 overflows: std_error would print nan."""
+    out = tmp_path / "mc.csv"
+    args = ["simulate", "--config", str(CONFIGS / "sign.cfg"), "--sigma", "1e160"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(args + ["--shots", "50", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("wwm: simulate statistics are not finite")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cmd_simulate_rejected_in_narrow_mode(tmp_path):
