@@ -15,7 +15,6 @@ is written atomically (temp file + rename).  Exit codes: 0 success,
 import argparse
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -37,7 +36,9 @@ def _write_out(path, text):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wwm-", suffix=".tmp")
+    tmp = os.path.join(directory, f".wwm-{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    # mode 0o666 leaves the file's mode to the umask, as open() would
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -8,9 +8,10 @@ position).  Numeric scheme parameters (kick strengths, sew width) may use
 the expression grammar with `s` bound, e.g. `kick = 0.5, pi/(2*s)`.
 """
 
+import cmath
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ExpressionError
+from .errors import ConfigError, EvaluationError, ExpressionError
 from .expr import eval_expr, parse_expr
 from .grid import make_grid
 from .scheme import Scheme, builtin, parse_scheme
@@ -60,9 +61,12 @@ def _sections(text):
 def _complex_number(value, s=None, where=""):
     """Parse a numeric value through the expression grammar (pi, i, s work)."""
     try:
-        return complex(eval_expr(parse_expr(value), 0.0, s))
-    except ExpressionError as err:
+        result = complex(eval_expr(parse_expr(value), 0.0, s))
+    except (ExpressionError, EvaluationError) as err:
         raise ConfigError(f"{where}: bad number {value!r}: {err}") from None
+    if not cmath.isfinite(result):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    return result
 
 
 def _number(value, s=None, where=""):

@@ -6,7 +6,7 @@ class WWMError(Exception):
 
 
 class GridError(WWMError):
-    """Invalid grid construction or a field/grid mismatch."""
+    """Invalid grid construction."""
 
 
 class ExpressionError(WWMError):

@@ -226,7 +226,10 @@ def eval_expr(node, x, s=None):
         return left * right
     with np.errstate(divide="ignore", invalid="ignore"):
         if node.op == "/":
-            return left / right
+            try:
+                return left / right
+            except ZeroDivisionError:  # Python complex scalars, not arrays
+                raise EvaluationError("division by zero") from None
         return np.power(left, right)
 
 

@@ -1,4 +1,4 @@
-"""Uniform periodic grids, sampled complex fields, and the Fourier convention.
+"""Uniform periodic grids and the Fourier convention.
 
 All transforms in this package use the symmetric continuum convention
 
@@ -70,28 +70,6 @@ def make_grid(x_min, x_max, n):
     return GridSpec(float(x_min), float(x_max), n)
 
 
-@dataclass
-class ComplexField:
-    """Complex samples on a grid, tagged with the space they live in."""
-
-    grid: GridSpec
-    values: np.ndarray
-    space: str  # "position" or "momentum"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise GridError(
-                f"field has {self.values.shape} samples, grid wants ({self.grid.n},)"
-            )
-        if self.space not in ("position", "momentum"):
-            raise GridError(f"unknown space tag {self.space!r}")
-
-    def norm_sq(self):
-        d = self.grid.dx if self.space == "position" else self.grid.dp
-        return float(np.sum(np.abs(self.values) ** 2) * d)
-
-
 def bin_indices(edges, values):
     """Index b of the half-open bin edges[b] <= value < edges[b + 1]; -1 outside."""
     idx = np.searchsorted(edges, values, side="right") - 1
@@ -99,19 +77,10 @@ def bin_indices(edges, values):
     return idx
 
 
-def position_field(grid, values):
-    return ComplexField(grid, values, "position")
-
-
-def momentum_field(grid, values):
-    return ComplexField(grid, values, "momentum")
-
-
 def fourier_values(grid, values):
-    """Forward transform of raw position samples; returns momentum samples.
+    """Forward transform of position samples; returns momentum samples.
 
-    Matches grid.ps ordering.  Kept separate from the ComplexField wrapper
-    because the inner numeric loops work on bare arrays.
+    Matches grid.ps ordering.
     """
     spectrum = np.fft.fftshift(np.fft.fft(values))
     return grid.dx / SQRT_2PI * np.exp(-1j * grid.x_min * grid.ps) * spectrum
@@ -135,17 +104,3 @@ def spectral_refine(grid, values, factor=2):
     lo = (fine.n - grid.n) // 2
     padded[lo : lo + grid.n] = spectrum
     return fine, inverse_fourier_values(fine, padded)
-
-
-def forward_ft(field):
-    """Position-space field -> momentum-space field."""
-    if field.space != "position":
-        raise GridError("forward_ft expects a position-space field")
-    return momentum_field(field.grid, fourier_values(field.grid, field.values))
-
-
-def inverse_ft(field):
-    """Momentum-space field -> position-space field."""
-    if field.space != "momentum":
-        raise GridError("inverse_ft expects a momentum-space field")
-    return position_field(field.grid, inverse_fourier_values(field.grid, field.values))

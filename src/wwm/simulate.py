@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WWMError
-from .grid import (
-    bin_indices,
-    fourier_values,
-    inverse_fourier_values,
-    momentum_field,
-    position_field,
-)
+from .grid import bin_indices, fourier_values, inverse_fourier_values
 from .parallel import map_threads
 from .scheme import require_complete
 
@@ -96,26 +90,19 @@ class MCEstimate:
     config: MCConfig = field(repr=False)
 
 
-def back_action(psi, p_bin, S, sigma):
-    """Exact normalized weak-measurement update of a state.
+def back_action(grid, psi, p_bin, S, sigma):
+    """Exact normalized weak-measurement update of position samples psi.
 
     p_bin is a (lo, hi) momentum interval; the projector keeps grid
     momenta lo <= p < hi.  The state change vanishes like |S|/sigma.
     """
-    work = psi
-    was_position = psi.space == "position"
-    if was_position:
-        work = momentum_field(psi.grid, fourier_values(psi.grid, psi.values))
-    ps = work.grid.ps
-    mask = (ps >= p_bin[0]) & (ps < p_bin[1])
-    dp = work.grid.dp
-    expectation = float(np.sum(np.abs(work.values[mask]) ** 2) * dp)
+    tilde = fourier_values(grid, psi)
+    mask = (grid.ps >= p_bin[0]) & (grid.ps < p_bin[1])
+    expectation = float(np.sum(np.abs(tilde[mask]) ** 2) * grid.dp)
     lam = S / (2.0 * sigma)
-    updated = work.values + lam * (mask * work.values - expectation * work.values)
-    updated = updated / np.sqrt(np.sum(np.abs(updated) ** 2) * dp)
-    if was_position:
-        return position_field(psi.grid, inverse_fourier_values(psi.grid, updated))
-    return momentum_field(psi.grid, updated)
+    updated = tilde + lam * (mask * tilde - expectation * tilde)
+    updated = updated / np.sqrt(np.sum(np.abs(updated) ** 2) * grid.dp)
+    return inverse_fourier_values(grid, updated)
 
 
 class _ShotTables:

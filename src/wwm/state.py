@@ -10,12 +10,12 @@ Two state flavours:
   of a single slit is exp(-a^2 p^2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StateError
-from .grid import ComplexField, fourier_values, position_field
+from .grid import fourier_values
 from .scheme import require_complete
 
 
@@ -35,10 +35,6 @@ class SlitState:
     def require_grid(self, what="this operation"):
         if not self.is_grid:
             raise StateError(f"{what} needs a gaussian (grid) state, not narrow")
-
-    def field(self):
-        self.require_grid("field()")
-        return position_field(self.grid, self.values)
 
 
 def _normalized_amplitudes(amplitudes):
@@ -76,8 +72,11 @@ def gaussian_twin_slits(s, a, grid, amplitudes=(2 ** -0.5, 2 ** -0.5)):
     def hump(center):
         return (a * np.sqrt(np.pi)) ** -0.5 * np.exp(-((xs - center) ** 2) / (2 * a * a))
 
-    values = c_minus * hump(-s / 2) + c_plus * hump(s / 2)
-    values = values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
+    with np.errstate(all="ignore"):  # a tiny a underflows a*a; checked below
+        values = c_minus * hump(-s / 2) + c_plus * hump(s / 2)
+        values = values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
+    if not np.all(np.isfinite(values)):
+        raise StateError(f"slit samples are not finite at s={s}, a={a}")
     return SlitState("gaussian", float(s), (c_minus, c_plus), float(a), grid, values)
 
 
@@ -87,12 +86,10 @@ class PostMeasurementEnsemble:
 
     labels: list
     probabilities: np.ndarray
-    states: list  # ComplexField, position space, normalized
-    grid: object = field(default=None)
+    states: list  # position samples on grid, normalized
+    grid: object
 
     def __post_init__(self):
-        if self.grid is None and self.states:
-            self.grid = self.states[0].grid
         total = float(np.sum(self.probabilities))
         if abs(total - 1.0) > 1e-10:
             raise StateError(f"ensemble probabilities sum to {total}, not 1")
@@ -110,7 +107,7 @@ def apply_wwm(scheme, state):
         p = float(np.sum(np.abs(conditioned) ** 2) * grid.dx)
         probs.append(p)
         norm = np.sqrt(p) if p > 0 else 1.0
-        states.append(ComplexField(grid, conditioned / norm, "position"))
+        states.append(conditioned / norm)
     return PostMeasurementEnsemble(list(scheme.labels), np.asarray(probs), states, grid)
 
 
@@ -128,7 +125,7 @@ def momentum_density(obj):
     grid = ensemble.grid
     density = np.zeros(grid.n)
     for p, st in zip(ensemble.probabilities, ensemble.states):
-        density += p * np.abs(fourier_values(grid, st.values)) ** 2
+        density += p * np.abs(fourier_values(grid, st)) ** 2
     return density
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CompletenessError, SchemeError, StateError, WWMError
-from .grid import GridSpec, fourier_values, spectral_refine
+from .errors import CompletenessError, SchemeError, WWMError
+from .grid import GridSpec, spectral_refine
 from .parallel import map_threads, usable_cores
 from .scheme import require_complete
 from .state import apply_wwm
@@ -300,10 +300,10 @@ def char_fn(scheme, state, qs=None, grid=None):
     even_c, odd_c, _, spread = asymptote_split(qs, chi)
     cf = CharacteristicFunction(qs, chi, even_c, odd_c, spread, state.s)
     at0 = cf.at0()
-    if abs(at0 - 1.0) > 1e-7:
+    if not abs(at0 - 1.0) <= 1e-7:  # written so that NaN fails
         raise CompletenessError(f"chi(0) = {at0}, expected 1")
     peak = float(np.max(np.abs(chi)))
-    if peak > 1.0 + 1e-9:
+    if not peak <= 1.0 + 1e-9:
         raise WWMError(f"|chi| reached {peak}, above the Schwartz bound 1")
     return cf
 
@@ -383,17 +383,6 @@ def moments(chi, n_max=4):
 # --- Wigner functions ----------------------------------------------------
 
 
-@dataclass
-class WignerFunction:
-    xs: np.ndarray
-    ps: np.ndarray  # fine momentum grid, spacing dp/2
-    values: np.ndarray  # real, shape (n_x, n_p)
-
-    @property
-    def dp(self):
-        return float(self.ps[1] - self.ps[0])
-
-
 def _pair_products(ext, n):
     """B[j, m] = e[j + n/2 + m] conj(e[j + n/2 - m]), m in FFT order.
 
@@ -418,37 +407,6 @@ def _wigner_rows(pair_rows, dx):
 
 def fine_momentum_grid(grid):
     return 0.5 * grid.dp * np.arange(-grid.n // 2, grid.n // 2)
-
-
-def fine_momentum_amplitudes(grid, values):
-    """psi~ evaluated on the half-spaced momentum grid (exact, via two DFTs)."""
-    fine = np.empty(2 * grid.n, dtype=complex)
-    base = fourier_values(grid, values)
-    shift = 0.5 * grid.dp
-    modulated = values * np.exp(-1j * shift * grid.xs)
-    odd = fourier_values(grid, modulated)  # samples at ps + dp/2
-    fine[0::2] = base
-    fine[1::2] = odd
-    ps_fine = np.empty(2 * grid.n)
-    ps_fine[0::2] = grid.ps
-    ps_fine[1::2] = grid.ps + shift
-    return ps_fine, fine
-
-
-def wigner_state(state):
-    """Wigner function of a gaussian slit state on (grid xs) x (fine ps)."""
-    state.require_grid("wigner_state")
-    grid = state.grid
-    ps_half = np.pi / (2 * grid.dx)
-    tilde = fourier_values(grid, state.values)
-    outside = float(np.sum(np.abs(tilde[np.abs(grid.ps) > ps_half]) ** 2) * grid.dp)
-    if outside > 1e-8:
-        raise StateError(
-            f"momentum support exceeds half the box Nyquist (mass {outside:.2e}); "
-            "refine the grid"
-        )
-    w = _wigner_rows(_pair_products(np.pad(state.values, grid.n // 2), grid.n), grid.dx).real
-    return WignerFunction(grid.xs, fine_momentum_grid(grid), w)
 
 
 def wigner_kernel(scheme, x, grid, s=None):
@@ -503,7 +461,7 @@ def verify_wigner_identity(scheme, state):
     ensemble = apply_wwm(scheme, state)
     psi = np.pad(state.values, h)
     conditioned = [  # undo the normalization
-        np.pad(np.sqrt(prob) * st.values, h)
+        np.pad(np.sqrt(prob) * st, h)
         for prob, st in zip(ensemble.probabilities, ensemble.states)
     ]
     support = np.flatnonzero(np.any([psi] + conditioned, axis=0)) - h

@@ -237,16 +237,6 @@ def marginal_from_joint(table):
     return out
 
 
-def pwv_conditional(table, f_index):
-    """Signed conditional profile over p_i given the post-selected bin."""
-    denom = table.marginal_pf[f_index]
-    if denom <= 1e-12:
-        raise WWMError(
-            f"post-selection bin {f_index} has negligible probability {denom:.2e}"
-        )
-    return table.matrix[:, f_index] / denom
-
-
 def rebin_joint(table, pi_edges, pf_edges):
     """Aggregate the joint table onto coarse bins; returns (cells, col_mass)."""
     pi_edges = np.asarray(pi_edges, dtype=float)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-import wwm
+from wwm.grid import make_grid
+from wwm.scheme import builtin, parse_scheme
+from wwm.simulate import deterministic_cells
+from wwm.state import (
+    apply_wwm,
+    gaussian_twin_slits,
+    momentum_density,
+    narrow_twin_slits,
+)
 
 settings.register_profile(
     "det", derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -18,47 +26,47 @@ POWERED_Z = -(3.0 + 2.326)
 
 @pytest.fixture(scope="session")
 def grid():
-    return wwm.make_grid(-8, 8, 4096)
+    return make_grid(-8, 8, 4096)
 
 
 @pytest.fixture(scope="session")
 def grid_small():
-    return wwm.make_grid(-8, 8, 2048)
+    return make_grid(-8, 8, 2048)
 
 
 @pytest.fixture(scope="session")
 def state_a50(grid):
-    return wwm.gaussian_twin_slits(S, S / 50, grid)
+    return gaussian_twin_slits(S, S / 50, grid)
 
 
 @pytest.fixture(scope="session")
 def state_a20(grid):
-    return wwm.gaussian_twin_slits(S, S / 20, grid)
+    return gaussian_twin_slits(S, S / 20, grid)
 
 
 @pytest.fixture(scope="session")
 def narrow():
-    return wwm.narrow_twin_slits(S)
+    return narrow_twin_slits(S)
 
 
 @pytest.fixture(scope="session")
 def sign():
-    return wwm.builtin("sign")
+    return builtin("sign")
 
 
 @pytest.fixture(scope="session")
 def identity():
-    return wwm.builtin("identity")
+    return builtin("identity")
 
 
 @pytest.fixture(scope="session")
 def kick_pair():
-    return wwm.builtin("kicks", kicks=[(0.5, np.pi / 2), (0.5, -np.pi / 2)])
+    return builtin("kicks", kicks=[(0.5, np.pi / 2), (0.5, -np.pi / 2)])
 
 
 @pytest.fixture(scope="session")
 def sew():
-    return wwm.builtin("sew_flat", w=0.25, s=S)
+    return builtin("sew_flat", w=0.25, s=S)
 
 
 def most_negative_cell(scheme, state, cfg):
@@ -70,9 +78,9 @@ def most_negative_cell(scheme, state, cfg):
     cell c.  Returns the (p_i, p_f) index of the cell with the most
     negative expected z, its expected mean and that expected z.
     """
-    expected = wwm.deterministic_cells(scheme, state, cfg, sigma=cfg.sigma)
+    expected = deterministic_cells(scheme, state, cfg, sigma=cfg.sigma)
     grid = state.grid
-    density = wwm.momentum_density(wwm.apply_wwm(scheme, state))
+    density = momentum_density(apply_wwm(scheme, state))
     c_bin = np.searchsorted(cfg.p_f_edges, grid.ps, side="right") - 1
     inside = (c_bin >= 0) & (c_bin < cfg.n_f)
     landing = np.bincount(
@@ -112,4 +120,4 @@ def random_complete_scheme(rng, n_channels=2):
             f"sin({f})*cos({h})*{phase()}",
             f"sin({f})*sin({h})*{phase()}",
         ]
-    return wwm.parse_scheme("\n".join(lines))
+    return parse_scheme("\n".join(lines))

@@ -1,0 +1,117 @@
+"""Derandomised fuzz of the CLI over generated config text.
+
+Whatever a config says, `wwm check`, `phi`, `moments` and `support` end
+with exit code 0, 1 or 2 and never with a traceback, and an exit-0 output
+holds no NaN.  Every generated config has a [grid] section whose valid
+sizes stay at or below n = 256, so each example runs in milliseconds.
+"""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wwm.cli import main
+
+COMMANDS = ("check", "phi", "moments", "support")
+
+
+def values(good, bad):
+    """One value: from `bad` one time in ten, else from `good`, which
+    makes a runnable desk-scale config."""
+    return st.sampled_from(good * (9 * len(bad) // len(good) + 1) + bad)
+
+
+BAD = [
+    "0", "-1", "1e300", "1e-300", "1e999", "1/0", "0/0", "1/(s-1)", "sqrt(-1)",
+    "exp(1000)", "2^1024", "(1", "nan", "x",
+]
+SIZE = values(["128", "256"], ["16", "17", "0", "-16", "1/0", "64.5"])
+STATE = {
+    "kind": values(["gaussian", "narrow"], ["foo"]),
+    "s": values(["1", "2", "2^0", "pi/3"], BAD),
+    "a": values(["0.2", "s/8", "0.15"], BAD),
+    "amplitudes": values(["1, 1", "1, i", "0.6, 0.8", "1, -1", "1, 0"], ["0, 0", "1/0, 1", "1"]),
+}
+RUN = {
+    "mode": values(["grid", "narrow"], ["sideways"]),
+    "n_bins": SIZE,
+    "bin_span": values(["4", "pi/s"], BAD),
+    "x": values(["0.25", "s/4", "-1"], BAD),
+}
+BUILTINS = {
+    "sign": st.just([]),
+    "identity": st.just([]),
+    "sew_flat": st.lists(values(["0.25", "s/4"], BAD).map("w = {}".format), max_size=1),
+    "kicks": st.lists(
+        st.tuples(values(["0.5", "1"], BAD), values(["pi/(2*s)", "-pi/(2*s)", "1"], BAD))
+        .map("kick = {0[0]}, {0[1]}".format),
+        max_size=3,
+    ),
+    "foo": st.just([]),
+}
+CHANNELS = values(
+    [
+        ["theta(x)", "theta(-x)"],
+        ["sqrt(theta(x))", "sqrt(theta(-x))"],
+        ["cos(x)", "sin(x)"],
+        ["exp(i*x)"],
+        ["exp(i*x^2)"],
+        ["cos(x)*exp(i*x)", "sin(x)"],
+    ],
+    [["theta(x)"], ["1/0"], ["1/x"], ["0/0"], ["x^2"], ["exp(1000*x)"], ["exp(i*s/(x-x))"]],
+)
+SCHEME = st.one_of(
+    st.sampled_from(sorted(BUILTINS)).flatmap(
+        lambda b: BUILTINS[b].map(lambda params: [f"builtin = {b}"] + params)
+    ),
+    CHANNELS.map(lambda chans: [f"O = {c}" for c in chans]),
+)
+
+
+def keyed(keys):
+    """Each key's line, present three times in four, in a drawn order."""
+    lines = [
+        st.sampled_from([True, True, True, False]).flatmap(
+            lambda on, k=k: keys[k].map(lambda v: [f"{k} = {v}"] if on else [])
+        )
+        for k in sorted(keys)
+    ]
+    return st.tuples(*lines).map(lambda parts: sum(parts, [])).flatmap(st.permutations)
+
+
+GRID = st.tuples(values(["4", "8"], BAD), values(["4", "8"], BAD), SIZE).map(
+    lambda t: ["xmin = -" + t[0], "xmax = " + t[1], "n = " + t[2]]
+)
+CONFIGS = st.tuples(GRID, keyed(STATE), SCHEME, keyed(RUN)).map(
+    lambda parts: "".join(
+        f"[{name}]\n" + "".join(line + "\n" for line in lines)
+        for name, lines in zip(("grid", "state", "scheme", "run"), parts)
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def cfg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+
+
+@settings(max_examples=150)
+@given(text=CONFIGS)
+def test_cli_ends_with_an_exit_code_and_no_nan(cfg_path, text):
+    cfg_path.write_text(text)
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(cfg_path)])
+        assert code in (0, 1, 2), (command, text)
+        assert "Traceback" not in err.getvalue(), (command, text)
+        if code == 0:
+            assert "nan" not in out.getvalue(), (command, text)

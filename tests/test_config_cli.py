@@ -1,13 +1,18 @@
+import os
+import stat
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import wwm
 from wwm import cli
 from wwm.cli import COMMANDS, main
 from wwm.config import build_scheme, build_state, parse_config
+from wwm.errors import ConfigError
+from wwm.scheme import Scheme, builtin
+from wwm.transfer import verify_wigner_identity
+from wwm.weakvalue import pwv_narrow_sign
 
 SIGN_CFG = """
 # sign measurement, desk-scale defaults
@@ -107,14 +112,14 @@ def test_run_mode_overrides_state_kind():
     ],
 )
 def test_parse_config_rejects(text):
-    with pytest.raises(wwm.ConfigError):
+    with pytest.raises(ConfigError):
         parse_config(text)
 
 
 def test_fractional_integer_fields_exit_2(tmp_path):
     for old, new in (("n = 4096", "n = 4096.7"), ("mode = grid", "mode = grid\nn_bins = 7.9")):
         cfg = write(tmp_path, "frac.cfg", SIGN_CFG.replace(old, new))
-        with pytest.raises(wwm.ConfigError):
+        with pytest.raises(ConfigError):
             parse_config(SIGN_CFG.replace(old, new))
         assert main(["check", "--config", cfg]) == 2
 
@@ -122,7 +127,7 @@ def test_fractional_integer_fields_exit_2(tmp_path):
 def test_nonpositive_n_bins_exit_2(tmp_path):
     for n_bins in ("-3", "0"):
         text = SIGN_CFG.replace("mode = grid", f"mode = grid\nn_bins = {n_bins}")
-        with pytest.raises(wwm.ConfigError):
+        with pytest.raises(ConfigError):
             parse_config(text)
         cfg = write(tmp_path, "bins.cfg", text)
         assert main(["simulate", "--config", cfg, "--shots", "10"]) == 2
@@ -231,7 +236,7 @@ def test_cmd_pwv_narrow_equals_closed_form(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# atom,0.0")
     data = np.loadtxt(lines[2:], delimiter=",")
-    ref = wwm.pwv_narrow_sign(2.0, data[:, 0])
+    ref = pwv_narrow_sign(2.0, data[:, 0])
     assert np.max(np.abs(data[:, 2] - ref.density)) < 1e-12
 
 
@@ -372,19 +377,19 @@ def nan_lattice_sample(original):
 
 
 def test_wigner_nan_row_is_not_swallowed(tmp_path, monkeypatch):
-    monkeypatch.setattr(wwm.Scheme, "evaluate", nan_lattice_sample(wwm.Scheme.evaluate))
+    monkeypatch.setattr(Scheme, "evaluate", nan_lattice_sample(Scheme.evaluate))
     cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
     state = build_state(parse_config(WIGNER_CFG))
     (at_nan_row,) = state.values[state.grid.xs == X_NAN_ROW]
     assert at_nan_row != 0 and not np.any(state.values[state.grid.xs > X_NAN_ROW])
-    assert np.isnan(wwm.verify_wigner_identity(wwm.builtin("sign"), state))
+    assert np.isnan(verify_wigner_identity(builtin("sign"), state))
     out = tmp_path / "wig.csv"
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
 
 
 def test_cmd_wigner_rejects_nonfinite_kernel(tmp_path, monkeypatch):
-    monkeypatch.setattr(wwm.Scheme, "contraction", nan_contraction(wwm.Scheme.contraction))
+    monkeypatch.setattr(Scheme, "contraction", nan_contraction(Scheme.contraction))
     cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
     out = tmp_path / "wig.csv"
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
@@ -465,3 +470,50 @@ def test_cmd_audit_rejects_out_of_range_seed(tmp_path, capsys):
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == "" and "seed must fit in 64 bits" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("[grid]\nxmin = 1/0\nxmax = 8\nn = 64\n[scheme]\nbuiltin = sign\n", 2),
+        ("[state]\ns = 1/0\n[scheme]\nbuiltin = sign\n", 2),
+        ("[scheme]\nbuiltin = kicks\nkick = 1, 1/(s-1)\n", 2),
+        ("[scheme]\nbuiltin = sign\n[run]\nx = 1/0\n", 2),
+        ("[grid]\nxmin = -exp(1000)\nxmax = 8\nn = 64\n[scheme]\nbuiltin = sign\n", 2),
+        ("[scheme]\nO = 1/0\n", 1),
+    ],
+    ids=["grid-xmin", "state-s", "scheme-kick", "run-x", "non-finite", "channel"],
+)
+def test_bad_number_exits_with_a_message(tmp_path, capsys, text, code):
+    cfg = write(tmp_path, "bad.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # exp(1000) overflows
+        assert main(["check", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("wwm: ")
+
+
+# a*a underflows at a = s/50 = 2e-302, so the slit samples come out NaN
+TINY_SLITS_CFG = "[state]\nkind = gaussian\ns = 1e-300\n\n[scheme]\nbuiltin = sign\n"
+
+
+@pytest.mark.parametrize("command", ["pwv", "phi", "support", "momentum-dist", "simulate"])
+def test_nan_state_exits_1_without_output(tmp_path, capsys, command):
+    cfg = write(tmp_path, "tiny.cfg", TINY_SLITS_CFG)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([command, "--config", cfg, "--shots", "10", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("wwm: slit samples are not finite")
+
+
+def test_out_file_mode_follows_umask(tmp_path):
+    out = tmp_path / "check.txt"
+    old = os.umask(0o022)
+    try:
+        assert main(["check", "--config", str(CONFIGS / "sign.cfg"), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["check.txt"]

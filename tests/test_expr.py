@@ -55,6 +55,12 @@ def test_missing_s_raises():
         E.eval_expr(E.parse_expr("s*x"), 1.0, None)
 
 
+@pytest.mark.parametrize("text", ["1/0", "pi/(s-1)", "1/(0*i)"])
+def test_scalar_division_by_zero_raises(text):
+    with pytest.raises(EvaluationError):
+        E.eval_expr(E.parse_expr(text), 1.0, 1.0)
+
+
 def test_parse_error_positions():
     with pytest.raises(ExpressionError) as err:
         E.parse_expr("exp(")

@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-import wwm
 from wwm import weakvalue
-from wwm.grid import SQRT_2PI, fourier_values
-from wwm.scheme import require_complete
-from wwm.weakvalue import JointWeakTable, _channel_decomposition, _scan_range
+from wwm.grid import SQRT_2PI, fourier_values, make_grid
+from wwm.scheme import parse_scheme, require_complete
+from wwm.state import gaussian_twin_slits
+from wwm.weakvalue import JointWeakTable, _channel_decomposition, _scan_range, pwv_joint
 from conftest import S
 
 MIB = 2 ** 20
@@ -76,8 +76,8 @@ PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 def cases(grid_small, sign, sew, kick_pair):
     """The shipped grid configs' schemes at n = 2048, all on a = s/20 slits
     (the n = 2048 grid does not resolve a = s/50)."""
-    state = wwm.gaussian_twin_slits(S, S / 20, grid_small)
-    ramp = wwm.parse_scheme(PHASE_RAMP)
+    state = gaussian_twin_slits(S, S / 20, grid_small)
+    ramp = parse_scheme(PHASE_RAMP)
     return {"sign": sign, "phase_ramp": ramp, "sew_flat": sew, "kick_pair": kick_pair}, state
 
 
@@ -91,7 +91,7 @@ def test_blocked_joint_equals_dense(monkeypatch, cases, name, block_rows):
     ref = dense_pwv_joint(scheme, state)
     if block_rows is not None:
         assert ref.p_i.size % block_rows != 0  # a short last block
-    table = wwm.pwv_joint(scheme, state)
+    table = pwv_joint(scheme, state)
     for field in ("p_i", "p_f", "matrix", "marginal_pf"):
         assert np.array_equal(getattr(table, field), getattr(ref, field)), field
     assert table.row_offset == ref.row_offset
@@ -100,10 +100,10 @@ def test_blocked_joint_equals_dense(monkeypatch, cases, name, block_rows):
 def test_joint_memory_is_the_table_plus_one_block(sign):
     """Sign at n = 16384: the dense build peaked at 1,929 MiB for a 159 MiB
     table."""
-    state = wwm.gaussian_twin_slits(S, 0.02, wwm.make_grid(-8, 8, 16384))
+    state = gaussian_twin_slits(S, 0.02, make_grid(-8, 8, 16384))
     tracemalloc.start()
     try:
-        table = wwm.pwv_joint(sign, state)
+        table = pwv_joint(sign, state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

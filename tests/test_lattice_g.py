@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-import wwm
 from wwm.cli import main
-from wwm.transfer import correlation_g
+from wwm.grid import make_grid
+from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
+from wwm.state import gaussian_twin_slits
+from wwm.transfer import char_fn, correlation_g, moments
 from conftest import S
 
 PHASE_RAMP = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
@@ -33,7 +35,7 @@ def dense_direct_g(scheme, state, qs):
 
 
 def twin(a, n):
-    return wwm.gaussian_twin_slits(S, a, wwm.make_grid(-8, 8, n))
+    return gaussian_twin_slits(S, a, make_grid(-8, 8, n))
 
 
 # --- convergence --------------------------------------------------------
@@ -41,7 +43,7 @@ def twin(a, n):
 
 @pytest.mark.parametrize(
     "scheme, a",
-    [(wwm.builtin("sign"), 0.02), (wwm.parse_scheme(PHASE_RAMP), 0.05)],
+    [(builtin("sign"), 0.02), (parse_scheme(PHASE_RAMP), 0.05)],
     ids=["sign", "phase_ramp"],
 )
 def test_lattice_route_converges_faster_than_direct(scheme, a):
@@ -59,7 +61,7 @@ def test_lattice_route_converges_faster_than_direct(scheme, a):
 
 
 def test_lattice_route_matches_direct_on_smooth_scheme():
-    sew = wwm.builtin("sew_flat", w=0.25, s=S)
+    sew = builtin("sew_flat", w=0.25, s=S)
     st = twin(0.05, 4096)
     gap = np.max(np.abs(correlation_g(sew, st, PHI_QS) - dense_direct_g(sew, st, PHI_QS)))
     assert gap < 1e-8
@@ -106,8 +108,8 @@ def test_kick_closed_form_matches_direct(identity, kick_pair, state_a50):
     schemes = {
         "identity": identity,
         "kick_pair": kick_pair,
-        "single": wwm.builtin("kicks", kicks=[(1.0, 2.0)]),
-        "rebased": wwm.rebase(kick_pair, wwm.haar_unitary(2, rng)),
+        "single": builtin("kicks", kicks=[(1.0, 2.0)]),
+        "rebased": rebase(kick_pair, haar_unitary(2, rng)),
     }
     qs = np.concatenate([PHI_QS[::8], [0.3 * state_a50.grid.dx, 8.0, 11.0, -11.0]])
     for name, sch in schemes.items():
@@ -117,7 +119,7 @@ def test_kick_closed_form_matches_direct(identity, kick_pair, state_a50):
 
 def test_identity_moments_exactly_zero(identity, state_a50):
     qs = (S / 128.0) * np.arange(-16, 17)
-    rep = wwm.moments(wwm.char_fn(identity, state_a50, qs=qs))
+    rep = moments(char_fn(identity, state_a50, qs=qs))
     assert np.all(rep.values == 0.0)
 
 

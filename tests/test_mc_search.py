@@ -6,11 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import wwm
 from wwm import simulate
 from wwm.config import build_grid, build_scheme, build_state, parse_config
-from wwm.grid import bin_indices
-from wwm.simulate import MCEstimate, _draws, _ShotTables
+from wwm.grid import bin_indices, make_grid
+from wwm.simulate import (
+    MCConfig,
+    MCEstimate,
+    _ShotTables,
+    _draws,
+    default_bins,
+    run_weak_experiment,
+)
+from wwm.state import SlitState, gaussian_twin_slits
 from conftest import S, random_complete_scheme
 
 MIB = 2 ** 20
@@ -102,8 +109,8 @@ def shipped(name, n=None):
 
 
 def mc_config(s, seed, shots, n_bins=16, p_f_edges=None):
-    edges = wwm.default_bins(s, n_bins)
-    return wwm.MCConfig(
+    edges = default_bins(s, n_bins)
+    return MCConfig(
         sigma=10.0,
         shots_per_bin=shots,
         p_i_edges=edges,
@@ -120,7 +127,7 @@ def test_edge_search_equals_grid_bisection(name, n):
     scheme, state, s = shipped(name, n)
     for seed in (0, 7, 2 ** 63 + 5):
         cfg = mc_config(s, seed, shots=3000)
-        fast = wwm.run_weak_experiment(scheme, state, cfg)
+        fast = run_weak_experiment(scheme, state, cfg)
         assert_same(fast, grid_bisection_experiment(scheme, state, cfg))
         assert fast.overflow.sum() > 0  # the outer edges are searched too
 
@@ -131,7 +138,7 @@ def test_any_chunk_size_gives_the_same_bits(monkeypatch, chunk):
     cfg = mc_config(s, seed=3, shots=300, n_bins=6)
     monkeypatch.setattr(simulate, "_SHOT_CHUNK", chunk)
     assert_same(
-        wwm.run_weak_experiment(scheme, state, cfg),
+        run_weak_experiment(scheme, state, cfg),
         grid_bisection_experiment(scheme, state, cfg),
     )
 
@@ -141,10 +148,10 @@ def test_edges_at_grid_index_zero_and_n(sign):
     shots reach both grid ends.  The p_f edges sit below the grid (first
     index 0), on its first and last samples (0 and n - 1), beyond it (n),
     and twice inside one grid step (an empty bin)."""
-    grid = wwm.make_grid(-8, 8, 64)
+    grid = make_grid(-8, 8, 64)
     values = np.zeros(grid.n, dtype=complex)
     values[np.isin(grid.xs, (-S / 2, S / 2))] = grid.dx ** -0.5 / np.sqrt(2)
-    state = wwm.SlitState("gaussian", S, (2 ** -0.5, 2 ** -0.5), S / 50, grid, values)
+    state = SlitState("gaussian", S, (2 ** -0.5, 2 ** -0.5), S / 50, grid, values)
     ps, dp = grid.ps, grid.dp
     p_f_edges = np.array(
         [ps[0] - 1, ps[0], ps[5] + 0.25 * dp, ps[5] + 0.5 * dp, 0.0, ps[-1], ps[-1] + 1]
@@ -153,7 +160,7 @@ def test_edges_at_grid_index_zero_and_n(sign):
     assert first[0] == first[1] == 0 and first[-2] == grid.n - 1 and first[-1] == grid.n
     for seed in (0, 1, 2):
         cfg = mc_config(S, seed, shots=2000, n_bins=4, p_f_edges=p_f_edges)
-        fast = wwm.run_weak_experiment(sign, state, cfg)
+        fast = run_weak_experiment(sign, state, cfg)
         assert_same(fast, grid_bisection_experiment(sign, state, cfg))
         assert np.all(fast.counts[:, [0, 2]] == 0)  # no grid momentum inside
         assert np.all(fast.counts[:, [1, 3, 4, 5]] > 0)  # bin 5: grid index n - 1
@@ -164,14 +171,14 @@ def test_three_channel_scheme(state_a20):
     scheme = random_complete_scheme(np.random.default_rng(17), n_channels=3)
     for seed in (0, 9, 21):
         cfg = mc_config(S, seed, shots=2000)
-        fast = wwm.run_weak_experiment(scheme, state_a20, cfg)
+        fast = run_weak_experiment(scheme, state_a20, cfg)
         assert fast.channel_counts.shape[2] == 3
         assert_same(fast, grid_bisection_experiment(scheme, state_a20, cfg))
 
 
 def _mc_peak(scheme, state, shots):
-    edges = wwm.default_bins(S, 16)
-    cfg = wwm.MCConfig(
+    edges = default_bins(S, 16)
+    cfg = MCConfig(
         sigma=10.0,
         shots_per_bin=shots,
         p_i_edges=edges[7:10],
@@ -180,7 +187,7 @@ def _mc_peak(scheme, state, shots):
     )
     tracemalloc.start()
     try:
-        wwm.run_weak_experiment(scheme, state, cfg)
+        run_weak_experiment(scheme, state, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -189,7 +196,7 @@ def _mc_peak(scheme, state, shots):
 def test_mc_memory_does_not_grow_with_shots(sign, grid_small):
     """1e6 shots per bin peak within a few MiB of 1e4 (unchunked, the peak
     grew linearly: 37 MiB at 1e5 shots per bin)."""
-    state = wwm.gaussian_twin_slits(S, S / 20, grid_small)
+    state = gaussian_twin_slits(S, S / 20, grid_small)
     small = _mc_peak(sign, state, 10 ** 4)
     large = _mc_peak(sign, state, 10 ** 6)
     assert large <= small + 4 * MIB

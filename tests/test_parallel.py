@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import wwm
 from wwm import parallel, simulate, transfer, weakvalue
 from wwm.cli import main
 from wwm.errors import WWMError
+from wwm.scheme import parse_scheme
+from wwm.simulate import MCConfig, default_bins, run_weak_experiment
+from wwm.state import gaussian_twin_slits
+from wwm.weakvalue import pwv_joint
 from conftest import S, random_complete_scheme
 from test_joint_blocks import dense_pwv_joint
 
@@ -30,12 +33,12 @@ def use_cores(monkeypatch, cores):
 @pytest.fixture(scope="module")
 def schemes(sign, kick_pair, sew):
     rnd = random_complete_scheme(np.random.default_rng(11))
-    return [sign, kick_pair, sew, wwm.parse_scheme(PHASE_RAMP), rnd]
+    return [sign, kick_pair, sew, parse_scheme(PHASE_RAMP), rnd]
 
 
 @pytest.fixture(scope="module")
 def state(grid_small):
-    return wwm.gaussian_twin_slits(S, S / 20, grid_small)
+    return gaussian_twin_slits(S, S / 20, grid_small)
 
 
 def test_one_thread_per_usable_core(monkeypatch):
@@ -53,8 +56,8 @@ def test_one_thread_per_usable_core(monkeypatch):
 
 
 def test_mc_same_bits_on_any_worker_count(monkeypatch, schemes, state):
-    edges = wwm.default_bins(S, 8)
-    cfg = wwm.MCConfig(sigma=10.0, shots_per_bin=1500, p_i_edges=edges, p_f_edges=edges, seed=9)
+    edges = default_bins(S, 8)
+    cfg = MCConfig(sigma=10.0, shots_per_bin=1500, p_i_edges=edges, p_f_edges=edges, seed=9)
     for scheme in schemes:
         runs = []
         for cores, chunk in [
@@ -64,7 +67,7 @@ def test_mc_same_bits_on_any_worker_count(monkeypatch, schemes, state):
         ]:
             use_cores(monkeypatch, cores)
             monkeypatch.setattr(simulate, "_SHOT_CHUNK", chunk)
-            runs.append(wwm.run_weak_experiment(scheme, state, cfg))
+            runs.append(run_weak_experiment(scheme, state, cfg))
         for run in runs[1:]:
             for name in MC_FIELDS:
                 assert np.array_equal(
@@ -84,7 +87,7 @@ def test_joint_table_same_bits_on_any_worker_count(monkeypatch, schemes, state):
         ]:
             use_cores(monkeypatch, cores)
             monkeypatch.setattr(weakvalue, "_JOINT_BLOCK", joint_block)
-            table = wwm.pwv_joint(scheme, state)
+            table = pwv_joint(scheme, state)
             assert np.array_equal(table.matrix, ref.matrix)
             assert np.array_equal(table.marginal_pf, ref.marginal_pf)
             assert table.row_offset == ref.row_offset
@@ -94,18 +97,18 @@ def test_joint_table_same_bits_on_any_worker_count(monkeypatch, schemes, state):
 def test_many_threads_switching_fast_lose_no_update(monkeypatch, schemes, state):
     """Eight threads on shared output arrays, switching every microsecond:
     a lost or doubled row update would change the bits."""
-    edges = wwm.default_bins(S, 8)
-    cfg = wwm.MCConfig(sigma=10.0, shots_per_bin=400, p_i_edges=edges, p_f_edges=edges, seed=4)
+    edges = default_bins(S, 8)
+    cfg = MCConfig(sigma=10.0, shots_per_bin=400, p_i_edges=edges, p_f_edges=edges, seed=4)
     scheme = schemes[-1]
     monkeypatch.setattr(simulate, "_SHOT_CHUNK", 37)
     use_cores(monkeypatch, {0})
-    mc, table = wwm.run_weak_experiment(scheme, state, cfg), wwm.pwv_joint(scheme, state)
+    mc, table = run_weak_experiment(scheme, state, cfg), pwv_joint(scheme, state)
     use_cores(monkeypatch, set(range(8)))
     monkeypatch.setattr(weakvalue, "_JOINT_BLOCK", 8 * state.grid.n)  # one row per task
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        mc8, table8 = wwm.run_weak_experiment(scheme, state, cfg), wwm.pwv_joint(scheme, state)
+        mc8, table8 = run_weak_experiment(scheme, state, cfg), pwv_joint(scheme, state)
     finally:
         sys.setswitchinterval(interval)
     for name in MC_FIELDS:

@@ -1,72 +1,81 @@
 import numpy as np
 import pytest
 
-import wwm
+from wwm.errors import EvaluationError, ExpressionError, SchemeError
+from wwm.scheme import (
+    builtin,
+    check_completeness,
+    haar_unitary,
+    parse_scheme,
+    print_scheme,
+    rebase,
+    visibility,
+)
 from conftest import S, random_complete_scheme
 
 
 def test_parse_scheme_sign_pair(grid):
-    sch = wwm.parse_scheme("theta(x)\ntheta(-x)")
+    sch = parse_scheme("theta(x)\ntheta(-x)")
     assert len(sch) == 2
-    assert wwm.check_completeness(sch, grid, S) < 1e-12
+    assert check_completeness(sch, grid, S) < 1e-12
 
 
 def test_parse_scheme_single_phase_channel():
-    sch = wwm.parse_scheme("O = exp(i*pi*x/(2*s))/sqrt(2.0)")
+    sch = parse_scheme("O = exp(i*pi*x/(2*s))/sqrt(2.0)")
     assert len(sch) == 1
     vals = sch.evaluate(np.array([0.3]), S)
     assert abs(vals[0, 0]) == pytest.approx(2 ** -0.5)
 
 
 def test_parse_scheme_errors():
-    with pytest.raises(wwm.ExpressionError):
-        wwm.parse_scheme("exp(")
-    with pytest.raises(wwm.SchemeError):
-        wwm.parse_scheme("# nothing here")
-    with pytest.raises(wwm.EvaluationError):
-        wwm.parse_scheme("1/x")  # blows up at the origin
+    with pytest.raises(ExpressionError):
+        parse_scheme("exp(")
+    with pytest.raises(SchemeError):
+        parse_scheme("# nothing here")
+    with pytest.raises(EvaluationError):
+        parse_scheme("1/x")  # blows up at the origin
 
 
 def test_print_round_trip():
     text = "O = theta(x)\nO = theta(-x)"
-    sch = wwm.parse_scheme(text)
-    again = wwm.parse_scheme(wwm.print_scheme(sch))
+    sch = parse_scheme(text)
+    again = parse_scheme(print_scheme(sch))
     assert [c.ast for c in again.channels] == [c.ast for c in sch.channels]
 
 
 def test_print_scheme_rejects_non_expression_channels(sign):
-    parsed = wwm.parse_scheme("O = theta(x)\nO = theta(-x)")
-    rebased = wwm.rebase(parsed, wwm.haar_unitary(2, np.random.default_rng(0)))
+    parsed = parse_scheme("O = theta(x)\nO = theta(-x)")
+    rebased = rebase(parsed, haar_unitary(2, np.random.default_rng(0)))
     for sch in (sign, rebased):
-        with pytest.raises(wwm.SchemeError):
-            wwm.print_scheme(sch)
+        with pytest.raises(SchemeError):
+            print_scheme(sch)
 
 
 def test_completeness_residuals(grid, sign, kick_pair):
-    assert wwm.check_completeness(sign, grid, S) < 1e-12  # x=0 spike exempted
-    assert wwm.check_completeness(kick_pair, grid, S) < 1e-12
-    lonely = wwm.parse_scheme("theta(x)")
-    assert wwm.check_completeness(lonely, grid, S) == pytest.approx(1.0)
+    assert check_completeness(sign, grid, S) < 1e-12  # x=0 spike exempted
+    assert check_completeness(kick_pair, grid, S) < 1e-12
+    lonely = parse_scheme("theta(x)")
+    assert check_completeness(lonely, grid, S) == pytest.approx(1.0)
 
 
 def test_visibility_values(identity, sign, kick_pair, sew):
-    assert wwm.visibility(identity, S) == pytest.approx(1.0)
-    assert wwm.visibility(sign, S) == pytest.approx(0.0, abs=1e-14)
-    assert wwm.visibility(kick_pair, S) == pytest.approx(0.0, abs=1e-12)
-    assert wwm.visibility(sew, S) == pytest.approx(0.0, abs=1e-12)
-    single = wwm.builtin("kicks", kicks=[(1.0, 1.7)])
-    assert wwm.visibility(single, S) == pytest.approx(1.0)
+    assert visibility(identity, S) == pytest.approx(1.0)
+    assert visibility(sign, S) == pytest.approx(0.0, abs=1e-14)
+    assert visibility(kick_pair, S) == pytest.approx(0.0, abs=1e-12)
+    assert visibility(sew, S) == pytest.approx(0.0, abs=1e-12)
+    single = builtin("kicks", kicks=[(1.0, 1.7)])
+    assert visibility(single, S) == pytest.approx(1.0)
 
 
 def test_builtin_validation():
-    with pytest.raises(wwm.SchemeError):
-        wwm.builtin("nope")
-    with pytest.raises(wwm.SchemeError):
-        wwm.builtin("kicks", kicks=[(0.5, 1.0), (0.6, -1.0)])  # weights != 1
-    with pytest.raises(wwm.SchemeError):
-        wwm.builtin("sew_flat", w=0.6, s=S)  # w >= s/2
-    with pytest.raises(wwm.SchemeError):
-        wwm.builtin("sew_flat", w=-0.1)
+    with pytest.raises(SchemeError):
+        builtin("nope")
+    with pytest.raises(SchemeError):
+        builtin("kicks", kicks=[(0.5, 1.0), (0.6, -1.0)])  # weights != 1
+    with pytest.raises(SchemeError):
+        builtin("sew_flat", w=0.6, s=S)  # w >= s/2
+    with pytest.raises(SchemeError):
+        builtin("sew_flat", w=-0.1)
 
 
 def test_sew_flat_structure(sew):
@@ -81,12 +90,12 @@ def test_sew_flat_structure(sew):
 
 
 def test_rebase_identity_and_eraser(grid, sign):
-    same = wwm.rebase(sign, np.eye(2))
+    same = rebase(sign, np.eye(2))
     xs = np.linspace(-2, 2, 101)
     assert np.allclose(same.evaluate(xs, S), sign.evaluate(xs, S))
 
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    eraser = wwm.rebase(sign, hadamard)
+    eraser = rebase(sign, hadamard)
     vals = eraser.evaluate(xs, S)
     # eraser basis: {1/sqrt(2), sgn(x)/sqrt(2)}
     assert np.allclose(vals[0], np.full_like(xs, 2 ** -0.5), atol=1e-15)
@@ -95,10 +104,10 @@ def test_rebase_identity_and_eraser(grid, sign):
 
 
 def test_rebase_validation(sign):
-    with pytest.raises(wwm.SchemeError):
-        wwm.rebase(sign, np.eye(3))
-    with pytest.raises(wwm.SchemeError):
-        wwm.rebase(sign, np.array([[1, 0], [0, 2.0]]))
+    with pytest.raises(SchemeError):
+        rebase(sign, np.eye(3))
+    with pytest.raises(SchemeError):
+        rebase(sign, np.array([[1, 0], [0, 2.0]]))
 
 
 @pytest.mark.parametrize("n_channels", [2, 3])
@@ -106,25 +115,25 @@ def test_rebase_preserves_completeness_and_visibility(grid, n_channels):
     rng = np.random.default_rng(10 + n_channels)
     for _ in range(4):
         sch = random_complete_scheme(rng, n_channels)
-        u = wwm.haar_unitary(n_channels, rng)
-        mixed = wwm.rebase(sch, u)
-        r0 = wwm.check_completeness(sch, grid, S)
-        r1 = wwm.check_completeness(mixed, grid, S)
+        u = haar_unitary(n_channels, rng)
+        mixed = rebase(sch, u)
+        r0 = check_completeness(sch, grid, S)
+        r1 = check_completeness(mixed, grid, S)
         assert abs(r0 - r1) < 1e-10
-        assert wwm.visibility(mixed, S) == pytest.approx(
-            wwm.visibility(sch, S), abs=1e-10
+        assert visibility(mixed, S) == pytest.approx(
+            visibility(sch, S), abs=1e-10
         )
 
 
 def test_builtin_rebase_preserves_metadata(sign, kick_pair):
     rng = np.random.default_rng(0)
-    u = wwm.haar_unitary(2, rng)
-    assert wwm.rebase(sign, u).base == "sign"
-    assert wwm.rebase(kick_pair, u).kick_terms == kick_pair.kick_terms
+    u = haar_unitary(2, rng)
+    assert rebase(sign, u).base == "sign"
+    assert rebase(kick_pair, u).kick_terms == kick_pair.kick_terms
 
 
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(3)
     for dim in (2, 3, 5):
-        u = wwm.haar_unitary(dim, rng)
+        u = haar_unitary(dim, rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12

@@ -1,70 +1,80 @@
 import numpy as np
 import pytest
 
-import wwm
+from wwm.errors import WWMError
+from wwm.grid import fourier_values, inverse_fourier_values, make_grid
+from wwm.simulate import (
+    MCConfig,
+    back_action,
+    default_bins,
+    deterministic_cells,
+    run_reference,
+    run_weak_experiment,
+)
+from wwm.state import gaussian_twin_slits
+from wwm.weakvalue import conditional_cells, pwv_joint
 from conftest import POWERED_Z, S, most_negative_cell
 
 
 @pytest.fixture(scope="module")
 def mc_grid():
-    return wwm.make_grid(-8, 8, 2048)
+    return make_grid(-8, 8, 2048)
 
 
 @pytest.fixture(scope="module")
 def mc_state(mc_grid):
-    return wwm.gaussian_twin_slits(S, S / 20, mc_grid)
+    return gaussian_twin_slits(S, S / 20, mc_grid)
 
 
 def small_cfg(seed=42, shots=400, n_bins=6, sigma=10.0):
-    edges = wwm.default_bins(S, n_bins)
-    return wwm.MCConfig(
+    edges = default_bins(S, n_bins)
+    return MCConfig(
         sigma=sigma, shots_per_bin=shots, p_i_edges=edges, p_f_edges=edges, seed=seed
     )
 
 
 def test_config_validation():
-    edges = wwm.default_bins(S, 4)
+    edges = default_bins(S, 4)
     for sigma in (2.0, np.nan, np.inf):
-        with pytest.raises(wwm.WWMError):
-            wwm.MCConfig(sigma=sigma, shots_per_bin=10, p_i_edges=edges, p_f_edges=edges)
-    with pytest.raises(wwm.WWMError):
-        wwm.MCConfig(sigma=10.0, shots_per_bin=0, p_i_edges=edges, p_f_edges=edges)
-    with pytest.raises(wwm.WWMError):
-        wwm.MCConfig(
+        with pytest.raises(WWMError):
+            MCConfig(sigma=sigma, shots_per_bin=10, p_i_edges=edges, p_f_edges=edges)
+    with pytest.raises(WWMError):
+        MCConfig(sigma=10.0, shots_per_bin=0, p_i_edges=edges, p_f_edges=edges)
+    with pytest.raises(WWMError):
+        MCConfig(
             sigma=10.0, shots_per_bin=10, p_i_edges=edges[::-1], p_f_edges=edges
         )
-    with pytest.raises(wwm.WWMError):
-        wwm.MCConfig(
+    with pytest.raises(WWMError):
+        MCConfig(
             sigma=10.0, shots_per_bin=10, p_i_edges=edges, p_f_edges=edges, seed=-1
         )
 
 
 def test_back_action_cases(mc_state, mc_grid):
-    field = mc_state.field()
-    unchanged = wwm.back_action(field, (0.0, 2.0), 0.0, 10.0)
-    assert np.max(np.abs(unchanged.values - field.values)) < 1e-12
+    psi = mc_state.values
+    unchanged = back_action(mc_grid, psi, (0.0, 2.0), 0.0, 10.0)
+    assert np.max(np.abs(unchanged - psi)) < 1e-12
 
     # eigenstate of the projector: only the normalization can change
-    tilde = wwm.forward_ft(field)
-    inside = tilde.values * ((mc_grid.ps >= -5) & (mc_grid.ps < 5))
+    tilde = fourier_values(mc_grid, psi)
+    inside = tilde * ((mc_grid.ps >= -5) & (mc_grid.ps < 5))
     inside = inside / np.sqrt(np.sum(np.abs(inside) ** 2) * mc_grid.dp)
-    eigen = wwm.momentum_field(mc_grid, inside)
-    kicked = wwm.back_action(eigen, (-5.0, 5.0), 1.7, 10.0)
-    assert np.max(np.abs(kicked.values - eigen.values)) < 1e-10
+    eigen = inverse_fourier_values(mc_grid, inside)
+    kicked = back_action(mc_grid, eigen, (-5.0, 5.0), 1.7, 10.0)
+    assert np.max(np.abs(kicked - eigen)) < 1e-10
 
     rng = np.random.default_rng(8)
     raw = rng.standard_normal(mc_grid.n) + 1j * rng.standard_normal(mc_grid.n)
     raw /= np.sqrt(np.sum(np.abs(raw) ** 2) * mc_grid.dx)
-    out = wwm.back_action(wwm.position_field(mc_grid, raw), (0.0, 2.0), 1.0, 20.0)
-    assert out.space == "position"
-    change = np.sqrt(np.sum(np.abs(out.values - raw) ** 2) * mc_grid.dx)
+    out = back_action(mc_grid, raw, (0.0, 2.0), 1.0, 20.0)
+    change = np.sqrt(np.sum(np.abs(out - raw) ** 2) * mc_grid.dx)
     assert change <= 0.05  # |S| / sigma bound
 
 
 def test_fast_path_matches_reference(mc_state, sign):
     cfg = small_cfg()
-    fast = wwm.run_weak_experiment(sign, mc_state, cfg)
-    ref = wwm.run_reference(sign, mc_state, cfg)
+    fast = run_weak_experiment(sign, mc_state, cfg)
+    ref = run_reference(sign, mc_state, cfg)
     assert np.array_equal(fast.counts, ref.counts)
     both = fast.counts > 0
     assert np.max(np.abs(fast.means[both] - ref.means[both])) < 1e-9
@@ -73,16 +83,16 @@ def test_fast_path_matches_reference(mc_state, sign):
 
 def test_seed_determinism_and_bin_order_independence(mc_state, sign):
     cfg = small_cfg(seed=3)
-    a = wwm.run_weak_experiment(sign, mc_state, cfg)
-    b = wwm.run_weak_experiment(sign, mc_state, cfg)
+    a = run_weak_experiment(sign, mc_state, cfg)
+    b = run_weak_experiment(sign, mc_state, cfg)
     assert np.array_equal(a.means, b.means, equal_nan=True)
     assert np.array_equal(a.std_errors, b.std_errors, equal_nan=True)
-    other = wwm.run_weak_experiment(sign, mc_state, small_cfg(seed=4))
+    other = run_weak_experiment(sign, mc_state, small_cfg(seed=4))
     assert not np.array_equal(a.means, other.means, equal_nan=True)
 
     # per-bin streams: a run restricted to one bin reproduces that bin's row
     edges = cfg.p_i_edges
-    solo = wwm.MCConfig(
+    solo = MCConfig(
         sigma=cfg.sigma,
         shots_per_bin=cfg.shots_per_bin,
         p_i_edges=edges[2:4],
@@ -93,13 +103,13 @@ def test_seed_determinism_and_bin_order_independence(mc_state, sign):
     # is that identical configs are bit-identical and different seeds differ,
     # plus the channel-marginal property below; stream independence is by
     # construction (Philox keyed on (seed, bin)).
-    est = wwm.run_weak_experiment(sign, mc_state, solo)
+    est = run_weak_experiment(sign, mc_state, solo)
     assert est.counts.shape == (1, cfg.n_f)
 
 
 def test_counts_reconcile_with_shots(mc_state, sign):
     cfg = small_cfg(seed=14)
-    est = wwm.run_weak_experiment(sign, mc_state, cfg)
+    est = run_weak_experiment(sign, mc_state, cfg)
     per_bin = est.counts.sum(axis=1) + est.overflow
     assert np.all(per_bin == cfg.shots_per_bin)
 
@@ -107,16 +117,16 @@ def test_counts_reconcile_with_shots(mc_state, sign):
 def test_channel_marginal_property(mc_state, sign):
     # summing per-channel accumulators equals ignoring the channel record
     cfg = small_cfg(seed=11)
-    est = wwm.run_weak_experiment(sign, mc_state, cfg)
+    est = run_weak_experiment(sign, mc_state, cfg)
     got = est.counts > 0
     summed = est.channel_sums.sum(axis=2)[got] / est.channel_counts.sum(axis=2)[got]
     assert np.max(np.abs(summed - est.means[got])) < 1e-12
 
 
 def test_identity_diagonal_cells(mc_grid, identity):
-    state = wwm.gaussian_twin_slits(S, S / 20, mc_grid)
+    state = gaussian_twin_slits(S, S / 20, mc_grid)
     cfg = small_cfg(seed=5, shots=4000, n_bins=8)
-    est = wwm.run_weak_experiment(identity, state, cfg)
+    est = run_weak_experiment(identity, state, cfg)
     # without a which-way step the conditional is the identity matrix
     for b in range(cfg.n_i):
         if est.counts[b, b] > 50:
@@ -128,9 +138,9 @@ def test_identity_diagonal_cells(mc_grid, identity):
 
 def test_cell_means_against_oracle(mc_state, sign):
     cfg = small_cfg(seed=12, shots=20000, n_bins=8)
-    est = wwm.run_weak_experiment(sign, mc_state, cfg)
-    oracle = wwm.conditional_cells(
-        wwm.pwv_joint(sign, mc_state), cfg.p_i_edges, cfg.p_f_edges
+    est = run_weak_experiment(sign, mc_state, cfg)
+    oracle = conditional_cells(
+        pwv_joint(sign, mc_state), cfg.p_i_edges, cfg.p_f_edges
     )
     mask = np.abs(oracle) > 1e-3
     z = np.abs(est.means - oracle) / est.std_errors
@@ -142,8 +152,8 @@ def test_cell_means_against_oracle(mc_state, sign):
 
 def test_variance_scaling(mc_state, sign):
     # std errors scale like sigma / sqrt(count): 4x the shots halves them
-    base = wwm.run_weak_experiment(sign, mc_state, small_cfg(seed=21, shots=2000))
-    quad = wwm.run_weak_experiment(sign, mc_state, small_cfg(seed=22, shots=8000))
+    base = run_weak_experiment(sign, mc_state, small_cfg(seed=21, shots=2000))
+    quad = run_weak_experiment(sign, mc_state, small_cfg(seed=22, shots=8000))
     both = (base.counts > 400) & (quad.counts > 400)
     ratio = base.std_errors[both] / quad.std_errors[both]
     assert np.allclose(ratio, 2.0, rtol=0.1)
@@ -154,10 +164,10 @@ def test_variance_scaling(mc_state, sign):
 
 def test_bias_decays_like_sigma_squared(mc_state, sign):
     cfg = small_cfg(seed=0, shots=1)  # shots irrelevant: deterministic expectation
-    target = wwm.deterministic_cells(sign, mc_state, cfg)
+    target = deterministic_cells(sign, mc_state, cfg)
     biases = []
     for sigma in (5.0, 10.0, 20.0):
-        cells = wwm.deterministic_cells(sign, mc_state, cfg, sigma=sigma)
+        cells = deterministic_cells(sign, mc_state, cfg, sigma=sigma)
         biases.append(np.nanmax(np.abs(cells - target)))
     assert biases[0] > biases[1] > biases[2]
     assert biases[0] / biases[1] == pytest.approx(4.0, rel=0.2)
@@ -166,9 +176,9 @@ def test_bias_decays_like_sigma_squared(mc_state, sign):
 
 def test_deterministic_cells_match_rebinned_conditional(mc_state, sign):
     cfg = small_cfg()
-    cells = wwm.deterministic_cells(sign, mc_state, cfg)
-    oracle = wwm.conditional_cells(
-        wwm.pwv_joint(sign, mc_state), cfg.p_i_edges, cfg.p_f_edges
+    cells = deterministic_cells(sign, mc_state, cfg)
+    oracle = conditional_cells(
+        pwv_joint(sign, mc_state), cfg.p_i_edges, cfg.p_f_edges
     )
     both = np.isfinite(cells) & np.isfinite(oracle)
     # the estimator limit normalizes by the true landing probability, the
@@ -185,10 +195,10 @@ def test_significantly_negative_cell_high_power(mc_grid, sign):
     before the run (expected z -5.57 in cell [1, 3] at these settings; the
     seed-0 run observes -4.37), then the experiment is run once at a fixed
     seed."""
-    state = wwm.gaussian_twin_slits(S, S / 10, mc_grid)
+    state = gaussian_twin_slits(S, S / 10, mc_grid)
     p_i_edges = np.array([-3 * np.pi, -3.0, 3.0, 3 * np.pi])
     p_f_edges = np.array([-4 * np.pi, -6.68, 0.0, 6.68, 4 * np.pi])
-    cfg = wwm.MCConfig(
+    cfg = MCConfig(
         sigma=10.0,
         shots_per_bin=10 ** 6,
         p_i_edges=p_i_edges,
@@ -197,8 +207,8 @@ def test_significantly_negative_cell_high_power(mc_grid, sign):
     )
     cell, _, z_expected = most_negative_cell(sign, state, cfg)
     assert z_expected <= POWERED_Z
-    est = wwm.run_weak_experiment(sign, state, cfg)
-    oracle = wwm.conditional_cells(wwm.pwv_joint(sign, state), p_i_edges, p_f_edges)
+    est = run_weak_experiment(sign, state, cfg)
+    oracle = conditional_cells(pwv_joint(sign, state), p_i_edges, p_f_edges)
     assert oracle[cell] < -0.1  # central lobe, outer window
     significant = est.means + 3 * est.std_errors < 0
     assert significant[cell]

@@ -1,7 +1,26 @@
 import numpy as np
 import pytest
 
-import wwm
+from wwm.errors import StateError
+from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
+from wwm.simulate import default_bins
+from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density
+from wwm.transfer import (
+    char_fn,
+    classical_transfer,
+    moments,
+    phi_symmetric,
+    support_metric,
+    wigner_kernel,
+)
+from wwm.weakvalue import (
+    conditional_cells,
+    marginal_from_joint,
+    pwv_joint,
+    pwv_marginal,
+    pwv_narrow_sign,
+    rebin_joint,
+)
 from conftest import S, random_complete_scheme
 
 
@@ -13,84 +32,84 @@ def rel_linf(values, reference):
 
 
 def test_identity_gives_delta(identity, state_a50):
-    dist = wwm.pwv_marginal(identity, state_a50)
+    dist = pwv_marginal(identity, state_a50)
     assert dist.atoms == [(0.0, pytest.approx(1.0, abs=1e-9))]
     assert np.max(np.abs(dist.density)) < 1e-12
 
 
 def test_sign_narrow_closed_form(narrow, sign, grid):
-    dist = wwm.pwv_marginal(sign, narrow, grid=grid)
-    ref = wwm.pwv_narrow_sign(S, grid.ps)
+    dist = pwv_marginal(sign, narrow, grid=grid)
+    ref = pwv_narrow_sign(S, grid.ps)
     assert dist.atoms == ref.atoms
     assert np.array_equal(dist.density, ref.density)
 
 
 def test_sign_grid_matches_narrow_form(grid, state_a50, sign):
-    dist = wwm.pwv_marginal(sign, state_a50)
+    dist = pwv_marginal(sign, state_a50)
     assert len(dist.atoms) == 1
     loc, weight = dist.atoms[0]
     assert loc == 0.0 and weight == pytest.approx(0.5, abs=0.01)
-    ref = wwm.pwv_narrow_sign(S, dist.ps)
+    ref = pwv_narrow_sign(S, dist.ps)
     window = (np.abs(dist.ps) * S >= 0.1) & (np.abs(dist.ps) * S <= 10)
     assert rel_linf(dist.density[window], ref.density[window]) < 0.02
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_kick_pair_matches_classical(kick_pair, state_a50):
-    dist = wwm.pwv_marginal(kick_pair, state_a50)
-    classical = wwm.classical_transfer(kick_pair)
+    dist = pwv_marginal(kick_pair, state_a50)
+    classical = classical_transfer(kick_pair)
     assert dist.atoms == classical.atoms
     assert dist.abs_mass() == pytest.approx(1.0, abs=1e-8)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_abs_mass_exceeds_one_iff_negative(state_a50, sign, identity):
-    signed = wwm.pwv_marginal(sign, state_a50)
+    signed = pwv_marginal(sign, state_a50)
     assert signed.abs_mass() > 1.0
     assert signed.density.min() < 0
-    positive = wwm.pwv_marginal(identity, state_a50)
+    positive = pwv_marginal(identity, state_a50)
     assert positive.abs_mass() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_rebased_sign_identical_distribution(grid, state_a50, sign):
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    eraser = wwm.rebase(sign, hadamard)
-    d0 = wwm.pwv_marginal(sign, state_a50)
-    d1 = wwm.pwv_marginal(eraser, state_a50)
+    eraser = rebase(sign, hadamard)
+    d0 = pwv_marginal(sign, state_a50)
+    d1 = pwv_marginal(eraser, state_a50)
     assert np.max(np.abs(d0.bin_masses() - d1.bin_masses())) < 1e-9
 
 
 def test_rebased_sign_narrow_uses_same_closed_form(narrow, sign, grid):
-    u = wwm.haar_unitary(2, np.random.default_rng(2))
-    d0 = wwm.pwv_marginal(sign, narrow, grid=grid)
-    d1 = wwm.pwv_marginal(wwm.rebase(sign, u), narrow, grid=grid)
+    u = haar_unitary(2, np.random.default_rng(2))
+    d0 = pwv_marginal(sign, narrow, grid=grid)
+    d1 = pwv_marginal(rebase(sign, u), narrow, grid=grid)
     assert np.array_equal(d0.density, d1.density) and d0.atoms == d1.atoms
 
 
 def test_zero_moments_with_nonzero_support(grid, sew):
     # the central coexistence: all moments vanish yet the support does not
-    st = wwm.gaussian_twin_slits(S, S / 20, grid)
+    st = gaussian_twin_slits(S, S / 20, grid)
     qs = (S / 128.0) * np.arange(-16, 17)
-    rep = wwm.moments(wwm.char_fn(sew, st, qs=qs))
+    rep = moments(char_fn(sew, st, qs=qs))
     assert np.max(np.abs(rep.values * S ** np.arange(1, 5))) < 1e-6
-    dist = wwm.pwv_marginal(sew, st)
-    assert wwm.support_metric(dist, 1.0 / S) > 0.05
+    dist = pwv_marginal(sew, st)
+    assert support_metric(dist, 1.0 / S) > 0.05
 
 
 def test_support_exclusion_for_zero_visibility(grid, sign, sew, kick_pair):
-    st = wwm.gaussian_twin_slits(S, S / 20, grid)
+    st = gaussian_twin_slits(S, S / 20, grid)
     for sch in (sign, sew, kick_pair):
-        dist = wwm.pwv_marginal(sch, st)
-        assert wwm.support_metric(dist, np.pi / (3 * S)) > 0.1
-        assert wwm.support_metric(dist, 1.0 / S) > 0.05
+        dist = pwv_marginal(sch, st)
+        assert support_metric(dist, np.pi / (3 * S)) > 0.1
+        assert support_metric(dist, 1.0 / S) > 0.05
 
 
 # --- joint table --------------------------------------------------------------
 
 
 def test_joint_identity_diagonal(identity, state_a50, grid):
-    table = wwm.pwv_joint(identity, state_a50)
-    dens_bins = wwm.momentum_density(state_a50) * grid.dp
+    table = pwv_joint(identity, state_a50)
+    dens_bins = momentum_density(state_a50) * grid.dp
     rows = slice(table.row_offset, table.row_offset + table.p_i.size)
     diag = table.matrix[np.arange(table.p_i.size), np.arange(*rows.indices(grid.n))]
     assert np.max(np.abs(diag - dens_bins[rows])) < 1e-12
@@ -102,12 +121,12 @@ def test_joint_identity_diagonal(identity, state_a50, grid):
 
 def test_joint_kicks_superdiagonal(state_a50, grid):
     k0 = 8 * grid.dp
-    sch = wwm.builtin("kicks", kicks=[(1.0, k0)])
-    table = wwm.pwv_joint(sch, state_a50)
+    sch = builtin("kicks", kicks=[(1.0, k0)])
+    table = pwv_joint(sch, state_a50)
     rows = np.arange(table.p_i.size)
     cols = rows + table.row_offset + 8
     shifted = table.matrix[rows, cols]
-    dens_bins = wwm.momentum_density(state_a50) * grid.dp
+    dens_bins = momentum_density(state_a50) * grid.dp
     assert np.max(np.abs(shifted - dens_bins[rows + table.row_offset])) < 1e-10
     total = table.matrix.copy()
     total[rows, cols] = 0.0
@@ -115,57 +134,56 @@ def test_joint_kicks_superdiagonal(state_a50, grid):
 
 
 def test_joint_sign_has_negative_entries(state_a50, sign):
-    table = wwm.pwv_joint(sign, state_a50)
+    table = pwv_joint(sign, state_a50)
     assert table.matrix.min() < -1e-5
     assert table.total_mass() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_joint_column_sums(state_a50, sign, identity, kick_pair, grid):
-    dens_bins = wwm.momentum_density(wwm.apply_wwm(sign, state_a50)) * grid.dp
-    table = wwm.pwv_joint(sign, state_a50)
+    dens_bins = momentum_density(apply_wwm(sign, state_a50)) * grid.dp
+    table = pwv_joint(sign, state_a50)
     # line-physics kernel: column sums track the density bins only to O(dp)
     assert np.max(np.abs(table.marginal_pf - dens_bins)) < 0.1 * dens_bins.max()
     for sch in (identity, kick_pair):
-        dens = wwm.momentum_density(wwm.apply_wwm(sch, state_a50)) * grid.dp
-        t = wwm.pwv_joint(sch, state_a50)
+        dens = momentum_density(apply_wwm(sch, state_a50)) * grid.dp
+        t = pwv_joint(sch, state_a50)
         assert np.max(np.abs(t.marginal_pf - dens)) < 1e-10
 
 
 def test_route_equivalence_all_builtins(grid, state_a20, identity, sign, kick_pair, sew):
     for sch in (identity, sign, kick_pair, sew):
-        chi_bins = wwm.pwv_marginal(sch, state_a20).bin_masses()
-        joint_bins = wwm.marginal_from_joint(wwm.pwv_joint(sch, state_a20))
+        chi_bins = pwv_marginal(sch, state_a20).bin_masses()
+        joint_bins = marginal_from_joint(pwv_joint(sch, state_a20))
         assert np.max(np.abs(chi_bins - joint_bins)) < 1e-6
 
 
 def test_conditional_profiles(identity, sign, state_a50, grid):
-    table = wwm.pwv_joint(identity, state_a50)
+    table = pwv_joint(identity, state_a50)
     center = grid.n // 2 + 2
-    profile = wwm.pwv_conditional(table, center)
+    profile = table.matrix[:, center] / table.marginal_pf[center]
     expected = np.zeros(table.p_i.size)
     expected[center - table.row_offset] = 1.0
     assert np.max(np.abs(profile - expected)) < 1e-9
 
-    table = wwm.pwv_joint(sign, state_a50)
-    profile = wwm.pwv_conditional(table, grid.n // 2 + 1)
+    table = pwv_joint(sign, state_a50)
+    profile = table.matrix[:, grid.n // 2 + 1] / table.marginal_pf[grid.n // 2 + 1]
     assert profile.sum() == pytest.approx(1.0, abs=1e-9)
     assert profile.min() < 0
 
     far = int(np.searchsorted(grid.ps, 700.0))
-    with pytest.raises(wwm.WWMError):
-        wwm.pwv_conditional(table, far)
+    assert table.marginal_pf[far] <= 1e-12
 
 
 def test_joint_requires_grid_state(narrow, sign):
-    with pytest.raises(wwm.StateError):
-        wwm.pwv_joint(sign, narrow)
+    with pytest.raises(StateError):
+        pwv_joint(sign, narrow)
 
 
 def test_rebin_and_conditional_cells(state_a50, sign):
-    table = wwm.pwv_joint(sign, state_a50)
-    edges = wwm.default_bins(S, 8)
-    cells, col_mass = wwm.rebin_joint(table, edges, edges)
-    cond = wwm.conditional_cells(table, edges, edges)
+    table = pwv_joint(sign, state_a50)
+    edges = default_bins(S, 8)
+    cells, col_mass = rebin_joint(table, edges, edges)
+    cond = conditional_cells(table, edges, edges)
     good = col_mass > 1e-12
     assert np.allclose(cond[:, good].sum(axis=0), 1.0, atol=1e-6)
     assert cells.shape == (8, 8)
@@ -173,14 +191,14 @@ def test_rebin_and_conditional_cells(state_a50, sign):
 
 def test_unsettled_tails_warn(grid_small):
     # a chirp channel never settles at the box edges, on either route
-    chirp = wwm.parse_scheme("O = exp(i*x^2)")
-    state = wwm.gaussian_twin_slits(S, S / 20, grid_small)
+    chirp = parse_scheme("O = exp(i*x^2)")
+    state = gaussian_twin_slits(S, S / 20, grid_small)
     with pytest.warns(UserWarning):
-        wwm.pwv_marginal(chirp, state)
+        pwv_marginal(chirp, state)
     with pytest.warns(UserWarning):
-        wwm.wigner_kernel(chirp, S / 4, grid_small, S)
+        wigner_kernel(chirp, S / 4, grid_small, S)
     with pytest.warns(UserWarning):
-        wwm.pwv_joint(chirp, state)
+        pwv_joint(chirp, state)
 
 
 def test_random_scheme_basis_invariance(grid, state_a20):
@@ -190,8 +208,8 @@ def test_random_scheme_basis_invariance(grid, state_a20):
 
     with _w.catch_warnings():
         _w.simplefilter("ignore")  # oscillating tails never settle
-        d0 = wwm.pwv_marginal(sch, state_a20)
-        d1 = wwm.pwv_marginal(wwm.rebase(sch, wwm.haar_unitary(2, rng)), state_a20)
+        d0 = pwv_marginal(sch, state_a20)
+        d1 = pwv_marginal(rebase(sch, haar_unitary(2, rng)), state_a20)
     assert np.max(np.abs(d0.bin_masses() - d1.bin_masses())) < 1e-9
 
 
@@ -203,42 +221,42 @@ def phase_ramp():
     # single channel exp(i*alpha*ramp(x)): a partial phase kick felt only by
     # the right slit; chi has unequal box-edge asymptotes (odd part != 0)
     alpha = 0.8
-    return alpha, wwm.parse_scheme(
+    return alpha, parse_scheme(
         f"exp(i*{alpha}*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
     )
 
 
 def test_phase_ramp_chi_asymmetric(grid, state_a20, phase_ramp):
     alpha, sch = phase_ramp
-    chi = wwm.char_fn(sch, state_a20)
+    chi = char_fn(sch, state_a20)
     assert chi.band_spread < 1e-10
     assert abs(np.imag(chi.odd_const)) > 0.1  # genuinely asymmetric
-    gap = np.max(np.abs(chi.values - wwm.phi_symmetric(sch, state_a20, chi.qs)))
+    gap = np.max(np.abs(chi.values - phi_symmetric(sch, state_a20, chi.qs)))
     assert gap > 0.1  # the symmetric Re form is a different object here
 
 
 def test_phase_ramp_marginal_mass_and_moment(grid, state_a20, phase_ramp):
     alpha, sch = phase_ramp
-    dist = wwm.pwv_marginal(sch, state_a20)
+    dist = pwv_marginal(sch, state_a20)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-6)
     # only the right slit traverses the ramp: mean transfer alpha/2
     qs = (1.0 / 128.0) * np.arange(-16, 17)
-    rep = wwm.moments(wwm.char_fn(sch, state_a20, qs=qs))
+    rep = moments(char_fn(sch, state_a20, qs=qs))
     assert rep.values[0] == pytest.approx(alpha / 2, abs=1e-9)
 
 
 def test_phase_ramp_route_equivalence(grid, state_a20, phase_ramp):
     _, sch = phase_ramp
-    chi_bins = wwm.pwv_marginal(sch, state_a20).bin_masses()
-    joint_bins = wwm.marginal_from_joint(wwm.pwv_joint(sch, state_a20))
+    chi_bins = pwv_marginal(sch, state_a20).bin_masses()
+    joint_bins = marginal_from_joint(pwv_joint(sch, state_a20))
     assert np.max(np.abs(chi_bins - joint_bins)) < 1e-6
 
 
 def test_asymmetric_amplitudes_round_trip(grid, sign):
-    st = wwm.gaussian_twin_slits(S, S / 20, grid, amplitudes=(0.8, 0.6))
-    dist = wwm.pwv_marginal(sign, st)
+    st = gaussian_twin_slits(S, S / 20, grid, amplitudes=(0.8, 0.6))
+    dist = pwv_marginal(sign, st)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-6)
-    joint_bins = wwm.marginal_from_joint(wwm.pwv_joint(sign, st))
+    joint_bins = marginal_from_joint(pwv_joint(sign, st))
     assert np.max(np.abs(dist.bin_masses() - joint_bins)) < 1e-6
 
 

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import wwm
 from wwm import transfer
-from wwm.state import apply_wwm
-from wwm.transfer import _pair_products, _wigner_rows
+from wwm.grid import make_grid
+from wwm.scheme import parse_scheme
+from wwm.state import apply_wwm, gaussian_twin_slits
+from wwm.transfer import _pair_products, _wigner_rows, verify_wigner_identity
 from conftest import S, random_complete_scheme
 
 MIB = 2 ** 20
@@ -38,7 +39,7 @@ def dense_verify_wigner_identity(scheme, state):
 
     w_f_direct = np.zeros((n, n))
     for prob, st in zip(ensemble.probabilities, ensemble.states):
-        conditioned = np.sqrt(prob) * st.values  # undo the normalization
+        conditioned = np.sqrt(prob) * st  # undo the normalization
         w_f_direct += _wigner_rows(index_pair_products(conditioned), dx).real
 
     w_i = _wigner_rows(index_pair_products(state.values), dx).real
@@ -63,13 +64,13 @@ def dense_verify_wigner_identity(scheme, state):
 
 def twin_a20():
     """Twin slits at a = s/20: the state's support covers part of the rows."""
-    st = wwm.gaussian_twin_slits(S, S / 20, wwm.make_grid(-4, 4, 1024))
+    st = gaussian_twin_slits(S, S / 20, make_grid(-4, 4, 1024))
     assert st.values[0] == 0 and st.values[-1] == 0
     return st
 
 
 def single_slit():
-    return wwm.gaussian_twin_slits(S, S / 20, wwm.make_grid(-4, 4, 1024), amplitudes=(1, 0))
+    return gaussian_twin_slits(S, S / 20, make_grid(-4, 4, 1024), amplitudes=(1, 0))
 
 
 def twin_a5():
@@ -78,7 +79,7 @@ def twin_a5():
     The box is offset so that x = 0 is not a sample: there theta(0) = 1/2
     would leave the sign scheme incomplete on a state that reaches x = 0.
     """
-    st = wwm.gaussian_twin_slits(S, S / 5, wwm.make_grid(-4.5, 4, 1024))
+    st = gaussian_twin_slits(S, S / 5, make_grid(-4.5, 4, 1024))
     assert st.values[0] != 0 and st.values[-1] != 0
     return st
 
@@ -88,7 +89,7 @@ def test_streamed_identity_equals_dense(make_state, identity, kick_pair, sign, s
     state = make_state()
     rnd = random_complete_scheme(np.random.default_rng(5))
     for sch in (identity, kick_pair, sign, sew, rnd):
-        assert wwm.verify_wigner_identity(sch, state) == dense_verify_wigner_identity(
+        assert verify_wigner_identity(sch, state) == dense_verify_wigner_identity(
             sch, state
         )
 
@@ -97,7 +98,7 @@ def test_identity_check_memory_is_bounded(sign, state_a50):
     """The n = 4096 check holds no n x n array (the dense one peaked at 1.6 GiB)."""
     tracemalloc.start()
     try:
-        wwm.verify_wigner_identity(sign, state_a50)
+        verify_wigner_identity(sign, state_a50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,14 +116,14 @@ def test_strided_gather_equals_index_gather(n):
 
 
 def phase_ramp():
-    return wwm.parse_scheme(PHASE_RAMP)
+    return parse_scheme(PHASE_RAMP)
 
 
 @pytest.mark.parametrize("box", [(-8, 8, 256), (-4.5, 4, 512)])
 def test_lattice_kernel_rows_equal_contraction(box, identity, sign, kick_pair, sew):
     """On a dyadic grid x_j +- u_m is a lattice point, so pair products of
     lattice channel samples are the kernel rows bit for bit."""
-    grid = wwm.make_grid(*box)
+    grid = make_grid(*box)
     n, h, dx = grid.n, grid.n // 2, grid.dx
     u_fft = dx * (((np.arange(n) + h) % n) - h)
     rnd = random_complete_scheme(np.random.default_rng(11))
@@ -148,14 +149,14 @@ def test_identity_check_same_bits_on_any_worker_count(monkeypatch, sign, sew):
         ]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
             monkeypatch.setattr(transfer, "_ROW_BLOCK", row_block)
-            residuals.append(wwm.verify_wigner_identity(sch, state))
+            residuals.append(verify_wigner_identity(sch, state))
         assert residuals[0] == residuals[1] == residuals[2]
 
 
 def test_identity_check_on_a_non_dyadic_box(sign, sew):
     """dx = 8.3/1024 is not dyadic: x_j + u_m and the lattice point may
     differ by rounding, so only the residual's size is checked."""
-    state = wwm.gaussian_twin_slits(S, S / 20, wwm.make_grid(-4.3, 4, 1024))
+    state = gaussian_twin_slits(S, S / 20, make_grid(-4.3, 4, 1024))
     rnd = random_complete_scheme(np.random.default_rng(7))
     for sch in (sign, sew, phase_ramp(), rnd):
-        assert wwm.verify_wigner_identity(sch, state) < 1e-8
+        assert verify_wigner_identity(sch, state) < 1e-8
