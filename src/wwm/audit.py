@@ -13,7 +13,7 @@ import numpy as np
 from .scheme import completeness_residual, haar_unitary, rebase, visibility
 from .simulate import require_seed
 from .state import apply_wwm, momentum_density
-from .transfer import char_fn, moments, phi_symmetric, support_metric
+from .transfer import char_fn, moment_qs, moments, phi_symmetric, support_metric
 from .weakvalue import pwv_marginal
 
 POSITIVE_TOL = 1e-6
@@ -37,6 +37,7 @@ class AuditReport:
     total_abs_mass: float
     basis_residual: float
     re_form_gap: float  # max |chi - Re g|; nonzero flags asymmetric schemes
+    # None on a narrow state, which has no momentum pattern to compare
     pattern_l1_change: float  # L1 distance initial vs final momentum density
     moment_change_mismatch: float  # | <p^n>_wv - pattern moment change |, n<=2
 
@@ -46,7 +47,7 @@ class AuditReport:
 
     @property
     def flag_reflects_pattern_change(self):
-        if np.isnan(self.pattern_l1_change):
+        if self.pattern_l1_change is None:
             return None
         moved = self.pattern_l1_change > CHANGE_TOL
         non_delta = (self.total_abs_mass - 1.0 > CHANGE_TOL) or (
@@ -56,7 +57,7 @@ class AuditReport:
 
     @property
     def flag_reflects_moment_change(self):
-        if np.isnan(self.moment_change_mismatch):
+        if self.moment_change_mismatch is None:
             return None
         return self.moment_change_mismatch < MOMENT_MATCH_TOL
 
@@ -77,8 +78,7 @@ def run_audit(scheme, state, grid=None, seed=0):
     chi_at_s = float(np.abs(chi.values[idx_s]))
     re_gap = float(np.max(np.abs(chi.values - phi_symmetric(scheme, state, qs))))
 
-    qs_m = (s / 128.0) * np.arange(-16, 17)
-    rep = moments(char_fn(scheme, state, qs=qs_m))
+    rep = moments(char_fn(scheme, state, qs=moment_qs(s)))
 
     dist = pwv_marginal(scheme, state, grid=grid)
     sup_third = support_metric(dist, np.pi / (3.0 * s))
@@ -90,6 +90,7 @@ def run_audit(scheme, state, grid=None, seed=0):
     dist_mixed = pwv_marginal(mixed, state, grid=grid)
     basis_residual = float(np.max(np.abs(dist.bin_masses() - dist_mixed.bin_masses())))
 
+    l1 = mismatch = None
     if state.is_grid:
         g = state.grid
         initial = momentum_density(state)
@@ -99,9 +100,6 @@ def run_audit(scheme, state, grid=None, seed=0):
         for order in (1, 2):
             pattern_change = float(np.sum((final - initial) * g.ps ** order) * g.dp)
             mismatch = max(mismatch, abs(rep.values[order - 1] - pattern_change))
-    else:
-        l1 = float("nan")
-        mismatch = float("nan")
 
     return AuditReport(
         scheme_label=scheme.base,
@@ -120,6 +118,10 @@ def run_audit(scheme, state, grid=None, seed=0):
         pattern_l1_change=l1,
         moment_change_mismatch=mismatch,
     )
+
+
+def _shown(value, spec):
+    return "not computed" if value is None else format(value, spec)
 
 
 def _yesno(flag):
@@ -151,8 +153,8 @@ def render_text(report):
         f"|chi - Re g| gap        = {report.re_form_gap:.3e}"
         + ("  (asymmetric scheme: symmetric Re form loses odd moments)"
            if report.re_form_gap > 1e-9 else ""),
-        f"pattern L1 change       = {report.pattern_l1_change:.6f}",
-        f"moment-change mismatch  = {report.moment_change_mismatch:.3e}",
+        f"pattern L1 change       = {_shown(report.pattern_l1_change, '.6f')}",
+        f"moment-change mismatch  = {_shown(report.moment_change_mismatch, '.3e')}",
         "",
         "properties:",
         "  described by a transfer distribution: yes",
@@ -168,14 +170,15 @@ def render_text(report):
 
 def csv_rows(report):
     """(field, value) rows: every numeric report field in declaration
-    order, moment_values as moment_1..moment_4, then the flags."""
+    order, moment_values as moment_1..moment_4, then the flags.  A field
+    that needs a grid state reads `not computed` on a narrow one."""
     rows = [("field", "value")]
     for f in fields(report)[1:]:  # all but scheme_label
         value = getattr(report, f.name)
         if f.name == "moment_values":
             rows.extend((f"moment_{k}", f"{v:.12e}") for k, v in enumerate(value, start=1))
         else:
-            rows.append((f.name, f"{value:.12e}"))
+            rows.append((f.name, _shown(value, ".12e")))
     flags = [name for name in vars(AuditReport) if name.startswith("flag_")]  # declared order
     rows.extend((name, _yesno(getattr(report, name))) for name in flags)
     rows.append(("bohmian_row", "not computed"))

@@ -24,7 +24,9 @@ from .errors import ConfigError, ExpressionError, WWMError
 from .scheme import COMPLETENESS_TOL, check_completeness, visibility
 from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
-from .transfer import char_fn, moments, support_metric, verify_wigner_identity, wigner_kernel
+from .transfer import (
+    char_fn, moment_qs, moments, support_metric, verify_wigner_identity, wigner_kernel
+)
 from .weakvalue import conditional_cells, pwv_joint, pwv_marginal
 
 FMT = "%.12e"
@@ -53,10 +55,10 @@ def _lines(lines):
     return "\n".join(lines) + "\n"
 
 
-def _csv(header, columns, comments=()):
+def _csv(header, columns, comments=(), formats=None):
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    row_fmt = ",".join([FMT] * len(columns))
+    row_fmt = ",".join(formats or [FMT] * len(columns))
     lines.extend(row_fmt % tuple(row) for row in np.column_stack(columns).tolist())
     return _lines(lines)
 
@@ -118,9 +120,7 @@ def cmd_phi(cfg, args):
 
 def cmd_moments(cfg, args):
     _, scheme, state = _build(cfg)
-    n_max = args.nmoments
-    qs = (cfg.s / 128.0) * np.arange(-16, 17)
-    rep = moments(char_fn(scheme, state, qs=qs), n_max)
+    rep = moments(char_fn(scheme, state, qs=moment_qs(cfg.s)), args.nmoments)
     lines = ["n,moment"]
     for k, value in enumerate(rep.values, start=1):
         lines.append(f"{k},{FMT % value}")
@@ -131,13 +131,11 @@ def cmd_moments(cfg, args):
 def cmd_support(cfg, args):
     grid, scheme, state = _build(cfg)
     dist = pwv_marginal(scheme, state, grid=grid)
-    s = cfg.s
-    rows = [
+    widths = (np.pi / (3 * cfg.s), 1.0 / cfg.s)
+    return _csv(
         ("half_width", "half_width_hbar_over_s", "outside_abs_mass"),
-        (FMT % (np.pi / (3 * s)), FMT % (np.pi / 3), FMT % support_metric(dist, np.pi / (3 * s))),
-        (FMT % (1.0 / s), FMT % 1.0, FMT % support_metric(dist, 1.0 / s)),
-    ]
-    return _lines(",".join(r) for r in rows), 0
+        (widths, (np.pi / 3, 1.0), [support_metric(dist, w) for w in widths]),
+    ), 0
 
 
 def cmd_simulate(cfg, args):
@@ -157,30 +155,17 @@ def cmd_simulate(cfg, args):
     if bad.any():  # r**2 overflows for a huge sigma
         raise WWMError(f"simulate statistics are not finite at sigma = {mc_cfg.sigma}")
     oracle = conditional_cells(pwv_joint(scheme, state), edges, edges)
-    lines = [
-        f"# sigma,{FMT % mc_cfg.sigma}",
-        f"# shots_per_bin,{mc_cfg.shots_per_bin}",
-        f"# seed,{mc_cfg.seed}",
-        "pi_lo,pi_hi,pf_lo,pf_hi,mean,std_error,count,oracle",
-    ]
     nb, nc = mc_cfg.n_i, mc_cfg.n_f
-    for b in range(nb):
-        for c in range(nc):
-            lines.append(
-                ",".join(
-                    [
-                        FMT % edges[b],
-                        FMT % edges[b + 1],
-                        FMT % edges[c],
-                        FMT % edges[c + 1],
-                        FMT % est.means[b, c] if est.counts[b, c] else "nan",
-                        FMT % est.std_errors[b, c] if est.counts[b, c] > 1 else "nan",
-                        str(int(est.counts[b, c])),
-                        FMT % oracle[b, c] if np.isfinite(oracle[b, c]) else "nan",
-                    ]
-                )
-            )
-    return _lines(lines), 0
+    lo, hi = edges[:-1], edges[1:]
+    # nan marks a mean without shots, a std_error without two, an empty p_f bin
+    cells = [est.means, est.std_errors, est.counts, oracle]
+    return _csv(
+        ("pi_lo", "pi_hi", "pf_lo", "pf_hi", "mean", "std_error", "count", "oracle"),
+        [np.repeat(lo, nc), np.repeat(hi, nc), np.tile(lo, nb), np.tile(hi, nb)]
+        + [c.ravel() for c in cells],
+        [f"sigma,{FMT % args.sigma}", f"shots_per_bin,{args.shots}", f"seed,{args.seed}"],
+        [FMT] * 6 + ["%d", FMT],
+    ), 0
 
 
 def cmd_audit(cfg, args):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, EvaluationError, ExpressionError
 from .expr import eval_expr, parse_expr
-from .grid import make_grid
+from .grid import default_grid, make_grid
 from .scheme import Scheme, builtin, parse_scheme
 from .state import gaussian_twin_slits, narrow_twin_slits
 
@@ -172,8 +172,7 @@ def load_config(path):
 
 def build_grid(cfg):
     if cfg.grid_spec is None:
-        span = 8.0 * cfg.s
-        return make_grid(-span, span, 4096)
+        return default_grid(cfg.s)
     return make_grid(*cfg.grid_spec)
 
 

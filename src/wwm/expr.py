@@ -200,6 +200,11 @@ _FUNC_IMPL = {
 
 def eval_expr(node, x, s=None):
     """Evaluate an AST at position(s) x (scalar or array), slit separation s."""
+    with np.errstate(all="ignore"):  # callers refuse a non-finite result
+        return _eval(node, x, s)
+
+
+def _eval(node, x, s):
     if isinstance(node, Number):
         return complex(node.value)
     if isinstance(node, Symbol):
@@ -213,24 +218,23 @@ def eval_expr(node, x, s=None):
             return complex(np.pi)
         return 1j
     if isinstance(node, Neg):
-        return -eval_expr(node.operand, x, s)
+        return -_eval(node.operand, x, s)
     if isinstance(node, Call):
-        return _FUNC_IMPL[node.fn](eval_expr(node.arg, x, s))
-    left = eval_expr(node.left, x, s)
-    right = eval_expr(node.right, x, s)
+        return _FUNC_IMPL[node.fn](_eval(node.arg, x, s))
+    left = _eval(node.left, x, s)
+    right = _eval(node.right, x, s)
     if node.op == "+":
         return left + right
     if node.op == "-":
         return left - right
     if node.op == "*":
         return left * right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if node.op == "/":
-            try:
-                return left / right
-            except ZeroDivisionError:  # Python complex scalars, not arrays
-                raise EvaluationError("division by zero") from None
-        return np.power(left, right)
+    if node.op == "/":
+        try:
+            return left / right
+        except ZeroDivisionError:  # Python complex scalars, not arrays
+            raise EvaluationError("division by zero") from None
+    return np.power(left, right)
 
 
 # --- printing ----------------------------------------------------------

@@ -70,6 +70,11 @@ def make_grid(x_min, x_max, n):
     return GridSpec(float(x_min), float(x_max), n)
 
 
+def default_grid(s):
+    """The grid used where none is given: +-8 s at n = 4096."""
+    return make_grid(-8.0 * s, 8.0 * s, 4096)
+
+
 def bin_indices(edges, values):
     """Index b of the half-open bin edges[b] <= value < edges[b + 1]; -1 outside."""
     idx = np.searchsorted(edges, values, side="right") - 1

@@ -38,7 +38,7 @@ class Channel:
 
 
 class Scheme:
-    """Ordered, labelled measurement channels plus structural hints.
+    """Ordered measurement channels plus structural hints.
 
     kick_terms is set when the scheme realizes classical momentum kicks,
     a list of (weight, kick) pairs; several closed forms dispatch on it.
@@ -46,14 +46,11 @@ class Scheme:
     it, since every distribution computed here is basis invariant).
     """
 
-    def __init__(self, labels, channels, base="custom", kick_terms=None):
+    def __init__(self, channels, base="custom", kick_terms=None):
         if not channels:
             raise SchemeError("a scheme needs at least one channel")
         if len(channels) > MAX_CHANNELS:
             raise SchemeError(f"at most {MAX_CHANNELS} channels supported")
-        if len(labels) != len(channels):
-            raise SchemeError("labels/channels length mismatch")
-        self.labels = list(labels)
         self.channels = list(channels)
         self.base = base
         self.kick_terms = kick_terms
@@ -91,7 +88,7 @@ def parse_scheme(text):
     """Parse scheme text: one channel expression per line.
 
     Lines may be bare expressions or `O = <expression>`; blank lines and
-    `#` comments are skipped.  Channels get labels O0, O1, ...
+    `#` comments are skipped.
     """
     channels = []
     consumed = 0
@@ -116,8 +113,7 @@ def parse_scheme(text):
         consumed += len(raw_line) + 1
     if not channels:
         raise SchemeError("scheme text defines no channels")
-    labels = [f"O{k}" for k in range(len(channels))]
-    sch = Scheme(labels, channels)
+    sch = Scheme(channels)
     _probe(sch)
     return sch
 
@@ -159,11 +155,11 @@ def builtin(name, kicks=None, w=None, s=None):
     """
     if name == "identity":
         ch = Channel(lambda x, s_: np.ones_like(x, dtype=complex), "1")
-        return Scheme(["1"], [ch], base="identity", kick_terms=[(1.0, 0.0)])
+        return Scheme([ch], base="identity", kick_terms=[(1.0, 0.0)])
     if name == "sign":
         plus = Channel(lambda x, s_: _expr.theta(x), "theta(x)")
         minus = Channel(lambda x, s_: _expr.theta(-x), "theta(-x)")
-        return Scheme(["+", "-"], [plus, minus], base="sign")
+        return Scheme([plus, minus], base="sign")
     if name == "kicks":
         if not kicks:
             raise SchemeError("kicks builtin needs a list of (weight, kick) pairs")
@@ -171,18 +167,14 @@ def builtin(name, kicks=None, w=None, s=None):
         total = sum(nw for nw, _ in terms)
         if any(nw < 0 for nw, _ in terms) or abs(total - 1.0) > 1e-9:
             raise SchemeError(f"kick weights must be >= 0 and sum to 1, got {total}")
-        channels = []
-        labels = []
-        for idx, (nw, k) in enumerate(terms):
-            amp = np.sqrt(nw)
-            channels.append(
-                Channel(
-                    lambda x, s_, amp=amp, k=k: amp * np.exp(1j * k * x),
-                    f"sqrt({nw})*exp(i*{k}*x)",
-                )
+        channels = [
+            Channel(
+                lambda x, s_, amp=np.sqrt(nw), k=k: amp * np.exp(1j * k * x),
+                f"sqrt({nw})*exp(i*{k}*x)",
             )
-            labels.append(f"k{idx}")
-        return Scheme(labels, channels, base="kicks", kick_terms=terms)
+            for nw, k in terms
+        ]
+        return Scheme(channels, base="kicks", kick_terms=terms)
     if name == "sew_flat":
         if w is None or w <= 0:
             raise SchemeError("sew_flat needs a positive half-width w")
@@ -194,7 +186,7 @@ def builtin(name, kicks=None, w=None, s=None):
         sin_ch = Channel(
             lambda x, s_, w=w: np.sin(_sew_angle(x, w)).astype(complex), f"sin(angle;w={w})"
         )
-        return Scheme(["c", "s"], [cos_ch, sin_ch], base="sew_flat")
+        return Scheme([cos_ch, sin_ch], base="sew_flat")
     raise SchemeError(f"unknown builtin scheme {name!r}")
 
 
@@ -270,8 +262,7 @@ def rebase(scheme, unitary):
         )
         for eta in range(m)
     ]
-    labels = [f"u{eta}" for eta in range(m)]
-    return Scheme(labels, channels, base=scheme.base, kick_terms=scheme.kick_terms)
+    return Scheme(channels, base=scheme.base, kick_terms=scheme.kick_terms)
 
 
 def haar_unitary(dim, rng):

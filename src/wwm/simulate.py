@@ -113,7 +113,6 @@ class _ShotTables:
         require_complete(scheme, state)
         grid = state.grid
         self.grid = grid
-        self.cfg = cfg
         dp = grid.dp
         self.ps = grid.ps
         psit = fourier_values(grid, state.values)

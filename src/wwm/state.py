@@ -84,7 +84,6 @@ def gaussian_twin_slits(s, a, grid, amplitudes=(2 ** -0.5, 2 ** -0.5)):
 class PostMeasurementEnsemble:
     """Per-channel outcome probabilities and normalized conditioned states."""
 
-    labels: list
     probabilities: np.ndarray
     states: list  # position samples on grid, normalized
     grid: object
@@ -108,7 +107,7 @@ def apply_wwm(scheme, state):
         probs.append(p)
         norm = np.sqrt(p) if p > 0 else 1.0
         states.append(conditioned / norm)
-    return PostMeasurementEnsemble(list(scheme.labels), np.asarray(probs), states, grid)
+    return PostMeasurementEnsemble(np.asarray(probs), states, grid)
 
 
 def momentum_density(obj):

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CompletenessError, SchemeError, WWMError
-from .grid import GridSpec, spectral_refine
+from .grid import default_grid, spectral_refine
 from .parallel import map_threads, usable_cores
 from .scheme import require_complete
 from .state import apply_wwm
@@ -54,7 +54,6 @@ class MixedDistribution:
     atoms: list  # [(location, signed weight)], sorted, distinct
     ps: np.ndarray  # uniform momentum samples (may be empty)
     density: np.ndarray  # signed density at ps
-    s: float = None
 
     def __post_init__(self):
         self.ps = np.asarray(self.ps, dtype=float)
@@ -92,10 +91,10 @@ def support_metric(dist, half_width):
     return float(atom_part + np.sum(np.abs(dist.density[outside])) * dist.dp)
 
 
-def _kick_distribution(scheme, ps, s=None):
+def _kick_distribution(scheme, ps):
     """Kick atoms of a kick-form scheme, with a zero density sampled at ps."""
     atoms = [(k, nw) for nw, k in scheme.kick_terms]
-    return MixedDistribution(atoms, ps, np.zeros(ps.size), s)
+    return MixedDistribution(atoms, ps, np.zeros(ps.size))
 
 
 def classical_transfer(scheme):
@@ -115,7 +114,6 @@ class CharacteristicFunction:
     even_const: complex  # box-edge asymptote, even part
     odd_const: complex  # box-edge asymptote, coefficient of sgn(q)
     band_spread: float  # max std over the outer bands; settled if small
-    s: float = None
 
     @property
     def dq(self):
@@ -258,47 +256,42 @@ def correlation_g(scheme, state, qs):
     off = qs[~on]
     direct = np.zeros(off.shape, dtype=complex)
     chunk = max(1, 2 ** 22 // grid.n)
+    weighted = [(ch, weights * ch.evaluate(grid.xs, s)) for ch in scheme.channels]
     for lo in range(0, off.size, chunk):
         diffs = grid.xs[None, :] - off[lo : lo + chunk, None]
-        for ch in scheme.channels:
-            a = weights * ch.evaluate(grid.xs, s)
+        for ch, a in weighted:
             direct[lo : lo + chunk] += np.conj(ch.evaluate(diffs, s)) @ a
     g[~on] = direct
     return g
 
 
 def natural_grid(state, grid=None):
-    """grid if given, else the state's own grid, else +-8 s at n = 4096."""
-    if grid is not None:
-        return grid
+    """A grid state's own grid; a narrow state's is `grid`, else default_grid."""
     if state.is_grid:
         return state.grid
-    return GridSpec(-8.0 * state.s, 8.0 * state.s, 4096)
+    return grid if grid is not None else default_grid(state.s)
 
 
 def char_fn(scheme, state, qs=None, grid=None):
     """Characteristic function chi(q) = [g(q) + conj(g(-q))] / 2.
 
-    qs=None picks the natural grid: the state's position grid (gaussian) or
-    the supplied GridSpec's (narrow).  The grid must be symmetric about 0.
-    g(q) and g(-q) come from one correlation_g call, so all lattice q
-    share one FFT correlation (qs=None: all but g(x_max) = g(-x_min)).
+    qs=None picks natural_grid(state, grid)'s positions, which must be
+    symmetric about 0.  g(q) and g(-q) come from one correlation_g call,
+    whose lattice test maps each -q to the index of its grid point, so all
+    lattice q share one FFT correlation (qs=None: all but g(-x_min)).
     Raises if the scheme is incomplete; validates chi(0) = 1 and |chi| <= 1.
     """
     require_complete(scheme, state)
     if qs is None:
-        qgrid = natural_grid(state, None if state.is_grid else grid)
+        qgrid = natural_grid(state, grid)
         if abs(qgrid.x_min + qgrid.x_max) > 1e-9 * qgrid.length:
             raise WWMError("char_fn needs a grid symmetric about q = 0")
         qs = qgrid.xs
-        minus_qs = np.concatenate([[qgrid.x_max], qs[:0:-1]])  # -qs, on the grid
-    else:
-        qs = np.asarray(qs, dtype=float)
-        minus_qs = -qs
-    g = correlation_g(scheme, state, np.concatenate([qs, minus_qs]))
+    qs = np.asarray(qs, dtype=float)
+    g = correlation_g(scheme, state, np.concatenate([qs, -qs]))
     chi = 0.5 * (g[: qs.size] + np.conj(g[qs.size :]))
     even_c, odd_c, _, spread = asymptote_split(qs, chi)
-    cf = CharacteristicFunction(qs, chi, even_c, odd_c, spread, state.s)
+    cf = CharacteristicFunction(qs, chi, even_c, odd_c, spread)
     at0 = cf.at0()
     if not abs(at0 - 1.0) <= 1e-7:  # written so that NaN fails
         raise CompletenessError(f"chi(0) = {at0}, expected 1")
@@ -314,6 +307,11 @@ def phi_symmetric(scheme, state, qs):
 
 
 # --- moments ------------------------------------------------------------
+
+
+def moment_qs(s):
+    """The q samples moments() differentiates chi on: 33 at steps of s/128."""
+    return (s / 128.0) * np.arange(-16, 17)
 
 
 @dataclass
@@ -420,7 +418,7 @@ def wigner_kernel(scheme, x, grid, s=None):
     """
     ps_fine = fine_momentum_grid(grid)
     if scheme.kick_terms is not None:
-        return _kick_distribution(scheme, ps_fine, s)
+        return _kick_distribution(scheme, ps_fine)
     n = grid.n
     u_sym = grid.dx * np.arange(-n // 2, n // 2)
     pair = scheme.contraction(x + u_sym, x - u_sym, s)
@@ -429,7 +427,7 @@ def wigner_kernel(scheme, x, grid, s=None):
         u_sym, pair, f"wigner kernel tail at x={x}", ps_fine, 2.0
     )
     density = _wigner_rows(np.fft.ifftshift(remainder), grid.dx)
-    return MixedDistribution(atoms, ps_fine, density.real + tail_density, s)
+    return MixedDistribution(atoms, ps_fine, density.real + tail_density)
 
 
 _ROW_BLOCK = 2 ** 19  # samples per block of x rows in flight, over all workers

@@ -9,7 +9,9 @@ Two independent computation routes are kept deliberately separate:
   on the grid.
 * the joint-table route (oracle): build the post-selected table over
   (initial, final) momentum pairs from channel matrix elements, then
-  marginalize over the initial momentum at fixed transfer.
+  marginalize over the initial momentum at fixed transfer.  Binned by
+  conditional_cells over the p_f bins' whole mass, the same table is the
+  value `simulate`'s Monte Carlo cell means converge to.
 
 For the matrix elements the channel function is decomposed per channel as
 O(x) = A + B*sgn(x) + R(x) with decaying R; A gives the diagonal, B an
@@ -58,7 +60,7 @@ def pwv_narrow_sign(s, ps):
     nonzero = ps != 0.0
     density[nonzero] = np.sin(0.5 * s * ps[nonzero]) / (2.0 * np.pi * ps[nonzero])
     density[~nonzero] = s / (4.0 * np.pi)
-    return MixedDistribution([(0.0, 0.5)], ps, density, s)
+    return MixedDistribution([(0.0, 0.5)], ps, density)
 
 
 def _promote_single_bins(atoms, ps, density):
@@ -86,7 +88,7 @@ def distribution_from_chi(chi):
     atoms, remainder, tail_density = tail_split(qs, chi.values, "chi", ps)
     density = (fourier_values(qgrid, remainder) / SQRT_2PI).real + tail_density
     atoms, density = _promote_single_bins(atoms, ps, density)
-    return MixedDistribution(atoms, ps, density, chi.s)
+    return MixedDistribution(atoms, ps, density)
 
 
 def pwv_marginal(scheme, state, grid=None):
@@ -98,7 +100,7 @@ def pwv_marginal(scheme, state, grid=None):
     """
     out = natural_grid(state, grid)
     if scheme.kick_terms is not None:
-        return _kick_distribution(scheme, out.ps, state.s)
+        return _kick_distribution(scheme, out.ps)
     if not state.is_grid and scheme.base == "sign":
         w_minus, w_plus = (abs(c) ** 2 for c in state.amplitudes)
         if abs(w_minus - w_plus) > 1e-12:
@@ -120,7 +122,6 @@ class JointWeakTable:
     matrix: np.ndarray  # real bin masses, shape (len(p_i), len(p_f))
     marginal_pf: np.ndarray  # column sums, the post-selection denominator
     row_offset: int  # index of p_i[0] within p_f
-    s: float = None
 
     def total_mass(self):
         return float(self.matrix.sum())
@@ -224,7 +225,7 @@ def pwv_joint(scheme, state):
         map_threads(add_block, range(0, rows.size, step))
 
     marginal = matrix.sum(axis=0)
-    return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo, state.s)
+    return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo)
 
 
 def marginal_from_joint(table):
@@ -237,26 +238,23 @@ def marginal_from_joint(table):
     return out
 
 
-def rebin_joint(table, pi_edges, pf_edges):
-    """Aggregate the joint table onto coarse bins; returns (cells, col_mass)."""
+def conditional_cells(table, pi_edges, pf_edges):
+    """Coarse-binned conditional P(p_i bin | p_f bin); the MC oracle.  Each
+    cell divides by its p_f bin's whole mass (marginal_pf, all p_i rows), the
+    landing probability the MC mean divides by; NaN where that mass is 0."""
     pi_edges = np.asarray(pi_edges, dtype=float)
     pf_edges = np.asarray(pf_edges, dtype=float)
-    nb = pi_edges.size - 1
     nc = pf_edges.size - 1
     bi = bin_indices(pi_edges, table.p_i)
     bf = bin_indices(pf_edges, table.p_f)
     ok_f = bf >= 0
-    cells = np.zeros((nb, nc))
-    for b in range(nb):
-        block = table.matrix[bi == b].sum(axis=0)
-        cells[b] = np.bincount(bf[ok_f], weights=block[ok_f], minlength=nc)
-    return cells, cells.sum(axis=0)
 
+    def binned(masses):  # p_f masses -> (nc,) per p_f bin
+        return np.bincount(bf[ok_f], weights=masses[ok_f], minlength=nc)
 
-def conditional_cells(table, pi_edges, pf_edges):
-    """Coarse-binned conditional P(p_i bin | p_f bin); the MC oracle."""
-    cells, col_mass = rebin_joint(table, pi_edges, pf_edges)
-    out = np.full_like(cells, np.nan)
+    col_mass = binned(table.marginal_pf)
     good = col_mass > 1e-12
-    out[:, good] = cells[:, good] / col_mass[good]
+    out = np.full((pi_edges.size - 1, nc), np.nan)
+    for b in range(pi_edges.size - 1):
+        out[b, good] = binned(table.matrix[bi == b].sum(axis=0))[good] / col_mass[good]
     return out

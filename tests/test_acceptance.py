@@ -150,9 +150,7 @@ def test_criterion_07_classical_agreement(kick_pair, state_a50, grid):
 
 def _with_zero_channel(scheme):
     zero = Channel(lambda x, s_: np.zeros_like(x, dtype=complex), "0")
-    return Scheme(
-        scheme.labels + ["null"], scheme.channels + [zero], base=scheme.base
-    )
+    return Scheme(scheme.channels + [zero], base=scheme.base)
 
 
 def test_criterion_08_basis_invariance(sign, sew, state_a50):

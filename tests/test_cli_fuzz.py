@@ -1,9 +1,9 @@
 """Derandomised fuzz of the CLI over generated config text.
 
-Whatever a config says, `wwm check`, `phi`, `moments` and `support` end
-with exit code 0, 1 or 2 and never with a traceback, and an exit-0 output
-holds no NaN.  Every generated config has a [grid] section whose valid
-sizes stay at or below n = 256, so each example runs in milliseconds.
+Whatever a config says, every command but `simulate` ends with exit
+code 0, 1 or 2 and never with a traceback, and an exit-0 output holds no
+NaN.  Every generated config has a [grid] section whose valid sizes stay
+at or below n = 256, so each example runs in milliseconds.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from wwm.cli import main
 
-COMMANDS = ("check", "phi", "moments", "support")
+COMMANDS = ("check", "pwv", "phi", "moments", "support", "audit", "wigner", "momentum-dist")
 
 
 def values(good, bad):

@@ -493,6 +493,24 @@ def test_bad_number_exits_with_a_message(tmp_path, capsys, text, code):
     assert captured.out == "" and captured.err.startswith("wwm: ")
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("[grid]\nxmin = -exp(1000)\nxmax = 8\nn = 64\n[scheme]\nbuiltin = sign\n", 2),
+        ("[scheme]\nO = exp(1000*x)\n", 1),
+    ],
+    ids=["config-number", "channel"],
+)
+def test_overflow_ends_with_a_message_and_no_warning(tmp_path, capsys, text, code):
+    """The non-finite value is refused with a message; numpy warns of nothing."""
+    cfg = write(tmp_path, "overflow.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("wwm: ")
+
+
 # a*a underflows at a = s/50 = 2e-302, so the slit samples come out NaN
 TINY_SLITS_CFG = "[state]\nkind = gaussian\ns = 1e-300\n\n[scheme]\nbuiltin = sign\n"
 

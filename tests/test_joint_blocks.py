@@ -66,7 +66,7 @@ def dense_pwv_joint(scheme, state):
             ) * dp * dp
 
     marginal = matrix.sum(axis=0)
-    return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo, state.s)
+    return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo)
 
 
 PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wwm.errors import StateError
+from wwm.grid import bin_indices
 from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
 from wwm.simulate import default_bins
 from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density
@@ -19,7 +20,6 @@ from wwm.weakvalue import (
     pwv_joint,
     pwv_marginal,
     pwv_narrow_sign,
-    rebin_joint,
 )
 from conftest import S, random_complete_scheme
 
@@ -182,11 +182,16 @@ def test_joint_requires_grid_state(narrow, sign):
 def test_rebin_and_conditional_cells(state_a50, sign):
     table = pwv_joint(sign, state_a50)
     edges = default_bins(S, 8)
-    cells, col_mass = rebin_joint(table, edges, edges)
     cond = conditional_cells(table, edges, edges)
-    good = col_mass > 1e-12
-    assert np.allclose(cond[:, good].sum(axis=0), 1.0, atol=1e-6)
-    assert cells.shape == (8, 8)
+    assert cond.shape == (8, 8)
+    # each column sums to the share of its p_f bin's mass whose p_i lies
+    # inside the edges: the cells are normalised by the whole column mass
+    in_rows = bin_indices(edges, table.p_i) >= 0
+    f_bins = bin_indices(edges, table.p_f)
+    whole = np.array([table.matrix[:, f_bins == c].sum() for c in range(8)])
+    inside = np.array([table.matrix[in_rows][:, f_bins == c].sum() for c in range(8)])
+    good = whole > 1e-12
+    assert np.allclose(cond[:, good].sum(axis=0), inside[good] / whole[good], atol=1e-6)
 
 
 def test_unsettled_tails_warn(grid_small):
