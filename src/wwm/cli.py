@@ -21,7 +21,7 @@ import numpy as np
 from . import audit as audit_mod
 from .config import MODE_KINDS, build_grid, build_scheme, build_state, load_config
 from .errors import ConfigError, ExpressionError, WWMError
-from .scheme import COMPLETENESS_TOL, check_completeness, visibility
+from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
 from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import (
@@ -80,9 +80,8 @@ def _build(cfg):
 
 
 def cmd_check(cfg, args):
-    grid = build_grid(cfg)
-    scheme = build_scheme(cfg)
-    residual = check_completeness(scheme, grid, cfg.s)
+    _, scheme, state = _build(cfg)
+    residual = completeness_residual(scheme, state)
     vis = visibility(scheme, cfg.s)
     text = (
         f"completeness_residual = {residual:.12e}\n"

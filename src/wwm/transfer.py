@@ -28,7 +28,6 @@ from .errors import CompletenessError, SchemeError, WWMError
 from .grid import default_grid, spectral_refine
 from .parallel import map_threads, usable_cores
 from .scheme import require_complete
-from .state import apply_wwm
 
 # --- signed distributions ----------------------------------------------
 
@@ -91,17 +90,13 @@ def support_metric(dist, half_width):
     return float(atom_part + np.sum(np.abs(dist.density[outside])) * dist.dp)
 
 
-def _kick_distribution(scheme, ps):
-    """Kick atoms of a kick-form scheme, with a zero density sampled at ps."""
-    atoms = [(k, nw) for nw, k in scheme.kick_terms]
-    return MixedDistribution(atoms, ps, np.zeros(ps.size))
-
-
-def classical_transfer(scheme):
-    """Kick distribution sum_xi N_xi delta(p - k_xi) of a kick-form scheme."""
+def classical_transfer(scheme, ps=()):
+    """Kick distribution sum_xi N_xi delta(p - k_xi) of a kick-form scheme,
+    with a zero density sampled at ps."""
     if scheme.kick_terms is None:
         raise SchemeError("scheme is not of classical kick form")
-    return _kick_distribution(scheme, np.array([]))
+    atoms = [(k, nw) for nw, k in scheme.kick_terms]
+    return MixedDistribution(atoms, ps, np.zeros(np.size(ps)))
 
 
 # --- characteristic function -------------------------------------------
@@ -134,18 +129,17 @@ _BAND_FRAC = 0.1  # share of the samples in each outer band
 _SETTLE_TOL = 1e-3
 
 
-def asymptote_split(xs, values, what=None, taper=None):
-    """Split samples into (even_const, odd_const, remainder, band_spread).
+def asymptote_split(values, what=None):
+    """Box-edge asymptotes of samples: (even_const, odd_const, band_spread).
 
     The asymptote model is values -> even_const +- odd_const at the box
-    edges, with the constants estimated as means over the outer bands.  The
-    odd part is subtracted along `taper` (default sgn(x)); pass a smooth
-    odd template with known transform to keep the remainder jump-free.
-    A large band_spread means the samples never settle (oscillating tails);
-    the constants then mostly cancel against the remainder.  When `what`
-    names the samples, a spread above the settle tolerance warns.
+    edges, with the constants estimated as means over the outer bands; the
+    caller subtracts the odd part along its own odd template.  A large
+    band_spread means the samples never settle (oscillating tails); the
+    constants then mostly cancel against the remainder.  When `what` names
+    the samples, a spread above the settle tolerance warns.
     """
-    nb = max(2, int(len(xs) * _BAND_FRAC))
+    nb = max(2, int(len(values) * _BAND_FRAC))
     left = values[:nb]
     right = values[-nb:]
     m_minus = np.mean(left)
@@ -159,16 +153,11 @@ def asymptote_split(xs, values, what=None, taper=None):
             "enlarge the box",
             stacklevel=4,
         )
-    even_c = 0.5 * (m_plus + m_minus)
-    odd_c = 0.5 * (m_plus - m_minus)
-    if taper is None:
-        taper = np.sign(xs)
-    remainder = values - even_c - odd_c * taper
-    return even_c, odd_c, remainder, spread
+    return 0.5 * (m_plus + m_minus), 0.5 * (m_plus - m_minus), spread
 
 
 def damped_pv_kernel(ps, lam, frequency_factor=1.0):
-    """Fourier dual of the tanh taper: the damped principal-value tail.
+    """Fourier dual of tanh(q/lam): the damped principal-value tail.
 
     Returns D with  FT[(i c) tanh(q/lam)](p) = c * D(p)  under the
     (1/2pi) integral tanh(q/lam) exp(-i f q) dq convention at f =
@@ -196,7 +185,8 @@ def tail_split(xs, values, what, ps, frequency_factor=1.0):
     # (tanh(10) differs from 1 by 4e-9), wide enough that its transform,
     # (lambda/2) csch(pi lambda p / 2), is resolved on the dual grid
     lam = float(xs[-1] - xs[0]) / 20.0
-    even_c, odd_c, remainder, _ = asymptote_split(xs, values, what, np.tanh(xs / lam))
+    even_c, odd_c, _ = asymptote_split(values, what)
+    remainder = values - even_c - odd_c * np.tanh(xs / lam)
     tail_density = np.real(-1j * odd_c) * damped_pv_kernel(ps, lam, frequency_factor)
     atoms = [(0.0, float(np.real(even_c)))] if abs(even_c) > 1e-12 else []
     return atoms, remainder, tail_density
@@ -290,7 +280,7 @@ def char_fn(scheme, state, qs=None, grid=None):
     qs = np.asarray(qs, dtype=float)
     g = correlation_g(scheme, state, np.concatenate([qs, -qs]))
     chi = 0.5 * (g[: qs.size] + np.conj(g[qs.size :]))
-    even_c, odd_c, _, spread = asymptote_split(qs, chi)
+    even_c, odd_c, spread = asymptote_split(chi)
     cf = CharacteristicFunction(qs, chi, even_c, odd_c, spread)
     at0 = cf.at0()
     if not abs(at0 - 1.0) <= 1e-7:  # written so that NaN fails
@@ -418,7 +408,7 @@ def wigner_kernel(scheme, x, grid, s=None):
     """
     ps_fine = fine_momentum_grid(grid)
     if scheme.kick_terms is not None:
-        return _kick_distribution(scheme, ps_fine)
+        return classical_transfer(scheme, ps_fine)
     n = grid.n
     u_sym = grid.dx * np.arange(-n // 2, n // 2)
     pair = scheme.contraction(x + u_sym, x - u_sym, s)
@@ -436,33 +426,31 @@ _ROW_BLOCK = 2 ** 19  # samples per block of x rows in flight, over all workers
 def verify_wigner_identity(scheme, state):
     """Max abs difference between the two routes to the final Wigner function.
 
-    Route one transforms the conditioned channel states directly; route two
-    convolves the initial Wigner function with the scheme kernel row by row.
-    Both run on blocks of x rows, so no n x n array is ever held, one
-    thread per usable core; no result depends on the block or thread count.
+    Route one transforms the unnormalized conditioned states O_xi psi
+    directly; route two convolves the initial Wigner function with the
+    scheme kernel row by row.  Both run on blocks of x rows, so no n x n
+    array is ever held, one thread per usable core; no result depends on
+    the block or thread count.
 
     Only the rows inside the index hull [lo, hi] of the nonzero samples of
-    psi and of the conditioned states are computed.  Skipping the others is
-    exact when the state vanishes outside [lo, hi] and the channels are
-    finite: for a row j outside, one of j + m and j - m lies outside too for
-    every m, so its pair products, and its rows in both routes, are 0.
+    psi are computed, since O_xi psi vanishes wherever psi does.  Skipping
+    the others is exact when the state vanishes outside [lo, hi] and the
+    channels are finite: for a row j outside, one of j + m and j - m lies
+    outside too for every m, so its pair products, and its rows in both
+    routes, are 0.
 
-    The kernel rows are pair products of each channel sampled once at the
-    lattice points x_min + k dx, k in [lo - n/2, hi + n/2], that the rows
-    reach; with a dyadic dx these equal x_j +- u_m exactly.
+    Both routes read each channel sampled once at the lattice points
+    x_min + k dx, k in [lo - n/2, hi + n/2], that the rows reach; with a
+    dyadic dx these equal x_j +- u_m exactly.
     """
     state.require_grid("verify_wigner_identity")
+    require_complete(scheme, state)
     grid = state.grid
     n = grid.n
     h = n // 2
     dx = grid.dx
-    ensemble = apply_wwm(scheme, state)
     psi = np.pad(state.values, h)
-    conditioned = [  # undo the normalization
-        np.pad(np.sqrt(prob) * st, h)
-        for prob, st in zip(ensemble.probabilities, ensemble.states)
-    ]
-    support = np.flatnonzero(np.any([psi] + conditioned, axis=0)) - h
+    support = np.flatnonzero(psi) - h
     lo, hi = int(support[0]), int(support[-1])
     channels = scheme.evaluate(grid.x_min + dx * np.arange(lo - h, hi + h + 1), state.s)
 
@@ -471,15 +459,17 @@ def verify_wigner_identity(scheme, state):
 
     def block_residual(start):
         stop = min(start + block, hi + 1)
+        ext = psi[start : stop + n]
+        windows = [samples[start - lo : stop - lo + n] for samples in channels]
         w_f_direct = np.zeros((stop - start, n))
-        for ext in conditioned:
-            w_f_direct += _wigner_rows(_pair_products(ext[start : stop + n], n), dx).real
+        for window in windows:
+            w_f_direct += _wigner_rows(_pair_products(window * ext, n), dx).real
 
-        w_i = _wigner_rows(_pair_products(psi[start : stop + n], n), dx).real
+        w_i = _wigner_rows(_pair_products(ext, n), dx).real
 
         kernel_rows = np.zeros((stop - start, n), dtype=complex)
-        for samples in channels:
-            kernel_rows += _pair_products(samples[start - lo : stop - lo + n], n)
+        for window in windows:
+            kernel_rows += _pair_products(window, n)
         kernel_density = _wigner_rows(kernel_rows, dx).real
 
         conv = np.fft.ifft(

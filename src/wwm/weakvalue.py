@@ -17,8 +17,9 @@ For the matrix elements the channel function is decomposed per channel as
 O(x) = A + B*sgn(x) + R(x) with decaying R; A gives the diagonal, B an
 analytic principal-value kernel, and R a short transform on a doubly
 refined grid so that all momentum differences are reachable.  Classical
-kick schemes bypass both pipelines: their transfer distribution is the
-exact atom list, which both routes reproduce anyway.
+kick schemes bypass both pipelines and read only their kick_terms: the
+marginal is the exact atom list, and the table moves each row's initial
+mass |psi~(p_i)|^2 dp by each kick, in any channel basis.
 """
 
 import warnings
@@ -33,9 +34,9 @@ from .parallel import map_threads, usable_cores
 from .scheme import require_complete
 from .transfer import (
     MixedDistribution,
-    _kick_distribution,
     asymptote_split,
     char_fn,
+    classical_transfer,
     natural_grid,
     tail_split,
 )
@@ -100,7 +101,7 @@ def pwv_marginal(scheme, state, grid=None):
     """
     out = natural_grid(state, grid)
     if scheme.kick_terms is not None:
-        return _kick_distribution(scheme, out.ps)
+        return classical_transfer(scheme, out.ps)
     if not state.is_grid and scheme.base == "sign":
         w_minus, w_plus = (abs(c) ** 2 for c in state.amplitudes)
         if abs(w_minus - w_plus) > 1e-12:
@@ -146,10 +147,9 @@ def _channel_decomposition(channel, grid, s):
     transforming the remainder on the doubly refined grid.
     """
     fine = grid.refined(2)
-    a_const, b_const, remainder, _ = asymptote_split(
-        fine.xs, channel.evaluate(fine.xs, s), "channel tail (joint table)"
-    )
-    r_tilde = fourier_values(fine, remainder)
+    values = channel.evaluate(fine.xs, s)
+    a_const, b_const, _ = asymptote_split(values, "channel tail (joint table)")
+    r_tilde = fourier_values(fine, values - a_const - b_const * np.sign(fine.xs))
     return a_const, b_const, r_tilde
 
 
@@ -168,10 +168,8 @@ def pwv_joint(scheme, state):
     psit_rows = psit[rows]
 
     matrix = np.zeros((rows.size, n))
-    fields = [ch.evaluate(grid.xs, state.s) * state.values for ch in scheme.channels]
-    transforms = [fourier_values(grid, field) for field in fields]
     if scheme.kick_terms is not None:
-        for (nw, k), g in zip(scheme.kick_terms, transforms):
+        for nw, k in scheme.kick_terms:
             shift = int(np.rint(k / dp))
             if abs(shift * dp - k) > 1e-9 * dp:
                 warnings.warn(
@@ -180,12 +178,12 @@ def pwv_joint(scheme, state):
                 )
             cols = rows + shift
             ok = (cols >= 0) & (cols < n)
-            matrix[np.nonzero(ok)[0], cols[ok]] += (
-                np.sqrt(nw) * np.real(psit_rows[ok] * np.conj(g[cols[ok]])) * dp
-            )
+            matrix[np.nonzero(ok)[0], cols[ok]] += nw * weights[rows[ok]]
     else:
         terms = []
-        for ch, field, g in zip(scheme.channels, fields, transforms):
+        for ch in scheme.channels:
+            field = ch.evaluate(grid.xs, state.s) * state.values
+            g = fourier_values(grid, field)
             a_const, b_const, r_tilde = _channel_decomposition(ch, grid, state.s)
             pv_coef = -1j * b_const / np.pi
             # Diagonal of the principal-value piece: the kernel 1/(p_f - p_i)

@@ -1,9 +1,11 @@
 """Derandomised fuzz of the CLI over generated config text.
 
-Whatever a config says, every command but `simulate` ends with exit
-code 0, 1 or 2 and never with a traceback, and an exit-0 output holds no
-NaN.  Every generated config has a [grid] section whose valid sizes stay
-at or below n = 256, so each example runs in milliseconds.
+Whatever a config says, every command ends with exit code 0, 1 or 2 and
+never with a traceback, and an exit-0 output holds no NaN (for `simulate`,
+whose empty cells are `nan`, no inf).  Run with `--out`, a command leaves
+its file only when it exits 0, and never a temporary file.  Every
+generated config has a [grid] section whose valid sizes stay at or below
+n = 256, so each example runs in milliseconds.
 """
 
 import contextlib
@@ -15,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from wwm.cli import main
 
-COMMANDS = ("check", "pwv", "phi", "moments", "support", "audit", "wigner", "momentum-dist")
+COMMANDS = (
+    "check", "pwv", "phi", "moments", "support", "simulate", "audit", "wigner", "momentum-dist"
+)
 
 
 def values(good, bad):
@@ -98,20 +102,34 @@ def cfg_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
 
 
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        warnings.catch_warnings(),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("ignore")
+        code = main(argv + ["--shots", "50"])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
 @settings(max_examples=150)
 @given(text=CONFIGS)
 def test_cli_ends_with_an_exit_code_and_no_nan(cfg_path, text):
     cfg_path.write_text(text)
+    out_path = cfg_path.with_name("out.csv")
     for command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with (
-            warnings.catch_warnings(),
-            contextlib.redirect_stdout(out),
-            contextlib.redirect_stderr(err),
-        ):
-            warnings.simplefilter("ignore")
-            code = main([command, "--config", str(cfg_path)])
-        assert code in (0, 1, 2), (command, text)
-        assert "Traceback" not in err.getvalue(), (command, text)
+        bad = "inf" if command == "simulate" else "nan"
+        argv = [command, "--config", str(cfg_path)]
+        code, stdout = run(argv)
         if code == 0:
-            assert "nan" not in out.getvalue(), (command, text)
+            assert bad not in stdout, (command, text)
+        out_path.unlink(missing_ok=True)
+        code, stdout = run(argv + ["--out", str(out_path)])
+        assert out_path.exists() == (code == 0), (command, text)
+        assert not list(cfg_path.parent.glob(".wwm-*.tmp")), (command, text)
+        if code == 0:
+            assert bad not in stdout + out_path.read_text(), (command, text)

@@ -31,10 +31,8 @@ def dense_pwv_joint(scheme, state):
     psit_rows = psit[rows]
 
     matrix = np.zeros((rows.size, n))
-    fields = [ch.evaluate(grid.xs, state.s) * state.values for ch in scheme.channels]
-    transforms = [fourier_values(grid, field) for field in fields]
     if scheme.kick_terms is not None:
-        for (nw, k), g in zip(scheme.kick_terms, transforms):
+        for nw, k in scheme.kick_terms:
             shift = int(np.rint(k / dp))
             if abs(shift * dp - k) > 1e-9 * dp:
                 warnings.warn(
@@ -43,10 +41,10 @@ def dense_pwv_joint(scheme, state):
                 )
             cols = rows + shift
             ok = (cols >= 0) & (cols < n)
-            matrix[np.nonzero(ok)[0], cols[ok]] += (
-                np.sqrt(nw) * np.real(psit_rows[ok] * np.conj(g[cols[ok]])) * dp
-            )
+            matrix[np.nonzero(ok)[0], cols[ok]] += nw * weights[rows[ok]]
     else:
+        fields = [ch.evaluate(grid.xs, state.s) * state.values for ch in scheme.channels]
+        transforms = [fourier_values(grid, field) for field in fields]
         diff = ps[None, :] - ps[rows][:, None]  # p_f - p_i
         diff_index = np.rint(diff / dp).astype(int) + n
         pv_kernel = np.zeros_like(diff)

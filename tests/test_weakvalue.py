@@ -144,7 +144,9 @@ def test_joint_column_sums(state_a50, sign, identity, kick_pair, grid):
     table = pwv_joint(sign, state_a50)
     # line-physics kernel: column sums track the density bins only to O(dp)
     assert np.max(np.abs(table.marginal_pf - dens_bins)) < 0.1 * dens_bins.max()
-    for sch in (identity, kick_pair):
+    # the rebased kick pair: kick rows do not depend on the channel basis
+    rebased = rebase(kick_pair, haar_unitary(2, np.random.default_rng(0)))
+    for sch in (identity, kick_pair, rebased):
         dens = momentum_density(apply_wwm(sch, state_a50)) * grid.dp
         t = pwv_joint(sch, state_a50)
         assert np.max(np.abs(t.marginal_pf - dens)) < 1e-10

@@ -9,7 +9,7 @@ import pytest
 from wwm import transfer
 from wwm.grid import make_grid
 from wwm.scheme import parse_scheme
-from wwm.state import apply_wwm, gaussian_twin_slits
+from wwm.state import gaussian_twin_slits
 from wwm.transfer import _pair_products, _wigner_rows, verify_wigner_identity
 from conftest import S, random_complete_scheme
 
@@ -35,11 +35,9 @@ def dense_verify_wigner_identity(scheme, state):
     grid = state.grid
     n = grid.n
     dx = grid.dx
-    ensemble = apply_wwm(scheme, state)
-
     w_f_direct = np.zeros((n, n))
-    for prob, st in zip(ensemble.probabilities, ensemble.states):
-        conditioned = np.sqrt(prob) * st  # undo the normalization
+    for ch in scheme.channels:
+        conditioned = ch.evaluate(grid.xs, state.s) * state.values  # unnormalized
         w_f_direct += _wigner_rows(index_pair_products(conditioned), dx).real
 
     w_i = _wigner_rows(index_pair_products(state.values), dx).real
