@@ -22,12 +22,13 @@ from . import audit as audit_mod
 from .config import MODE_KINDS, build_grid, build_scheme, build_state, load_config
 from .errors import ConfigError, ExpressionError, WWMError
 from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
-from .simulate import MCConfig, default_bins, run_weak_experiment
+from .simulate import MCConfig, default_bins, deterministic_cells, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import (
     char_fn, moment_qs, moments, support_metric, verify_wigner_identity, wigner_kernel
 )
-from .weakvalue import conditional_cells, pwv_joint, pwv_marginal
+# pwv_joint is called by no command: perfbench/traced_job.py reads cli.pwv_joint (ROADMAP 1)
+from .weakvalue import pwv_joint, pwv_marginal  # noqa: F401
 
 FMT = "%.12e"
 PHI_MAX_HALF = 2 ** 15  # `phi` q samples per side: |q| <= 512 s at dq = s/64
@@ -153,7 +154,7 @@ def cmd_simulate(cfg, args):
     bad |= ~np.isfinite(est.std_errors) & (est.counts > 1)
     if bad.any():  # r**2 overflows for a huge sigma
         raise WWMError(f"simulate statistics are not finite at sigma = {mc_cfg.sigma}")
-    oracle = conditional_cells(pwv_joint(scheme, state), edges, edges)
+    oracle = deterministic_cells(scheme, state, mc_cfg)  # the weak limit
     nb, nc = mc_cfg.n_i, mc_cfg.n_f
     lo, hi = edges[:-1], edges[1:]
     # nan marks a mean without shots, a std_error without two, an empty p_f bin
@@ -162,7 +163,8 @@ def cmd_simulate(cfg, args):
         ("pi_lo", "pi_hi", "pf_lo", "pf_hi", "mean", "std_error", "count", "oracle"),
         [np.repeat(lo, nc), np.repeat(hi, nc), np.tile(lo, nb), np.tile(hi, nb)]
         + [c.ravel() for c in cells],
-        [f"sigma,{FMT % args.sigma}", f"shots_per_bin,{args.shots}", f"seed,{args.seed}"],
+        [f"sigma,{FMT % args.sigma}", f"shots_per_bin,{args.shots}", f"seed,{args.seed}"]
+        + [f"diag,overflow,{FMT % p},{k}" for p, k in zip(lo, est.overflow)],
         [FMT] * 6 + ["%d", FMT],
     ), 0
 

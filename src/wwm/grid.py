@@ -19,6 +19,7 @@ import numpy as np
 from .errors import GridError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+EMPTY_BIN_MASS = 1e-12  # a bin holding no more probability than this is empty
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WWMError
-from .grid import bin_indices, fourier_values, inverse_fourier_values
+from .grid import EMPTY_BIN_MASS, bin_indices, fourier_values, inverse_fourier_values
 from .parallel import map_threads
 from .scheme import require_complete
 
@@ -349,6 +349,7 @@ def deterministic_cells(scheme, state, cfg, sigma=None):
     sigma=None gives the weak-probe limit; a finite sigma averages the
     exact normalized update over the probe noise by Gauss-Hermite
     quadrature, exposing the O(sigma^-2) estimator bias deterministically.
+    NaN marks an empty p_f bin: weak-limit landing mass <= EMPTY_BIN_MASS.
     """
     tables = _ShotTables(scheme, state, cfg)
     nb, nc = cfg.n_i, cfg.n_f
@@ -360,7 +361,8 @@ def deterministic_cells(scheme, state, cfg, sigma=None):
         return np.bincount(f_bins[valid], weights=flat, minlength=nc)
 
     u_cells = per_cell(tables.u)
-    means = np.empty((nb, nc))
+    full = u_cells > EMPTY_BIN_MASS
+    means = np.full((nb, nc), np.nan)
     for b in range(nb):
         v_cells = per_cell(tables.v[b])
         w_cells = per_cell(tables.w[b])
@@ -388,6 +390,5 @@ def deterministic_cells(scheme, state, cfg, sigma=None):
                 prob = cell_mass / norm
                 numerator += wt * (exp_b + sigma * s_node) * prob
                 denominator += wt * prob
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means[b] = numerator / denominator
+        means[b, full] = numerator[full] / denominator[full]
     return means

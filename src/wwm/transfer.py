@@ -420,7 +420,7 @@ def wigner_kernel(scheme, x, grid, s=None):
     return MixedDistribution(atoms, ps_fine, density.real + tail_density)
 
 
-_ROW_BLOCK = 2 ** 19  # samples per block of x rows in flight, over all workers
+_ROW_BLOCK = 2 ** 18  # samples per block of x rows in flight, over all workers
 
 
 def verify_wigner_identity(scheme, state):

@@ -7,11 +7,11 @@ Two independent computation routes are kept deliberately separate:
   even constant becoming the point mass at zero transfer and the odd one
   an explicit 1/p term, so no distributional transform is ever attempted
   on the grid.
-* the joint-table route (oracle): build the post-selected table over
+* the joint-table route (cross-check): build the post-selected table over
   (initial, final) momentum pairs from channel matrix elements, then
   marginalize over the initial momentum at fixed transfer.  Binned by
-  conditional_cells over the p_f bins' whole mass, the same table is the
-  value `simulate`'s Monte Carlo cell means converge to.
+  conditional_cells, it checks simulate.deterministic_cells, the oracle
+  `wwm simulate` prints without building any table.
 
 For the matrix elements the channel function is decomposed per channel as
 O(x) = A + B*sgn(x) + R(x) with decaying R; A gives the diagonal, B an
@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import StateError, WWMError
-from .grid import GridSpec, SQRT_2PI, bin_indices, fourier_values
+from .grid import EMPTY_BIN_MASS, GridSpec, SQRT_2PI, bin_indices, fourier_values
 from .parallel import map_threads, usable_cores
 from .scheme import require_complete
 from .transfer import (
@@ -237,9 +237,10 @@ def marginal_from_joint(table):
 
 
 def conditional_cells(table, pi_edges, pf_edges):
-    """Coarse-binned conditional P(p_i bin | p_f bin); the MC oracle.  Each
-    cell divides by its p_f bin's whole mass (marginal_pf, all p_i rows), the
-    landing probability the MC mean divides by; NaN where that mass is 0."""
+    """Coarse-binned conditional P(p_i bin | p_f bin), the joint route's check
+    of simulate.deterministic_cells.  Each cell divides by its p_f bin's whole
+    mass (marginal_pf, all p_i rows), the landing probability the MC mean
+    divides by; NaN where that mass is at most EMPTY_BIN_MASS."""
     pi_edges = np.asarray(pi_edges, dtype=float)
     pf_edges = np.asarray(pf_edges, dtype=float)
     nc = pf_edges.size - 1
@@ -251,7 +252,7 @@ def conditional_cells(table, pi_edges, pf_edges):
         return np.bincount(bf[ok_f], weights=masses[ok_f], minlength=nc)
 
     col_mass = binned(table.marginal_pf)
-    good = col_mass > 1e-12
+    good = col_mass > EMPTY_BIN_MASS
     out = np.full((pi_edges.size - 1, nc), np.nan)
     for b in range(pi_edges.size - 1):
         out[b, good] = binned(table.matrix[bi == b].sum(axis=0))[good] / col_mass[good]

@@ -32,11 +32,12 @@ BAD = [
     "0", "-1", "1e300", "1e-300", "1e999", "1/0", "0/0", "1/(s-1)", "sqrt(-1)",
     "exp(1000)", "2^1024", "(1", "nan", "x",
 ]
-SIZE = values(["128", "256"], ["16", "17", "0", "-16", "1/0", "64.5"])
+BAD_SIZE = ["16", "17", "0", "-16", "1/0", "64.5"]
+SIZE = values(["128", "256"], BAD_SIZE)
 STATE = {
     "kind": values(["gaussian", "narrow"], ["foo"]),
     "s": values(["1", "2", "2^0", "pi/3"], BAD),
-    "a": values(["0.2", "s/8", "0.15"], BAD),
+    "a": values(["0.2", "3/10", "0.15"], BAD),
     "amplitudes": values(["1, 1", "1, i", "0.6, 0.8", "1, -1", "1, 0"], ["0, 0", "1/0, 1", "1"]),
 }
 RUN = {
@@ -89,7 +90,19 @@ def keyed(keys):
 GRID = st.tuples(values(["4", "8"], BAD), values(["4", "8"], BAD), SIZE).map(
     lambda t: ["xmin = -" + t[0], "xmax = " + t[1], "n = " + t[2]]
 )
-CONFIGS = st.tuples(GRID, keyed(STATE), SCHEME, keyed(RUN)).map(
+# A grid and a gaussian state that always build (the box spans [-4s, 4s] and
+# dx < a/4), so that the grid-only commands (simulate, wigner, momentum-dist)
+# reach their outputs; the amplitudes, the scheme and [run] still draw bad
+# values.  Its few MC bins keep each `simulate` run short.
+RUNNABLE_GRID = st.just(["xmin = -4", "xmax = 4", "n = 256"])
+RUNNABLE_STATE = st.tuples(
+    st.sampled_from(["0.15", "0.2"]), keyed({"amplitudes": STATE["amplitudes"]})
+).map(lambda t: ["kind = gaussian", "s = 1", f"a = {t[0]}"] + t[1])
+RUNNABLE_RUN = keyed({**RUN, "mode": st.just("grid"), "n_bins": values(["4", "16"], BAD_SIZE)})
+CONFIGS = st.one_of(
+    st.tuples(GRID, keyed(STATE), SCHEME, keyed(RUN)),
+    st.tuples(RUNNABLE_GRID, RUNNABLE_STATE, SCHEME, RUNNABLE_RUN),
+).map(
     lambda parts: "".join(
         f"[{name}]\n" + "".join(line + "\n" for line in lines)
         for name, lines in zip(("grid", "state", "scheme", "run"), parts)

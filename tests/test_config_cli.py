@@ -1,18 +1,20 @@
 import os
 import stat
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wwm import cli
-from wwm.cli import COMMANDS, main
-from wwm.config import build_scheme, build_state, parse_config
+from wwm import cli, weakvalue
+from wwm.cli import COMMANDS, FMT, main
+from wwm.config import build_scheme, build_state, load_config, parse_config
 from wwm.errors import ConfigError
 from wwm.scheme import Scheme, builtin
+from wwm.simulate import MCConfig, default_bins, deterministic_cells
 from wwm.transfer import verify_wigner_identity
-from wwm.weakvalue import pwv_narrow_sign
+from wwm.weakvalue import conditional_cells, pwv_joint, pwv_narrow_sign
 
 SIGN_CFG = """
 # sign measurement, desk-scale defaults
@@ -65,6 +67,8 @@ mode = narrow
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GRID_CONFIGS = ("sign", "kick_pair", "phase_ramp", "sew_flat")
+MIB = 2 ** 20
 
 
 def write(tmp_path, name, text):
@@ -289,8 +293,79 @@ def test_cmd_simulate_csv(tmp_path):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[3].startswith("pi_lo")
-    assert len(lines) == 4 + 16  # 4x4 cells
+    assert lines[3 + 4].startswith("pi_lo")  # after 4 overflow lines, one per p_i bin
+    assert len(lines) == 4 + 4 + 16  # 4x4 cells
+
+
+def simulate_output(path, out, shots):
+    """Run `wwm simulate` on a config file: its comment lines, split on
+    commas, and its cell rows as {column: [fields]}."""
+    assert main(["simulate", "--config", str(path), "--shots", str(shots), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    comments = [line[2:].split(",") for line in lines if line.startswith("#")]
+    header, *rows = (line.split(",") for line in lines if not line.startswith("#"))
+    return comments, dict(zip(header, zip(*rows)))
+
+
+def simulate_inputs(path):
+    """The scheme, state and MC bins `wwm simulate` builds from a config."""
+    cfg = load_config(str(path))
+    edges = default_bins(cfg.s, cfg.n_bins, cfg.bin_span)
+    mc_cfg = MCConfig(sigma=10.0, shots_per_bin=1, p_i_edges=edges, p_f_edges=edges)
+    return build_scheme(cfg), build_state(cfg), mc_cfg
+
+
+def refuse_joint_table(*args):
+    raise AssertionError("the joint table was built")
+
+
+@pytest.mark.parametrize("name", GRID_CONFIGS)
+def test_simulate_oracle_is_the_weak_limit_without_a_joint_table(tmp_path, monkeypatch, name):
+    """`oracle` is deterministic_cells in the weak limit, printed as is.
+    The joint route raises if reached, and the traced peak stays far below
+    the O(rows n) table (28.8-56.6 MiB when the table was built)."""
+    joint_route = [(cli, "pwv_joint"), (weakvalue, "pwv_joint"), (weakvalue, "conditional_cells")]
+    for module, fn in joint_route:
+        monkeypatch.setattr(module, fn, refuse_joint_table)
+    path = CONFIGS / f"{name}.cfg"
+    tracemalloc.start()
+    try:
+        _, columns = simulate_output(path, tmp_path / "mc.csv", 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * MIB
+    oracle = deterministic_cells(*simulate_inputs(path))
+    assert list(columns["oracle"]) == [FMT % v for v in oracle.ravel()]
+
+
+@pytest.mark.parametrize("name", GRID_CONFIGS)
+def test_simulate_oracle_is_nan_where_the_joint_route_is(tmp_path, name):
+    """Bins over nearly the whole p grid leave far p_f bins empty: `oracle`
+    reads nan in exactly the cells conditional_cells leaves nan, not a
+    ratio of rounding noise (up to 5e11 without the empty-bin floor)."""
+    text = (CONFIGS / f"{name}.cfg").read_text() + "\n[run]\nbin_span = 780\n"
+    path = write(tmp_path, "wide.cfg", text)
+    _, columns = simulate_output(path, tmp_path / "mc.csv", 50)
+    printed = np.array([float(v) for v in columns["oracle"]])
+    scheme, state, mc_cfg = simulate_inputs(path)
+    joint = conditional_cells(pwv_joint(scheme, state), mc_cfg.p_i_edges, mc_cfg.p_f_edges)
+    joint = joint.ravel()
+    assert np.isnan(joint).any()
+    assert np.array_equal(np.isnan(printed), np.isnan(joint))
+
+
+def test_simulate_overflow_lines_complete_each_row(tmp_path):
+    """Per p_i bin, the shots outside every p_f bin (`# diag,overflow`) and
+    the row's cell counts add up to --shots."""
+    comments, columns = simulate_output(CONFIGS / "sign.cfg", tmp_path / "mc.csv", 300)
+    overflow = {c[2]: int(c[3]) for c in comments if c[:2] == ["diag", "overflow"]}
+    assert len(overflow) == 16
+    landed = dict.fromkeys(overflow, 0)
+    for pi_lo, count in zip(columns["pi_lo"], columns["count"]):
+        landed[pi_lo] += int(count)
+    assert max(overflow.values()) > 0
+    assert all(overflow[k] + landed[k] == 300 for k in overflow)
 
 
 def test_cmd_simulate_rejects_nonfinite_sigma(tmp_path):

@@ -135,8 +135,8 @@ def test_task_exception_reaches_the_caller_unchanged(monkeypatch):
     assert len(ran) < 50
 
 
-def fail_one_task(module, message):
-    """Wrap module.map_threads so that one task, mid-list, raises WWMError
+def fail_one_task(module, fault):
+    """Wrap module.map_threads so that one task, mid-list, raises `fault`
     inside its worker thread."""
     real = module.map_threads
 
@@ -146,7 +146,7 @@ def fail_one_task(module, message):
 
         def task(item):
             if item == bad:
-                raise WWMError(message)
+                raise fault
             return fn(item)
 
         return real(task, items)
@@ -163,19 +163,18 @@ def fail_one_bin(landing_bins):
     return faulty
 
 
-@pytest.mark.parametrize("where", ["mc bin", "joint block", "wigner block"])
+@pytest.mark.parametrize("where", ["mc bin", "wigner block"])
 def test_worker_fault_ends_the_cli_with_a_message(tmp_path, monkeypatch, capsys, where):
     """Channels are evaluated in the calling thread, so the fault is put
     into one worker task: one MC bin's landing search, or one task of the
-    joint table or of the Wigner check."""
+    Wigner check."""
     if where == "mc bin":
         landing_bins = simulate._ShotTables.landing_bins
         monkeypatch.setattr(simulate._ShotTables, "landing_bins", fail_one_bin(landing_bins))
         message = "fault in MC bin 5"
     else:
-        module = weakvalue if where == "joint block" else transfer
         message = f"fault in one {where}"
-        monkeypatch.setattr(module, "map_threads", fail_one_task(module, message))
+        monkeypatch.setattr(transfer, "map_threads", fail_one_task(transfer, WWMError(message)))
     command = "wigner" if where == "wigner block" else "simulate"
     out = tmp_path / "out.csv"
     argv = [command, "--config", str(CONFIGS / "sign.cfg"), "--out", str(out), "--shots", "200"]
@@ -186,6 +185,16 @@ def test_worker_fault_ends_the_cli_with_a_message(tmp_path, monkeypatch, capsys,
     assert not runner.is_alive() and codes == [1]
     assert capsys.readouterr().err == f"wwm: {message}\n"
     assert not list(tmp_path.iterdir())  # no output file, no temp file
+
+
+def test_joint_block_fault_reaches_the_caller_unchanged(monkeypatch, sign, state):
+    """No command builds the joint table, so its worker fault is checked on
+    a direct call: the task's own exception object reaches the caller."""
+    fault = WWMError("fault in one joint block")
+    monkeypatch.setattr(weakvalue, "map_threads", fail_one_task(weakvalue, fault))
+    with pytest.raises(WWMError) as caught:
+        pwv_joint(sign, state)
+    assert caught.value is fault
 
 
 def test_cli_import_leaves_the_pool_unloaded():

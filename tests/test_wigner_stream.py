@@ -100,7 +100,7 @@ def test_identity_check_memory_is_bounded(sign, state_a50):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200 * MIB
+    assert peak < 40 * MIB
 
 
 @pytest.mark.parametrize("n", [16, 1024])
@@ -141,8 +141,8 @@ def test_identity_check_same_bits_on_any_worker_count(monkeypatch, sign, sew):
     for sch in (sign, sew, phase_ramp(), rnd):
         residuals = []
         for cores, row_block in [
-            ({0}, transfer._ROW_BLOCK),  # 512-row blocks, one worker
-            ({0, 1}, transfer._ROW_BLOCK),  # 256-row blocks, two workers
+            ({0}, transfer._ROW_BLOCK),  # 256-row blocks, one worker
+            ({0, 1}, transfer._ROW_BLOCK),  # 128-row blocks, two workers
             ({0, 1, 2}, 3 * 37 * 1024),  # 37-row blocks, three workers
         ]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
