@@ -66,7 +66,7 @@ class AuditReport:
         return self.basis_residual < BASIS_TOL
 
 
-def run_audit(scheme, state, grid=None, seed=0):
+def run_audit(scheme, state, seed=0):
     require_seed(seed)
     s = state.s
     residual = completeness_residual(scheme, state)
@@ -80,14 +80,14 @@ def run_audit(scheme, state, grid=None, seed=0):
 
     rep = moments(char_fn(scheme, state, qs=moment_qs(s)))
 
-    dist = pwv_marginal(scheme, state, grid=grid)
+    dist = pwv_marginal(scheme, state)
     sup_third = support_metric(dist, np.pi / (3.0 * s))
     sup_inv = support_metric(dist, 1.0 / s)
     abs_mass = dist.abs_mass()
 
     rng = np.random.default_rng(seed)
     mixed = rebase(scheme, haar_unitary(len(scheme), rng))
-    dist_mixed = pwv_marginal(mixed, state, grid=grid)
+    dist_mixed = pwv_marginal(mixed, state)
     basis_residual = float(np.max(np.abs(dist.bin_masses() - dist_mixed.bin_masses())))
 
     l1 = mismatch = None

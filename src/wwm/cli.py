@@ -92,9 +92,8 @@ def cmd_check(cfg, args):
 
 
 def cmd_pwv(cfg, args):
-    grid, scheme, state = _build(cfg)
-    dist = pwv_marginal(scheme, state, grid=grid)
-    return _dist_csv(dist, cfg.s), 0
+    _, scheme, state = _build(cfg)
+    return _dist_csv(pwv_marginal(scheme, state), cfg.s), 0
 
 
 def cmd_phi(cfg, args):
@@ -129,8 +128,8 @@ def cmd_moments(cfg, args):
 
 
 def cmd_support(cfg, args):
-    grid, scheme, state = _build(cfg)
-    dist = pwv_marginal(scheme, state, grid=grid)
+    _, scheme, state = _build(cfg)
+    dist = pwv_marginal(scheme, state)
     widths = (np.pi / (3 * cfg.s), 1.0 / cfg.s)
     return _csv(
         ("half_width", "half_width_hbar_over_s", "outside_abs_mass"),
@@ -170,8 +169,8 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_audit(cfg, args):
-    grid, scheme, state = _build(cfg)
-    report = audit_mod.run_audit(scheme, state, grid=grid, seed=args.seed)
+    _, scheme, state = _build(cfg)
+    report = audit_mod.run_audit(scheme, state, seed=args.seed)
     csv = _lines(",".join(r) for r in audit_mod.csv_rows(report)) if args.out else None
     return csv, 0, audit_mod.render_text(report) + "\n"
 
@@ -184,7 +183,7 @@ def cmd_wigner(cfg, args):
     )
     if not np.isfinite(x):
         raise WWMError(f"wigner slice x must be a finite number, got {x}")
-    dist = wigner_kernel(scheme, x, grid, cfg.s)
+    dist = wigner_kernel(scheme, x, grid)
     residual = verify_wigner_identity(scheme, state)
     if not np.isfinite(residual):
         raise WWMError(f"wigner identity residual is not finite: {residual}")

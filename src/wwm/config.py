@@ -178,13 +178,13 @@ def build_grid(cfg):
 
 def build_scheme(cfg) -> Scheme:
     if cfg.scheme_lines:
-        return parse_scheme("\n".join(cfg.scheme_lines))
+        return parse_scheme("\n".join(cfg.scheme_lines), cfg.s)
     return builtin(cfg.scheme_builtin, s=cfg.s, **cfg.scheme_params)
 
 
 def build_state(cfg, grid=None):
-    if cfg.kind == "narrow":
-        return narrow_twin_slits(cfg.s, cfg.amplitudes)
-    a = cfg.a if cfg.a is not None else cfg.s / 50.0
     grid = grid or build_grid(cfg)
+    if cfg.kind == "narrow":
+        return narrow_twin_slits(cfg.s, cfg.amplitudes, grid)
+    a = cfg.a if cfg.a is not None else cfg.s / 50.0
     return gaussian_twin_slits(cfg.s, a, grid, cfg.amplitudes)

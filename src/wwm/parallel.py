@@ -2,9 +2,18 @@
 
 import os
 
+# Samples in flight over all threads in row-block tasks (the Wigner check's x
+# rows, the joint table's kernels; 16 rows at n = 16384 on one core), any n.
+ROW_BLOCK = 2 ** 18
+
 
 def usable_cores():  # CPU affinity (e.g. taskset) limits it
     return len(os.sched_getaffinity(0))
+
+
+def rows_per_task(n):
+    """Rows of n samples per thread task, shrinking with the thread count."""
+    return max(1, ROW_BLOCK // usable_cores() // n)
 
 
 def map_threads(fn, items):

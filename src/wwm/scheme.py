@@ -15,10 +15,10 @@ COMPLETENESS_TOL = 1e-8  # max | sum_xi |O_xi(x)|^2 - 1 | of a complete scheme
 
 
 class Channel:
-    """Channel backed by a python callable fn(x, s) -> complex values.
+    """Channel backed by a python callable fn(x) -> complex values.
 
-    `ast` is the parsed grammar expression when the channel came from
-    scheme text; only such channels can be printed back.
+    A slit separation fn reads is bound in when its scheme is built.  `ast`
+    is the parsed expression of a channel from scheme text; only those print.
     """
 
     def __init__(self, fn, name, ast=None):
@@ -26,9 +26,9 @@ class Channel:
         self.name = name
         self.ast = ast
 
-    def evaluate(self, x, s=None):
+    def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        vals = np.asarray(self.fn(x, s), dtype=complex)
+        vals = np.asarray(self.fn(x), dtype=complex)
         if vals.shape != x.shape:
             vals = np.full(x.shape, complex(vals))
         return vals
@@ -58,37 +58,38 @@ class Scheme:
     def __len__(self):
         return len(self.channels)
 
-    def evaluate(self, x, s=None):
-        """Stack of channel values, shape (n_channels, *x.shape)."""
+    def evaluate(self, x):
+        """Stack of channel values at x alone (s is bound), shape (n_channels, *x.shape)."""
         x = np.asarray(x, dtype=float)
-        out = np.stack([ch.evaluate(x, s) for ch in self.channels])
+        out = np.stack([ch.evaluate(x) for ch in self.channels])
         if not np.all(np.isfinite(out)):
             raise EvaluationError("channel evaluation produced a non-finite value")
         return out
 
-    def contraction(self, a, b, s=None):
+    def contraction(self, a, b):
         """sum_xi O_xi(a) * conj(O_xi(b)) elementwise over broadcast a, b.
 
-        This combination is invariant under unitary channel rebasing and
-        is how schemes enter every distribution in the package; the Wigner
-        identity check forms it from lattice samples of evaluate().
+        Positions only: s is bound at build time.  This rebasing-invariant
+        combination is how schemes enter every distribution in the package;
+        the Wigner identity check forms it from lattice samples of evaluate().
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         shape = np.broadcast_shapes(a.shape, b.shape)
         out = np.zeros(shape, dtype=complex)
         for ch in self.channels:
-            out += ch.evaluate(np.broadcast_to(a, shape), s) * np.conj(
-                ch.evaluate(np.broadcast_to(b, shape), s)
+            out += ch.evaluate(np.broadcast_to(a, shape)) * np.conj(
+                ch.evaluate(np.broadcast_to(b, shape))
             )
         return out
 
 
-def parse_scheme(text):
+def parse_scheme(text, s=None):
     """Parse scheme text: one channel expression per line.
 
     Lines may be bare expressions or `O = <expression>`; blank lines and
-    `#` comments are skipped.
+    `#` comments are skipped.  The slit separation `s` that expressions
+    read is bound into every channel here, and the probe runs at it.
     """
     channels = []
     consumed = 0
@@ -108,7 +109,7 @@ def parse_scheme(text):
             abs_offset = consumed + raw_line.find(line) + err.offset
             raise _expr.ExpressionError(err.message, abs_offset, text) from None
         channels.append(
-            Channel(lambda x, s, ast=ast: _expr.eval_expr(ast, x, s), _expr.print_expr(ast), ast)
+            Channel(lambda x, ast=ast: _expr.eval_expr(ast, x, s), _expr.print_expr(ast), ast)
         )
         consumed += len(raw_line) + 1
     if not channels:
@@ -128,10 +129,10 @@ def print_scheme(scheme):
     return "\n".join(lines)
 
 
-def _probe(scheme, s=1.0):
+def _probe(scheme):
     """Reject channels that blow up at sample positions."""
     probe = np.concatenate([np.linspace(-10.0, 10.0, 81), [0.0, -0.5, 0.5]])
-    scheme.evaluate(probe, s)  # raises EvaluationError on non-finite values
+    scheme.evaluate(probe)  # raises EvaluationError on non-finite values
 
 
 # --- builtins ----------------------------------------------------------
@@ -154,11 +155,11 @@ def builtin(name, kicks=None, w=None, s=None):
                       outside (-w, w); pass `s` to validate w < s/2
     """
     if name == "identity":
-        ch = Channel(lambda x, s_: np.ones_like(x, dtype=complex), "1")
+        ch = Channel(lambda x: np.ones_like(x, dtype=complex), "1")
         return Scheme([ch], base="identity", kick_terms=[(1.0, 0.0)])
     if name == "sign":
-        plus = Channel(lambda x, s_: _expr.theta(x), "theta(x)")
-        minus = Channel(lambda x, s_: _expr.theta(-x), "theta(-x)")
+        plus = Channel(lambda x: _expr.theta(x), "theta(x)")
+        minus = Channel(lambda x: _expr.theta(-x), "theta(-x)")
         return Scheme([plus, minus], base="sign")
     if name == "kicks":
         if not kicks:
@@ -169,7 +170,7 @@ def builtin(name, kicks=None, w=None, s=None):
             raise SchemeError(f"kick weights must be >= 0 and sum to 1, got {total}")
         channels = [
             Channel(
-                lambda x, s_, amp=np.sqrt(nw), k=k: amp * np.exp(1j * k * x),
+                lambda x, amp=np.sqrt(nw), k=k: amp * np.exp(1j * k * x),
                 f"sqrt({nw})*exp(i*{k}*x)",
             )
             for nw, k in terms
@@ -181,10 +182,10 @@ def builtin(name, kicks=None, w=None, s=None):
         if s is not None and not (w < s / 2):
             raise SchemeError(f"sew_flat half-width w={w} must satisfy w < s/2")
         cos_ch = Channel(
-            lambda x, s_, w=w: np.cos(_sew_angle(x, w)).astype(complex), f"cos(angle;w={w})"
+            lambda x, w=w: np.cos(_sew_angle(x, w)).astype(complex), f"cos(angle;w={w})"
         )
         sin_ch = Channel(
-            lambda x, s_, w=w: np.sin(_sew_angle(x, w)).astype(complex), f"sin(angle;w={w})"
+            lambda x, w=w: np.sin(_sew_angle(x, w)).astype(complex), f"sin(angle;w={w})"
         )
         return Scheme([cos_ch, sin_ch], base="sew_flat")
     raise SchemeError(f"unknown builtin scheme {name!r}")
@@ -193,7 +194,7 @@ def builtin(name, kicks=None, w=None, s=None):
 # --- operations --------------------------------------------------------
 
 
-def check_completeness(scheme, grid, s=None):
+def check_completeness(scheme, grid):
     """Max over grid points of | sum_xi |O_xi(x)|^2 - 1 |.
 
     Isolated violations (a spike at a single grid point whose neighbours
@@ -201,7 +202,7 @@ def check_completeness(scheme, grid, s=None):
     theta(0) = 1/2 convention puts a measure-zero blip that cannot affect
     any integral quantity.
     """
-    vals = scheme.evaluate(grid.xs, s)
+    vals = scheme.evaluate(grid.xs)
     residual = np.abs(np.sum(np.abs(vals) ** 2, axis=0) - 1.0)
     bad = residual > COMPLETENESS_TOL
     if bad.any():
@@ -216,9 +217,9 @@ def completeness_residual(scheme, state):
     """Completeness residual where the state lives: over its grid, or at
     the two slit points of a narrow state."""
     if state.is_grid:
-        return check_completeness(scheme, state.grid, state.s)
+        return check_completeness(scheme, state.grid)
     s = state.s
-    return max(abs(abs(scheme.contraction(p, p, s)) - 1.0) for p in (-s / 2, s / 2))
+    return max(abs(abs(scheme.contraction(p, p)) - 1.0) for p in (-s / 2, s / 2))
 
 
 def require_complete(scheme, state):
@@ -232,16 +233,16 @@ def require_complete(scheme, state):
 
 def visibility(scheme, s):
     """Far-field fringe visibility |sum_xi O_xi(-s/2) O_xi*(s/2)|."""
-    return float(np.abs(scheme.contraction(-s / 2.0, s / 2.0, s)))
+    return float(np.abs(scheme.contraction(-s / 2.0, s / 2.0)))
 
 
 def _combination(terms):
-    """fn(x, s) = sum of coeff * channel(x) over (coeff, channel) terms."""
+    """fn(x) = sum of coeff * channel(x) over (coeff, channel) terms."""
 
-    def fn(x, s):
+    def fn(x):
         out = np.zeros(x.shape, dtype=complex)
         for coeff, ch in terms:
-            out += coeff * ch.evaluate(x, s)
+            out += coeff * ch.evaluate(x)
         return out
 
     return fn

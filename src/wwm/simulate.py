@@ -116,7 +116,7 @@ class _ShotTables:
         dp = grid.dp
         self.ps = grid.ps
         psit = fourier_values(grid, state.values)
-        chan_vals = [ch.evaluate(grid.xs, state.s) for ch in scheme.channels]
+        chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
         self.n_ch = len(chan_vals)
         g = np.stack(
             [fourier_values(grid, cv * state.values) for cv in chan_vals]
@@ -293,7 +293,7 @@ def run_reference(scheme, state, cfg):
     grid = state.grid
     dp = grid.dp
     psit = fourier_values(grid, state.values)
-    chan_vals = [ch.evaluate(grid.xs, state.s) for ch in scheme.channels]
+    chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
     n_ch = len(chan_vals)
     nb, nc = cfg.n_i, cfg.n_f
     sum_r = np.zeros((nb, nc, n_ch))

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateError
-from .grid import fourier_values
+from .grid import default_grid, fourier_values
 from .scheme import require_complete
 
 
 @dataclass
 class SlitState:
+    """Twin slits at separation s, with the grid their distributions are sampled on."""
+
     kind: str  # "narrow" or "gaussian"
     s: float
     amplitudes: tuple  # (c_minus, c_plus) for the slits at -s/2, +s/2
@@ -48,10 +50,12 @@ def _normalized_amplitudes(amplitudes):
     return (complex(c[0]), complex(c[1]))
 
 
-def narrow_twin_slits(s, amplitudes=(2 ** -0.5, 2 ** -0.5)):
+def narrow_twin_slits(s, amplitudes=(2 ** -0.5, 2 ** -0.5), grid=None):
+    """Point slits at +-s/2, their distributions sampled on grid (default_grid(s))."""
     if s <= 0:
         raise StateError(f"slit separation must be positive, got {s}")
-    return SlitState("narrow", float(s), _normalized_amplitudes(amplitudes))
+    grid = grid or default_grid(s)
+    return SlitState("narrow", float(s), _normalized_amplitudes(amplitudes), grid=grid)
 
 
 def gaussian_twin_slits(s, a, grid, amplitudes=(2 ** -0.5, 2 ** -0.5)):
@@ -102,7 +106,7 @@ def apply_wwm(scheme, state):
     probs = []
     states = []
     for ch in scheme.channels:
-        conditioned = ch.evaluate(grid.xs, state.s) * state.values
+        conditioned = ch.evaluate(grid.xs) * state.values
         p = float(np.sum(np.abs(conditioned) ** 2) * grid.dx)
         probs.append(p)
         norm = np.sqrt(p) if p > 0 else 1.0

@@ -25,8 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CompletenessError, SchemeError, WWMError
-from .grid import default_grid, spectral_refine
-from .parallel import map_threads, usable_cores
+from .grid import spectral_refine
+from .parallel import map_threads, rows_per_task
 from .scheme import require_complete
 
 # --- signed distributions ----------------------------------------------
@@ -207,8 +207,8 @@ def _lattice_g(scheme, state):
     size = 1 << (3 * m - 3).bit_length()
     g = np.zeros(m, dtype=complex)
     for ch in scheme.channels:
-        a = np.fft.fft(weights * ch.evaluate(fine.xs, state.s), size)
-        b = np.fft.fft(np.conj(ch.evaluate(offsets, state.s))[::-1], size)
+        a = np.fft.fft(weights * ch.evaluate(fine.xs), size)
+        b = np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], size)
         g += np.fft.ifft(a * b)[m - 1 : 2 * m - 1]
     return g[::_REFINE]
 
@@ -226,11 +226,11 @@ def correlation_g(scheme, state, qs):
     are evaluated analytically at shifted points: no periodic wrap-around.
     """
     qs = np.asarray(qs, dtype=float)
-    s = state.s
     if not state.is_grid:
+        s = state.s
         c_minus, c_plus = state.amplitudes
-        return abs(c_minus) ** 2 * scheme.contraction(-s / 2, -s / 2 - qs, s) + (
-            abs(c_plus) ** 2 * scheme.contraction(s / 2, s / 2 - qs, s)
+        return abs(c_minus) ** 2 * scheme.contraction(-s / 2, -s / 2 - qs) + (
+            abs(c_plus) ** 2 * scheme.contraction(s / 2, s / 2 - qs)
         )
     if scheme.kick_terms is not None:
         return sum(nw * np.exp(1j * k * qs) for nw, k in scheme.kick_terms)
@@ -246,34 +246,27 @@ def correlation_g(scheme, state, qs):
     off = qs[~on]
     direct = np.zeros(off.shape, dtype=complex)
     chunk = max(1, 2 ** 22 // grid.n)
-    weighted = [(ch, weights * ch.evaluate(grid.xs, s)) for ch in scheme.channels]
+    weighted = [(ch, weights * ch.evaluate(grid.xs)) for ch in scheme.channels]
     for lo in range(0, off.size, chunk):
         diffs = grid.xs[None, :] - off[lo : lo + chunk, None]
         for ch, a in weighted:
-            direct[lo : lo + chunk] += np.conj(ch.evaluate(diffs, s)) @ a
+            direct[lo : lo + chunk] += np.conj(ch.evaluate(diffs)) @ a
     g[~on] = direct
     return g
 
 
-def natural_grid(state, grid=None):
-    """A grid state's own grid; a narrow state's is `grid`, else default_grid."""
-    if state.is_grid:
-        return state.grid
-    return grid if grid is not None else default_grid(state.s)
-
-
-def char_fn(scheme, state, qs=None, grid=None):
+def char_fn(scheme, state, qs=None):
     """Characteristic function chi(q) = [g(q) + conj(g(-q))] / 2.
 
-    qs=None picks natural_grid(state, grid)'s positions, which must be
-    symmetric about 0.  g(q) and g(-q) come from one correlation_g call,
+    qs=None picks the positions of state.grid (narrow: its output grid), which
+    must be symmetric about 0.  g(q) and g(-q) come from one correlation_g call,
     whose lattice test maps each -q to the index of its grid point, so all
     lattice q share one FFT correlation (qs=None: all but g(-x_min)).
     Raises if the scheme is incomplete; validates chi(0) = 1 and |chi| <= 1.
     """
     require_complete(scheme, state)
     if qs is None:
-        qgrid = natural_grid(state, grid)
+        qgrid = state.grid
         if abs(qgrid.x_min + qgrid.x_max) > 1e-9 * qgrid.length:
             raise WWMError("char_fn needs a grid symmetric about q = 0")
         qs = qgrid.xs
@@ -397,7 +390,7 @@ def fine_momentum_grid(grid):
     return 0.5 * grid.dp * np.arange(-grid.n // 2, grid.n // 2)
 
 
-def wigner_kernel(scheme, x, grid, s=None):
+def wigner_kernel(scheme, x, grid):
     """x-conditioned momentum transfer kernel of a scheme.
 
     Defined so that the final Wigner function is the initial one convolved
@@ -411,16 +404,13 @@ def wigner_kernel(scheme, x, grid, s=None):
         return classical_transfer(scheme, ps_fine)
     n = grid.n
     u_sym = grid.dx * np.arange(-n // 2, n // 2)
-    pair = scheme.contraction(x + u_sym, x - u_sym, s)
+    pair = scheme.contraction(x + u_sym, x - u_sym)
     # the integral here runs over u = y/2, doubling the dual frequency
     atoms, remainder, tail_density = tail_split(
         u_sym, pair, f"wigner kernel tail at x={x}", ps_fine, 2.0
     )
     density = _wigner_rows(np.fft.ifftshift(remainder), grid.dx)
     return MixedDistribution(atoms, ps_fine, density.real + tail_density)
-
-
-_ROW_BLOCK = 2 ** 18  # samples per block of x rows in flight, over all workers
 
 
 def verify_wigner_identity(scheme, state):
@@ -452,10 +442,10 @@ def verify_wigner_identity(scheme, state):
     psi = np.pad(state.values, h)
     support = np.flatnonzero(psi) - h
     lo, hi = int(support[0]), int(support[-1])
-    channels = scheme.evaluate(grid.x_min + dx * np.arange(lo - h, hi + h + 1), state.s)
+    channels = scheme.evaluate(grid.x_min + dx * np.arange(lo - h, hi + h + 1))
 
     d_fine = 0.5 * grid.dp
-    block = max(1, _ROW_BLOCK // usable_cores() // n)
+    block = rows_per_task(n)
 
     def block_residual(start):
         stop = min(start + block, hi + 1)

@@ -30,22 +30,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import StateError, WWMError
 from .grid import EMPTY_BIN_MASS, GridSpec, SQRT_2PI, bin_indices, fourier_values
-from .parallel import map_threads, usable_cores
+from .parallel import map_threads, rows_per_task
 from .scheme import require_complete
 from .transfer import (
     MixedDistribution,
     asymptote_split,
     char_fn,
     classical_transfer,
-    natural_grid,
     tail_split,
 )
 
 _PROMOTE_SHARE = 0.99
 _PROMOTE_FLOOR = 1e-8
-# Samples per row block of the joint table's kernel temporaries over all
-# threads (16 rows at n = 16384 on one core), bounding them for any table.
-_JOINT_BLOCK = 2 ** 18
 
 
 def pwv_narrow_sign(s, ps):
@@ -92,22 +88,21 @@ def distribution_from_chi(chi):
     return MixedDistribution(atoms, ps, density)
 
 
-def pwv_marginal(scheme, state, grid=None):
-    """Weak-valued distribution of the momentum transfer p_f - p_i.
+def pwv_marginal(scheme, state):
+    """Weak-valued distribution of the transfer p_f - p_i at the state's grid.ps.
 
     Dispatch:  kick-form schemes return their exact classical atoms; the
     sign measurement on narrow slits (in any channel basis) returns the
     closed form; everything else goes through the characteristic function.
     """
-    out = natural_grid(state, grid)
     if scheme.kick_terms is not None:
-        return classical_transfer(scheme, out.ps)
+        return classical_transfer(scheme, state.grid.ps)
     if not state.is_grid and scheme.base == "sign":
         w_minus, w_plus = (abs(c) ** 2 for c in state.amplitudes)
         if abs(w_minus - w_plus) > 1e-12:
             raise StateError("narrow sign closed form needs symmetric amplitudes")
-        return pwv_narrow_sign(state.s, out.ps)
-    chi = char_fn(scheme, state, qs=None, grid=grid)
+        return pwv_narrow_sign(state.s, state.grid.ps)
+    chi = char_fn(scheme, state)
     return distribution_from_chi(chi)
 
 
@@ -140,14 +135,14 @@ def _scan_range(grid, weights, s):
     return max(lo, 0), min(hi, n)
 
 
-def _channel_decomposition(channel, grid, s):
+def _channel_decomposition(channel, grid):
     """(A, B, R_tilde): constant, sgn coefficient, transform of the rest.
 
     R_tilde is sampled at all momentum differences d*dp, d = -n..n-1, by
     transforming the remainder on the doubly refined grid.
     """
     fine = grid.refined(2)
-    values = channel.evaluate(fine.xs, s)
+    values = channel.evaluate(fine.xs)
     a_const, b_const, _ = asymptote_split(values, "channel tail (joint table)")
     r_tilde = fourier_values(fine, values - a_const - b_const * np.sign(fine.xs))
     return a_const, b_const, r_tilde
@@ -182,9 +177,9 @@ def pwv_joint(scheme, state):
     else:
         terms = []
         for ch in scheme.channels:
-            field = ch.evaluate(grid.xs, state.s) * state.values
+            field = ch.evaluate(grid.xs) * state.values
             g = fourier_values(grid, field)
-            a_const, b_const, r_tilde = _channel_decomposition(ch, grid, state.s)
+            a_const, b_const, r_tilde = _channel_decomposition(ch, grid)
             pv_coef = -1j * b_const / np.pi
             # Diagonal of the principal-value piece: the kernel 1/(p_f - p_i)
             # times the smooth correlation has a removable zero-transfer
@@ -202,7 +197,7 @@ def pwv_joint(scheme, state):
         # do not grow.  Each channel adds its full block, then its diagonal
         # terms, in the order of a whole-table build: no bit depends on the
         # block size or the thread count.
-        step = max(1, _JOINT_BLOCK // usable_cores() // n)
+        step = rows_per_task(n)
 
         def add_block(lo_row):  # writes only rows blk of matrix
             blk = slice(lo_row, lo_row + step)

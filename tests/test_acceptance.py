@@ -62,8 +62,8 @@ def chi_set(builtins, random_schemes, state_a50):
     return out
 
 
-def test_criterion_01_sign_closed_form(grid, narrow, sign, state_a50):
-    exact = pwv_marginal(sign, narrow, grid=grid)
+def test_criterion_01_sign_closed_form(grid, sign, state_a50):
+    exact = pwv_marginal(sign, narrow_twin_slits(S, grid=grid))
     ref = pwv_narrow_sign(S, grid.ps)
     analytic_ok = exact.atoms == [(0.0, 0.5)] and np.array_equal(
         exact.density, ref.density
@@ -149,7 +149,7 @@ def test_criterion_07_classical_agreement(kick_pair, state_a50, grid):
 
 
 def _with_zero_channel(scheme):
-    zero = Channel(lambda x, s_: np.zeros_like(x, dtype=complex), "0")
+    zero = Channel(lambda x: np.zeros_like(x, dtype=complex), "0")
     return Scheme(scheme.channels + [zero], base=scheme.base)
 
 

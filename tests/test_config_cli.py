@@ -11,6 +11,7 @@ from wwm import cli, weakvalue
 from wwm.cli import COMMANDS, FMT, main
 from wwm.config import build_scheme, build_state, load_config, parse_config
 from wwm.errors import ConfigError
+from wwm.grid import make_grid
 from wwm.scheme import Scheme, builtin
 from wwm.simulate import MCConfig, default_bins, deterministic_cells
 from wwm.transfer import verify_wigner_identity
@@ -150,6 +151,27 @@ def test_cmd_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--config", broken]) == 2
 
 
+# A complete scheme at its own s = 2, whose first channel has a pole at s = 1
+POLE_AT_S1_CFG = """
+[state]
+kind = gaussian
+s = 2
+
+[scheme]
+O = theta(x)*exp(i*x/(s-1))
+O = theta(-x)
+"""
+
+
+def test_scheme_is_probed_at_the_config_s(tmp_path, capsys):
+    at_s2 = write(tmp_path, "s2.cfg", POLE_AT_S1_CFG)
+    assert main(["check", "--config", at_s2]) == 0
+    assert capsys.readouterr().err == ""
+    at_s1 = write(tmp_path, "s1.cfg", POLE_AT_S1_CFG.replace("s = 2", "s = 1"))
+    assert main(["check", "--config", at_s1]) == 1
+    assert capsys.readouterr().err == "wwm: channel evaluation produced a non-finite value\n"
+
+
 def reference_csv(header, columns, comments=()):
     """The writer's first form: FMT % v on each numpy scalar of each row."""
     lines = [f"# {c}" for c in comments]
@@ -242,6 +264,14 @@ def test_cmd_pwv_narrow_equals_closed_form(tmp_path):
     data = np.loadtxt(lines[2:], delimiter=",")
     ref = pwv_narrow_sign(2.0, data[:, 0])
     assert np.max(np.abs(data[:, 2] - ref.density)) < 1e-12
+
+
+def test_cmd_pwv_narrow_samples_the_config_grid(tmp_path):
+    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
+    out = tmp_path / "pwv.csv"
+    assert main(["pwv", "--config", cfg, "--mode", "narrow", "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert [r.split(",")[0] for r in rows] == [FMT % p for p in make_grid(-4, 4, 1024).ps]
 
 
 def test_cmd_phi_and_moments(tmp_path):
@@ -425,8 +455,8 @@ X_NAN_ROW = X_NAN - 512 / 128
 def nan_contraction(original):
     """Scheme.contraction whose 1-D calls (the kernel slice) come out NaN."""
 
-    def contraction(self, a, b, s=None):
-        out = original(self, a, b, s)
+    def contraction(self, a, b):
+        out = original(self, a, b)
         if out.ndim == 1:
             out[:] = np.nan
         return out
@@ -443,8 +473,8 @@ def nan_lattice_sample(original):
     finite residual.
     """
 
-    def evaluate(self, x, s=None):
-        out = original(self, x, s)
+    def evaluate(self, x):
+        out = original(self, x)
         out[..., np.asarray(x) == X_NAN] = np.nan
         return out
 

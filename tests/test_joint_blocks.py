@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wwm import weakvalue
+from wwm import parallel
 from wwm.grid import SQRT_2PI, fourier_values, make_grid
 from wwm.scheme import parse_scheme, require_complete
 from wwm.state import gaussian_twin_slits
@@ -43,7 +43,7 @@ def dense_pwv_joint(scheme, state):
             ok = (cols >= 0) & (cols < n)
             matrix[np.nonzero(ok)[0], cols[ok]] += nw * weights[rows[ok]]
     else:
-        fields = [ch.evaluate(grid.xs, state.s) * state.values for ch in scheme.channels]
+        fields = [ch.evaluate(grid.xs) * state.values for ch in scheme.channels]
         transforms = [fourier_values(grid, field) for field in fields]
         diff = ps[None, :] - ps[rows][:, None]  # p_f - p_i
         diff_index = np.rint(diff / dp).astype(int) + n
@@ -52,7 +52,7 @@ def dense_pwv_joint(scheme, state):
         pv_kernel[off_diag] = 1.0 / diff[off_diag]
         for ch, field, g in zip(scheme.channels, fields, transforms):
             outer = psit_rows[:, None] * np.conj(g)[None, :]
-            a_const, b_const, r_tilde = _channel_decomposition(ch, grid, state.s)
+            a_const, b_const, r_tilde = _channel_decomposition(ch, grid)
             kernel = (-1j * b_const / np.pi) * pv_kernel + r_tilde[diff_index] / SQRT_2PI
             matrix += np.real(kernel * outer) * dp * dp
             matrix[np.arange(rows.size), rows] += np.real(
@@ -85,7 +85,7 @@ def test_blocked_joint_equals_dense(monkeypatch, cases, name, block_rows):
     schemes, state = cases
     scheme = schemes[name]
     if block_rows is not None:
-        monkeypatch.setattr(weakvalue, "_JOINT_BLOCK", block_rows * state.grid.n)
+        monkeypatch.setattr(parallel, "ROW_BLOCK", block_rows * state.grid.n)
     ref = dense_pwv_joint(scheme, state)
     if block_rows is not None:
         assert ref.p_i.size % block_rows != 0  # a short last block

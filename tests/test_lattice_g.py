@@ -29,8 +29,8 @@ def dense_direct_g(scheme, state, qs):
     for lo in range(0, qs.size, chunk):
         diffs = xs[None, :] - qs[lo : lo + chunk, None]
         for ch in scheme.channels:
-            a = weights * ch.evaluate(xs, state.s)
-            g[lo : lo + chunk] += np.conj(ch.evaluate(diffs, state.s)) @ a
+            a = weights * ch.evaluate(xs)
+            g[lo : lo + chunk] += np.conj(ch.evaluate(diffs)) @ a
     return g
 
 

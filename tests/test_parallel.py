@@ -81,12 +81,12 @@ def test_joint_table_same_bits_on_any_worker_count(monkeypatch, schemes, state):
     for scheme in schemes:
         ref = dense_pwv_joint(scheme, state)
         for cores, joint_block in [
-            ({0}, weakvalue._JOINT_BLOCK),  # one worker, 128-row blocks
+            ({0}, parallel.ROW_BLOCK),  # one worker, 128-row blocks
             ({0, 1}, 2 * 5 * n + 1),  # two workers, 5-row blocks
             ({0, 1, 2}, 3 * 7 * n),  # three workers, 7-row blocks
         ]:
             use_cores(monkeypatch, cores)
-            monkeypatch.setattr(weakvalue, "_JOINT_BLOCK", joint_block)
+            monkeypatch.setattr(parallel, "ROW_BLOCK", joint_block)
             table = pwv_joint(scheme, state)
             assert np.array_equal(table.matrix, ref.matrix)
             assert np.array_equal(table.marginal_pf, ref.marginal_pf)
@@ -104,7 +104,7 @@ def test_many_threads_switching_fast_lose_no_update(monkeypatch, schemes, state)
     use_cores(monkeypatch, {0})
     mc, table = run_weak_experiment(scheme, state, cfg), pwv_joint(scheme, state)
     use_cores(monkeypatch, set(range(8)))
-    monkeypatch.setattr(weakvalue, "_JOINT_BLOCK", 8 * state.grid.n)  # one row per task
+    monkeypatch.setattr(parallel, "ROW_BLOCK", 8 * state.grid.n)  # one row per task
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

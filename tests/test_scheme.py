@@ -17,13 +17,13 @@ from conftest import S, random_complete_scheme
 def test_parse_scheme_sign_pair(grid):
     sch = parse_scheme("theta(x)\ntheta(-x)")
     assert len(sch) == 2
-    assert check_completeness(sch, grid, S) < 1e-12
+    assert check_completeness(sch, grid) < 1e-12
 
 
 def test_parse_scheme_single_phase_channel():
-    sch = parse_scheme("O = exp(i*pi*x/(2*s))/sqrt(2.0)")
+    sch = parse_scheme("O = exp(i*pi*x/(2*s))/sqrt(2.0)", S)
     assert len(sch) == 1
-    vals = sch.evaluate(np.array([0.3]), S)
+    vals = sch.evaluate(np.array([0.3]))
     assert abs(vals[0, 0]) == pytest.approx(2 ** -0.5)
 
 
@@ -52,10 +52,10 @@ def test_print_scheme_rejects_non_expression_channels(sign):
 
 
 def test_completeness_residuals(grid, sign, kick_pair):
-    assert check_completeness(sign, grid, S) < 1e-12  # x=0 spike exempted
-    assert check_completeness(kick_pair, grid, S) < 1e-12
+    assert check_completeness(sign, grid) < 1e-12  # x=0 spike exempted
+    assert check_completeness(kick_pair, grid) < 1e-12
     lonely = parse_scheme("theta(x)")
-    assert check_completeness(lonely, grid, S) == pytest.approx(1.0)
+    assert check_completeness(lonely, grid) == pytest.approx(1.0)
 
 
 def test_visibility_values(identity, sign, kick_pair, sew):
@@ -80,23 +80,23 @@ def test_builtin_validation():
 
 def test_sew_flat_structure(sew):
     xs = np.array([-S / 2, -0.25, 0.0, 0.25, S / 2])
-    vals = sew.evaluate(xs, S)
+    vals = sew.evaluate(xs)
     # channel values at the slits: (1, 0) on the left, (0, 1) on the right
     assert vals[0, 0] == pytest.approx(1.0) and vals[1, 0] == pytest.approx(0.0)
     assert vals[0, -1] == pytest.approx(0.0, abs=1e-15) and vals[1, -1] == pytest.approx(1.0)
     # cos^2 + sin^2 = 1 exactly everywhere
-    total = np.sum(np.abs(sew.evaluate(np.linspace(-2, 2, 401), S)) ** 2, axis=0)
+    total = np.sum(np.abs(sew.evaluate(np.linspace(-2, 2, 401))) ** 2, axis=0)
     assert np.max(np.abs(total - 1)) < 1e-15
 
 
 def test_rebase_identity_and_eraser(grid, sign):
     same = rebase(sign, np.eye(2))
     xs = np.linspace(-2, 2, 101)
-    assert np.allclose(same.evaluate(xs, S), sign.evaluate(xs, S))
+    assert np.allclose(same.evaluate(xs), sign.evaluate(xs))
 
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     eraser = rebase(sign, hadamard)
-    vals = eraser.evaluate(xs, S)
+    vals = eraser.evaluate(xs)
     # eraser basis: {1/sqrt(2), sgn(x)/sqrt(2)}
     assert np.allclose(vals[0], np.full_like(xs, 2 ** -0.5), atol=1e-15)
     assert np.allclose(vals[1][xs > 0], 2 ** -0.5)
@@ -117,8 +117,8 @@ def test_rebase_preserves_completeness_and_visibility(grid, n_channels):
         sch = random_complete_scheme(rng, n_channels)
         u = haar_unitary(n_channels, rng)
         mixed = rebase(sch, u)
-        r0 = check_completeness(sch, grid, S)
-        r1 = check_completeness(mixed, grid, S)
+        r0 = check_completeness(sch, grid)
+        r1 = check_completeness(mixed, grid)
         assert abs(r0 - r1) < 1e-10
         assert visibility(mixed, S) == pytest.approx(
             visibility(sch, S), abs=1e-10

@@ -321,18 +321,18 @@ def test_wigner_marginals(wgrid, wstate):
 
 
 def test_wigner_kernel_identity_and_kicks(wgrid, identity):
-    dist = wigner_kernel(identity, 0.3, wgrid, S)
+    dist = wigner_kernel(identity, 0.3, wgrid)
     assert dist.atoms == [(0.0, pytest.approx(1.0))]
     assert np.max(np.abs(dist.density)) < 1e-12
     kicked = builtin("kicks", kicks=[(1.0, 2.0)])
-    dist = wigner_kernel(kicked, -0.7, wgrid, S)
+    dist = wigner_kernel(kicked, -0.7, wgrid)
     assert dist.atoms == [(2.0, pytest.approx(1.0))]
 
 
 def test_wigner_kernel_sign_closed_form(wgrid, sign):
     # kernel of the sign measurement at x: sin(2|x| p) / (pi p)
     x0 = 0.25
-    dist = wigner_kernel(sign, x0, wgrid, S)
+    dist = wigner_kernel(sign, x0, wgrid)
     ref = np.zeros_like(dist.ps)
     nonzero = dist.ps != 0
     ref[nonzero] = np.sin(2 * x0 * dist.ps[nonzero]) / (np.pi * dist.ps[nonzero])
@@ -340,7 +340,7 @@ def test_wigner_kernel_sign_closed_form(wgrid, sign):
     assert np.max(np.abs(dist.density - ref)) < 2e-3
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-6)
     # nonlocal transfer just off the midpoint: negative lobes
-    near = wigner_kernel(sign, S / 20, wgrid, S)
+    near = wigner_kernel(sign, S / 20, wgrid)
     assert near.density.min() < -1e-3
 
 
@@ -348,8 +348,8 @@ def test_wigner_kernel_basis_invariant(wgrid, sign, sew):
     rng = np.random.default_rng(17)
     for sch in (sign, sew):
         u = haar_unitary(2, rng)
-        d0 = wigner_kernel(sch, 0.2, wgrid, S)
-        d1 = wigner_kernel(rebase(sch, u), 0.2, wgrid, S)
+        d0 = wigner_kernel(sch, 0.2, wgrid)
+        d1 = wigner_kernel(rebase(sch, u), 0.2, wgrid)
         assert np.max(np.abs(d0.bin_masses() - d1.bin_masses())) < 1e-9
 
 

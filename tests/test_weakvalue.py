@@ -5,7 +5,7 @@ from wwm.errors import StateError
 from wwm.grid import bin_indices
 from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
 from wwm.simulate import default_bins
-from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density
+from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density, narrow_twin_slits
 from wwm.transfer import (
     char_fn,
     classical_transfer,
@@ -37,8 +37,8 @@ def test_identity_gives_delta(identity, state_a50):
     assert np.max(np.abs(dist.density)) < 1e-12
 
 
-def test_sign_narrow_closed_form(narrow, sign, grid):
-    dist = pwv_marginal(sign, narrow, grid=grid)
+def test_sign_narrow_closed_form(sign, grid):
+    dist = pwv_marginal(sign, narrow_twin_slits(S, grid=grid))
     ref = pwv_narrow_sign(S, grid.ps)
     assert dist.atoms == ref.atoms
     assert np.array_equal(dist.density, ref.density)
@@ -79,10 +79,10 @@ def test_rebased_sign_identical_distribution(grid, state_a50, sign):
     assert np.max(np.abs(d0.bin_masses() - d1.bin_masses())) < 1e-9
 
 
-def test_rebased_sign_narrow_uses_same_closed_form(narrow, sign, grid):
+def test_rebased_sign_narrow_uses_same_closed_form(sign, grid):
     u = haar_unitary(2, np.random.default_rng(2))
-    d0 = pwv_marginal(sign, narrow, grid=grid)
-    d1 = pwv_marginal(rebase(sign, u), narrow, grid=grid)
+    d0 = pwv_marginal(sign, narrow_twin_slits(S, grid=grid))
+    d1 = pwv_marginal(rebase(sign, u), narrow_twin_slits(S, grid=grid))
     assert np.array_equal(d0.density, d1.density) and d0.atoms == d1.atoms
 
 
@@ -203,7 +203,7 @@ def test_unsettled_tails_warn(grid_small):
     with pytest.warns(UserWarning):
         pwv_marginal(chirp, state)
     with pytest.warns(UserWarning):
-        wigner_kernel(chirp, S / 4, grid_small, S)
+        wigner_kernel(chirp, S / 4, grid_small)
     with pytest.warns(UserWarning):
         pwv_joint(chirp, state)
 

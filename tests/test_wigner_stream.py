@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wwm import transfer
+from wwm import parallel
 from wwm.grid import make_grid
 from wwm.scheme import parse_scheme
 from wwm.state import gaussian_twin_slits
@@ -37,7 +37,7 @@ def dense_verify_wigner_identity(scheme, state):
     dx = grid.dx
     w_f_direct = np.zeros((n, n))
     for ch in scheme.channels:
-        conditioned = ch.evaluate(grid.xs, state.s) * state.values  # unnormalized
+        conditioned = ch.evaluate(grid.xs) * state.values  # unnormalized
         w_f_direct += _wigner_rows(index_pair_products(conditioned), dx).real
 
     w_i = _wigner_rows(index_pair_products(state.values), dx).real
@@ -48,7 +48,7 @@ def dense_verify_wigner_identity(scheme, state):
     block = max(1, 2 ** 21 // n)
     for lo in range(0, n, block):
         xb = xs[lo : lo + block, None]
-        kernel_rows[lo : lo + block] = scheme.contraction(xb + u_fft, xb - u_fft, state.s)
+        kernel_rows[lo : lo + block] = scheme.contraction(xb + u_fft, xb - u_fft)
     kernel_density = (dx / np.pi) * np.fft.fft(kernel_rows, axis=1)
     kernel_density = np.fft.fftshift(kernel_density, axes=1).real
 
@@ -129,10 +129,10 @@ def test_lattice_kernel_rows_equal_contraction(box, identity, sign, kick_pair, s
         for lo, hi in [(0, n - 1), (n // 3, n // 2), (n - 1, n - 1)]:
             lattice = grid.x_min + dx * np.arange(lo - h, hi + h + 1)
             rows = np.zeros((hi + 1 - lo, n), dtype=complex)
-            for samples in sch.evaluate(lattice, S):
+            for samples in sch.evaluate(lattice):
                 rows += _pair_products(samples, n)
             xb = grid.xs[lo : hi + 1, None]
-            assert np.array_equal(rows, sch.contraction(xb + u_fft, xb - u_fft, S))
+            assert np.array_equal(rows, sch.contraction(xb + u_fft, xb - u_fft))
 
 
 def test_identity_check_same_bits_on_any_worker_count(monkeypatch, sign, sew):
@@ -141,12 +141,12 @@ def test_identity_check_same_bits_on_any_worker_count(monkeypatch, sign, sew):
     for sch in (sign, sew, phase_ramp(), rnd):
         residuals = []
         for cores, row_block in [
-            ({0}, transfer._ROW_BLOCK),  # 256-row blocks, one worker
-            ({0, 1}, transfer._ROW_BLOCK),  # 128-row blocks, two workers
+            ({0}, parallel.ROW_BLOCK),  # 256-row blocks, one worker
+            ({0, 1}, parallel.ROW_BLOCK),  # 128-row blocks, two workers
             ({0, 1, 2}, 3 * 37 * 1024),  # 37-row blocks, three workers
         ]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
-            monkeypatch.setattr(transfer, "_ROW_BLOCK", row_block)
+            monkeypatch.setattr(parallel, "ROW_BLOCK", row_block)
             residuals.append(verify_wigner_identity(sch, state))
         assert residuals[0] == residuals[1] == residuals[2]
 
