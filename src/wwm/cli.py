@@ -22,10 +22,11 @@ from . import audit as audit_mod
 from .config import MODE_KINDS, build_grid, build_scheme, build_state, load_config
 from .errors import ConfigError, ExpressionError, WWMError
 from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
-from .simulate import MCConfig, default_bins, deterministic_cells, run_weak_experiment
+from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import (
-    char_fn, moment_qs, moments, support_metric, verify_wigner_identity, wigner_kernel
+    asymptote_split, char_fn, moment_qs, moments, support_metric, verify_wigner_identity,
+    wigner_kernel,
 )
 # pwv_joint is called by no command: perfbench/traced_job.py reads cli.pwv_joint (ROADMAP 1)
 from .weakvalue import pwv_joint, pwv_marginal  # noqa: F401
@@ -74,14 +75,14 @@ def _dist_csv(dist, s, lead=()):
 
 
 def _build(cfg):
+    """(scheme, state); the state carries the grid, built first."""
     grid = build_grid(cfg)
     scheme = build_scheme(cfg)
-    state = build_state(cfg, grid)
-    return grid, scheme, state
+    return scheme, build_state(cfg, grid)
 
 
 def cmd_check(cfg, args):
-    _, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     residual = completeness_residual(scheme, state)
     vis = visibility(scheme, cfg.s)
     text = (
@@ -92,12 +93,12 @@ def cmd_check(cfg, args):
 
 
 def cmd_pwv(cfg, args):
-    _, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     return _dist_csv(pwv_marginal(scheme, state), cfg.s), 0
 
 
 def cmd_phi(cfg, args):
-    _, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     qmax = args.qmax if args.qmax is not None else 4.0 * cfg.s
     if not (np.isfinite(qmax) and qmax > 0):
         raise WWMError(f"--qmax must be a positive number, got {qmax}")
@@ -107,18 +108,19 @@ def cmd_phi(cfg, args):
     half = max(8, int(round(qmax / dq)))
     qs = dq * np.arange(-half, half + 1)
     chi = char_fn(scheme, state, qs=qs)
+    even_c, odd_c, _ = asymptote_split(chi.values)
     return _csv(
         ("q", "re_chi", "im_chi"),
         (qs, chi.values.real, chi.values.imag),
         [
-            f"asymptote_even,{FMT % np.real(chi.even_const)}",
-            f"asymptote_odd_imag,{FMT % np.imag(chi.odd_const)}",
+            f"asymptote_even,{FMT % np.real(even_c)}",
+            f"asymptote_odd_imag,{FMT % np.imag(odd_c)}",
         ],
     ), 0
 
 
 def cmd_moments(cfg, args):
-    _, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     rep = moments(char_fn(scheme, state, qs=moment_qs(cfg.s)), args.nmoments)
     lines = ["n,moment"]
     for k, value in enumerate(rep.values, start=1):
@@ -128,7 +130,7 @@ def cmd_moments(cfg, args):
 
 
 def cmd_support(cfg, args):
-    _, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     dist = pwv_marginal(scheme, state)
     widths = (np.pi / (3 * cfg.s), 1.0 / cfg.s)
     return _csv(
@@ -138,7 +140,7 @@ def cmd_support(cfg, args):
 
 
 def cmd_simulate(cfg, args):
-    grid, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     state.require_grid("simulate")
     edges = default_bins(cfg.s, cfg.n_bins, cfg.bin_span)
     mc_cfg = MCConfig(
@@ -153,11 +155,10 @@ def cmd_simulate(cfg, args):
     bad |= ~np.isfinite(est.std_errors) & (est.counts > 1)
     if bad.any():  # r**2 overflows for a huge sigma
         raise WWMError(f"simulate statistics are not finite at sigma = {mc_cfg.sigma}")
-    oracle = deterministic_cells(scheme, state, mc_cfg)  # the weak limit
     nb, nc = mc_cfg.n_i, mc_cfg.n_f
     lo, hi = edges[:-1], edges[1:]
     # nan marks a mean without shots, a std_error without two, an empty p_f bin
-    cells = [est.means, est.std_errors, est.counts, oracle]
+    cells = [est.means, est.std_errors, est.counts, est.oracle]
     return _csv(
         ("pi_lo", "pi_hi", "pf_lo", "pf_hi", "mean", "std_error", "count", "oracle"),
         [np.repeat(lo, nc), np.repeat(hi, nc), np.tile(lo, nb), np.tile(hi, nb)]
@@ -169,21 +170,21 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_audit(cfg, args):
-    _, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     report = audit_mod.run_audit(scheme, state, seed=args.seed)
     csv = _lines(",".join(r) for r in audit_mod.csv_rows(report)) if args.out else None
     return csv, 0, audit_mod.render_text(report) + "\n"
 
 
 def cmd_wigner(cfg, args):
-    grid, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     state.require_grid("wigner")
     x = args.x if args.x is not None else (
         cfg.wigner_x if cfg.wigner_x is not None else cfg.s / 4.0
     )
     if not np.isfinite(x):
         raise WWMError(f"wigner slice x must be a finite number, got {x}")
-    dist = wigner_kernel(scheme, x, grid)
+    dist = wigner_kernel(scheme, x, state.grid)
     residual = verify_wigner_identity(scheme, state)
     if not np.isfinite(residual):
         raise WWMError(f"wigner identity residual is not finite: {residual}")
@@ -194,13 +195,14 @@ def cmd_wigner(cfg, args):
 
 
 def cmd_momentum_dist(cfg, args):
-    grid, scheme, state = _build(cfg)
+    scheme, state = _build(cfg)
     state.require_grid("momentum-dist")
     initial = momentum_density(state)
     final = momentum_density(apply_wwm(scheme, state))
+    ps = state.grid.ps
     return _csv(
         ("p", "p_hbar_over_s", "initial", "final"),
-        (grid.ps, grid.ps * cfg.s, initial, final),
+        (ps, ps * cfg.s, initial, final),
     ), 0
 
 

@@ -20,6 +20,7 @@ from .errors import GridError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 EMPTY_BIN_MASS = 1e-12  # a bin holding no more probability than this is empty
+BIN_SPAN = 6.0 * np.pi  # default MC bins cover |p| <= BIN_SPAN / s
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class GridSpec:
         """Momentum samples in ascending order, [-pi/dx, pi/dx)."""
         return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(self.n, d=self.dx))
 
-    def refined(self, factor=2):
+    def refined(self, factor):
         """Same interval sampled `factor` times more densely.
 
         The refined grid keeps dp unchanged while extending the covered
@@ -98,7 +99,7 @@ def inverse_fourier_values(grid, values):
     return SQRT_2PI / grid.dx * np.fft.ifft(spectrum)
 
 
-def spectral_refine(grid, values, factor=2):
+def spectral_refine(grid, values, factor):
     """Band-limited resampling of position samples onto a refined grid.
 
     Zero-pads the spectrum, so it is exact for fields whose momentum

@@ -18,7 +18,7 @@ class Channel:
     """Channel backed by a python callable fn(x) -> complex values.
 
     A slit separation fn reads is bound in when its scheme is built.  `ast`
-    is the parsed expression of a channel from scheme text; only those print.
+    is the parsed expression of a channel from scheme text, else None.
     """
 
     def __init__(self, fn, name, ast=None):
@@ -117,16 +117,6 @@ def parse_scheme(text, s=None):
     sch = Scheme(channels)
     _probe(sch)
     return sch
-
-
-def print_scheme(scheme):
-    """Inverse of parse_scheme for expression-backed schemes."""
-    lines = []
-    for ch in scheme.channels:
-        if ch.ast is None:
-            raise SchemeError("only expression channels can be printed")
-        lines.append(f"O = {_expr.print_expr(ch.ast)}")
-    return "\n".join(lines)
 
 
 def _probe(scheme):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WWMError
-from .grid import EMPTY_BIN_MASS, bin_indices, fourier_values, inverse_fourier_values
+from .grid import BIN_SPAN, EMPTY_BIN_MASS, bin_indices, fourier_values, inverse_fourier_values
 from .parallel import map_threads
 from .scheme import require_complete
 
@@ -72,10 +72,10 @@ def require_seed(seed):
         raise WWMError(f"seed must fit in 64 bits, got {seed}")
 
 
-def default_bins(s, n_bins=16, span=None):
-    """Uniform bin edges over [-span, span], default span 6 pi / s."""
+def default_bins(s, n_bins, span=None):
+    """Uniform bin edges over [-span, span], default span BIN_SPAN / s."""
     if span is None:
-        span = 6.0 * np.pi / s
+        span = BIN_SPAN / s
     return np.linspace(-span, span, n_bins + 1)
 
 
@@ -87,6 +87,7 @@ class MCEstimate:
     overflow: np.ndarray  # shots per p_i bin that missed every p_f bin
     channel_sums: np.ndarray  # (n_i, n_f, n_channels) accumulated r
     channel_counts: np.ndarray
+    oracle: np.ndarray  # weak limit of means from the same tables, NaN: empty p_f bin
     config: MCConfig = field(repr=False)
 
 
@@ -274,15 +275,8 @@ def run_weak_experiment(scheme, state, cfg):
         sum_r2[several] - counts[several] * means[several] ** 2
     ) / (counts[several] - 1)
     ses[several] = np.sqrt(np.maximum(var[several], 0.0) / counts[several])
-    return MCEstimate(
-        means,
-        ses,
-        counts,
-        overflow,
-        sum_r,
-        counts_ch,
-        cfg,
-    )
+    oracle = _expected_means(tables, cfg, None)
+    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
 
 
 def run_reference(scheme, state, cfg):
@@ -329,15 +323,9 @@ def run_reference(scheme, state, cfg):
     means = np.full((nb, nc), np.nan)
     got = counts > 0
     means[got] = sum_r.sum(axis=2)[got] / counts[got]
-    return MCEstimate(
-        means,
-        np.full((nb, nc), np.nan),
-        counts,
-        overflow,
-        sum_r,
-        counts_ch,
-        cfg,
-    )
+    ses = np.full((nb, nc), np.nan)  # the reference keeps no squared sums
+    oracle = deterministic_cells(scheme, state, cfg)
+    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
 
 
 _HERMITE_NODES = 61  # Gauss-Hermite nodes for the finite-sigma average
@@ -351,7 +339,11 @@ def deterministic_cells(scheme, state, cfg, sigma=None):
     quadrature, exposing the O(sigma^-2) estimator bias deterministically.
     NaN marks an empty p_f bin: weak-limit landing mass <= EMPTY_BIN_MASS.
     """
-    tables = _ShotTables(scheme, state, cfg)
+    return _expected_means(_ShotTables(scheme, state, cfg), cfg, sigma)
+
+
+def _expected_means(tables, cfg, sigma):
+    """deterministic_cells over tables already built (sigma None: weak limit)."""
     nb, nc = cfg.n_i, cfg.n_f
     f_bins = bin_indices(cfg.p_f_edges, tables.ps)
     valid = f_bins >= 0

@@ -26,7 +26,6 @@ class SlitState:
     kind: str  # "narrow" or "gaussian"
     s: float
     amplitudes: tuple  # (c_minus, c_plus) for the slits at -s/2, +s/2
-    a: float = None
     grid: object = None
     values: np.ndarray = None  # position samples, gaussian mode only
 
@@ -34,7 +33,7 @@ class SlitState:
     def is_grid(self):
         return self.kind == "gaussian"
 
-    def require_grid(self, what="this operation"):
+    def require_grid(self, what):
         if not self.is_grid:
             raise StateError(f"{what} needs a gaussian (grid) state, not narrow")
 
@@ -81,7 +80,7 @@ def gaussian_twin_slits(s, a, grid, amplitudes=(2 ** -0.5, 2 ** -0.5)):
         values = values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
     if not np.all(np.isfinite(values)):
         raise StateError(f"slit samples are not finite at s={s}, a={a}")
-    return SlitState("gaussian", float(s), (c_minus, c_plus), float(a), grid, values)
+    return SlitState("gaussian", float(s), (c_minus, c_plus), grid, values)
 
 
 @dataclass
@@ -130,18 +129,3 @@ def momentum_density(obj):
     for p, st in zip(ensemble.probabilities, ensemble.states):
         density += p * np.abs(fourier_values(grid, st)) ** 2
     return density
-
-
-def fringe_visibility(grid, density, s, a):
-    """Fringe contrast of a momentum pattern, windowed to |p| <= 3 pi / s.
-
-    The single-slit envelope exp(-a^2 p^2) is divided out first so that
-    envelope decay across the window does not masquerade as fringes.
-    """
-    ps = grid.ps
-    window = np.abs(ps) <= 3 * np.pi / s
-    ratio = density[window] / np.exp(-(a * ps[window]) ** 2)
-    hi, lo = float(ratio.max()), float(ratio.min())
-    if hi + lo == 0:
-        return 0.0
-    return (hi - lo) / (hi + lo)

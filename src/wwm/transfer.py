@@ -64,9 +64,6 @@ class MixedDistribution:
     def dp(self):
         return float(self.ps[1] - self.ps[0]) if self.ps.size > 1 else 0.0
 
-    def total_mass(self):
-        return float(sum(w for _, w in self.atoms) + np.sum(self.density) * self.dp)
-
     def abs_mass(self):
         return float(
             sum(abs(w) for _, w in self.atoms) + np.sum(np.abs(self.density)) * self.dp
@@ -105,10 +102,7 @@ def classical_transfer(scheme, ps=()):
 @dataclass
 class CharacteristicFunction:
     qs: np.ndarray
-    values: np.ndarray  # complex chi samples
-    even_const: complex  # box-edge asymptote, even part
-    odd_const: complex  # box-edge asymptote, coefficient of sgn(q)
-    band_spread: float  # max std over the outer bands; settled if small
+    values: np.ndarray  # complex chi samples; asymptote_split reads their box edges
 
     @property
     def dq(self):
@@ -273,8 +267,7 @@ def char_fn(scheme, state, qs=None):
     qs = np.asarray(qs, dtype=float)
     g = correlation_g(scheme, state, np.concatenate([qs, -qs]))
     chi = 0.5 * (g[: qs.size] + np.conj(g[qs.size :]))
-    even_c, odd_c, spread = asymptote_split(chi)
-    cf = CharacteristicFunction(qs, chi, even_c, odd_c, spread)
+    cf = CharacteristicFunction(qs, chi)
     at0 = cf.at0()
     if not abs(at0 - 1.0) <= 1e-7:  # written so that NaN fails
         raise CompletenessError(f"chi(0) = {at0}, expected 1")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import StateError, WWMError
-from .grid import EMPTY_BIN_MASS, GridSpec, SQRT_2PI, bin_indices, fourier_values
+from .errors import WWMError
+from .grid import BIN_SPAN, EMPTY_BIN_MASS, GridSpec, SQRT_2PI, bin_indices, fourier_values
 from .parallel import map_threads, rows_per_task
 from .scheme import require_complete
 from .transfer import (
@@ -92,15 +92,13 @@ def pwv_marginal(scheme, state):
     """Weak-valued distribution of the transfer p_f - p_i at the state's grid.ps.
 
     Dispatch:  kick-form schemes return their exact classical atoms; the
-    sign measurement on narrow slits (in any channel basis) returns the
-    closed form; everything else goes through the characteristic function.
+    sign measurement on narrow slits returns the closed form, which holds
+    for any slit amplitudes and any channel basis; everything else goes
+    through the characteristic function.
     """
     if scheme.kick_terms is not None:
         return classical_transfer(scheme, state.grid.ps)
     if not state.is_grid and scheme.base == "sign":
-        w_minus, w_plus = (abs(c) ** 2 for c in state.amplitudes)
-        if abs(w_minus - w_plus) > 1e-12:
-            raise StateError("narrow sign closed form needs symmetric amplitudes")
         return pwv_narrow_sign(state.s, state.grid.ps)
     chi = char_fn(scheme, state)
     return distribution_from_chi(chi)
@@ -119,17 +117,14 @@ class JointWeakTable:
     marginal_pf: np.ndarray  # column sums, the post-selection denominator
     row_offset: int  # index of p_i[0] within p_f
 
-    def total_mass(self):
-        return float(self.matrix.sum())
-
 
 def _scan_range(grid, weights, s):
-    """Symmetric index window covering the envelope plus |p| <= 6 pi / s."""
+    """Symmetric index window covering the envelope plus |p| <= BIN_SPAN / s."""
     n = grid.n
     cum = np.cumsum(weights)
     lo = int(np.searchsorted(cum, 1e-12))
     hi = n - int(np.searchsorted(np.cumsum(weights[::-1]), 1e-12))
-    span = np.nonzero(np.abs(grid.ps) <= 6.0 * np.pi / s)[0]
+    span = np.nonzero(np.abs(grid.ps) <= BIN_SPAN / s)[0]
     lo = min(lo, int(span[0]))
     hi = max(hi, int(span[-1]) + 1)
     return max(lo, 0), min(hi, n)

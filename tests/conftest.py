@@ -91,6 +91,11 @@ def most_negative_cell(scheme, state, cfg):
     return cell, float(expected[cell]), float(z[cell])
 
 
+def total_mass(dist):
+    """Signed total mass of a MixedDistribution: atoms plus density * dp."""
+    return float(sum(w for _, w in dist.atoms) + np.sum(dist.density) * dist.dp)
+
+
 def random_complete_scheme(rng, n_channels=2):
     """Random expression scheme that is complete by construction.
 

@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wwm import cli, weakvalue
+from wwm import cli, simulate, weakvalue
 from wwm.cli import COMMANDS, FMT, main
 from wwm.config import build_scheme, build_state, load_config, parse_config
 from wwm.errors import ConfigError
 from wwm.grid import make_grid
 from wwm.scheme import Scheme, builtin
-from wwm.simulate import MCConfig, default_bins, deterministic_cells
+from wwm.simulate import (
+    MCConfig, default_bins, deterministic_cells, run_reference, run_weak_experiment
+)
 from wwm.transfer import verify_wigner_identity
 from wwm.weakvalue import conditional_cells, pwv_joint, pwv_narrow_sign
 
@@ -274,6 +276,22 @@ def test_cmd_pwv_narrow_samples_the_config_grid(tmp_path):
     assert [r.split(",")[0] for r in rows] == [FMT % p for p in make_grid(-4, 4, 1024).ps]
 
 
+def test_narrow_sign_closed_form_holds_for_unequal_amplitudes(tmp_path, capsys):
+    """chi, and so the marginal, does not depend on the slit amplitudes:
+    `pwv` and `support` write the symmetric config's bytes, `audit` runs."""
+    text = (CONFIGS / "sign_narrow.cfg").read_text()
+    asym = write(tmp_path, "asym.cfg", text.replace("[state]\n", "[state]\namplitudes = 1, 2\n"))
+    for cmd in ("pwv", "support"):
+        written = []
+        for k, cfg in enumerate((str(CONFIGS / "sign_narrow.cfg"), asym)):
+            out = tmp_path / f"{cmd}{k}.csv"
+            assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+    assert main(["audit", "--config", asym]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cmd_phi_and_moments(tmp_path):
     cfg = write(tmp_path, "kicks.cfg", KICKS_CFG)
     out = tmp_path / "phi.csv"
@@ -367,6 +385,29 @@ def test_simulate_oracle_is_the_weak_limit_without_a_joint_table(tmp_path, monke
     assert peak < 16 * MIB
     oracle = deterministic_cells(*simulate_inputs(path))
     assert list(columns["oracle"]) == [FMT % v for v in oracle.ravel()]
+
+
+def test_simulate_builds_the_shot_tables_once(tmp_path, monkeypatch):
+    """The MC and its `oracle` read one set of per-(channel, bin) tables."""
+    built = []
+
+    class Counted(simulate._ShotTables):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simulate, "_ShotTables", Counted)
+    simulate_output(CONFIGS / "sign.cfg", tmp_path / "mc.csv", 50)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", GRID_CONFIGS)
+def test_mc_oracle_is_deterministic_cells(name):
+    """Both MC paths carry the weak limit of their means, bit for bit."""
+    scheme, state, mc_cfg = simulate_inputs(CONFIGS / f"{name}.cfg")
+    expected = deterministic_cells(scheme, state, mc_cfg)
+    for run in (run_weak_experiment, run_reference):
+        assert np.array_equal(run(scheme, state, mc_cfg).oracle, expected, equal_nan=True)
 
 
 @pytest.mark.parametrize("name", GRID_CONFIGS)

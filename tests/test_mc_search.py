@@ -90,7 +90,8 @@ def grid_bisection_experiment(scheme, state, cfg):
         sum_r2[several] - counts[several] * means[several] ** 2
     ) / (counts[several] - 1)
     ses[several] = np.sqrt(np.maximum(var[several], 0.0) / counts[several])
-    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, cfg)
+    oracle = simulate._expected_means(tables, cfg, None)
+    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
 
 
 def assert_same(fast, ref):
@@ -151,7 +152,7 @@ def test_edges_at_grid_index_zero_and_n(sign):
     grid = make_grid(-8, 8, 64)
     values = np.zeros(grid.n, dtype=complex)
     values[np.isin(grid.xs, (-S / 2, S / 2))] = grid.dx ** -0.5 / np.sqrt(2)
-    state = SlitState("gaussian", S, (2 ** -0.5, 2 ** -0.5), S / 50, grid, values)
+    state = SlitState("gaussian", S, (2 ** -0.5, 2 ** -0.5), grid, values)
     ps, dp = grid.ps, grid.dp
     p_f_edges = np.array(
         [ps[0] - 1, ps[0], ps[5] + 0.25 * dp, ps[5] + 0.5 * dp, 0.0, ps[-1], ps[-1] + 1]

@@ -22,7 +22,9 @@ from test_joint_blocks import dense_pwv_joint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIGS = SRC.parent / "configs"
-MC_FIELDS = ("means", "std_errors", "counts", "overflow", "channel_sums", "channel_counts")
+MC_FIELDS = (
+    "means", "std_errors", "counts", "overflow", "channel_sums", "channel_counts", "oracle"
+)
 PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 
 

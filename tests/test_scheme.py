@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 
 from wwm.errors import EvaluationError, ExpressionError, SchemeError
+from wwm.expr import print_expr
 from wwm.scheme import (
     builtin,
     check_completeness,
     haar_unitary,
     parse_scheme,
-    print_scheme,
     rebase,
     visibility,
 )
 from conftest import S, random_complete_scheme
+
+
+def print_scheme(scheme):
+    """Inverse of parse_scheme for expression-backed schemes."""
+    lines = []
+    for ch in scheme.channels:
+        if ch.ast is None:
+            raise SchemeError("only expression channels can be printed")
+        lines.append(f"O = {print_expr(ch.ast)}")
+    return "\n".join(lines)
 
 
 def test_parse_scheme_sign_pair(grid):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,6 @@ def test_seed_determinism_and_bin_order_independence(mc_state, sign):
     other = run_weak_experiment(sign, mc_state, small_cfg(seed=4))
     assert not np.array_equal(a.means, other.means, equal_nan=True)
 
-    # per-bin streams: a run restricted to one bin reproduces that bin's row
     edges = cfg.p_i_edges
     solo = MCConfig(
         sigma=cfg.sigma,
@@ -99,12 +100,19 @@ def test_seed_determinism_and_bin_order_independence(mc_state, sign):
         p_f_edges=cfg.p_f_edges,
         seed=3,
     )
-    # bin index changes (2 -> 0), so redo with explicit key: simplest check
-    # is that identical configs are bit-identical and different seeds differ,
-    # plus the channel-marginal property below; stream independence is by
-    # construction (Philox keyed on (seed, bin)).
     est = run_weak_experiment(sign, mc_state, solo)
     assert est.counts.shape == (1, cfg.n_f)
+
+    # per-bin streams, keyed on (seed, bin): widening only the last p_i bin
+    # leaves every other row's bits alone and moves the last row
+    wide_edges = edges.copy()
+    wide_edges[-1] += 2 * np.pi / S
+    wide = run_weak_experiment(sign, mc_state, replace(cfg, p_i_edges=wide_edges))
+    rows = ("means", "std_errors", "counts", "overflow", "channel_sums", "channel_counts", "oracle")
+    for name in rows:
+        assert np.array_equal(getattr(a, name)[:-1], getattr(wide, name)[:-1], equal_nan=True), name
+    for name in ("means", "channel_sums", "oracle"):
+        assert not np.array_equal(getattr(a, name)[-1], getattr(wide, name)[-1], equal_nan=True)
 
 
 def test_counts_reconcile_with_shots(mc_state, sign):
