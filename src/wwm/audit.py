@@ -36,7 +36,7 @@ class AuditReport:
     support_outside_inv_s: float
     total_abs_mass: float
     basis_residual: float
-    re_form_gap: float  # max |chi - Re g|; nonzero flags asymmetric schemes
+    re_form_gap: float  # max |chi - Re g|; nonzero: asymmetric scheme or odd g
     # None on a narrow state, which has no momentum pattern to compare
     pattern_l1_change: float  # L1 distance initial vs final momentum density
     moment_change_mismatch: float  # | <p^n>_wv - pattern moment change |, n<=2
@@ -130,6 +130,16 @@ def _yesno(flag):
     return "yes" if flag else "no"
 
 
+def _gap_note(report):
+    """Odd moments make chi differ from Re g: the scheme is asymmetric.
+    Without them the gap is the odd part of g, which the state can carry."""
+    if report.re_form_gap <= 1e-9:
+        return ""
+    if np.max(np.abs(report.moment_values[[0, 2]])) > MOMENT_MATCH_TOL:
+        return "  (asymmetric scheme: symmetric Re form loses odd moments)"
+    return "  (g is not even: the symmetric Re form is not chi)"
+
+
 def render_text(report):
     lines = [
         "which-way momentum transfer audit",
@@ -150,9 +160,7 @@ def render_text(report):
         f"|mass| outside 1/s      = {report.support_outside_inv_s:.6f}",
         f"total |mass|            = {report.total_abs_mass:.9f}",
         f"basis-invariance residual = {report.basis_residual:.3e}",
-        f"|chi - Re g| gap        = {report.re_form_gap:.3e}"
-        + ("  (asymmetric scheme: symmetric Re form loses odd moments)"
-           if report.re_form_gap > 1e-9 else ""),
+        f"|chi - Re g| gap        = {report.re_form_gap:.3e}" + _gap_note(report),
         f"pattern L1 change       = {_shown(report.pattern_l1_change, '.6f')}",
         f"moment-change mismatch  = {_shown(report.moment_change_mismatch, '.3e')}",
         "",

@@ -107,7 +107,9 @@ def back_action(grid, psi, p_bin, S, sigma):
 
 
 class _ShotTables:
-    """Per-(channel, bin) quadratic-form coefficients for the fast path."""
+    """Per-(channel, bin) quadratic-form coefficients for the fast path,
+    kept only as the reductions read: channel totals, cumulative masses
+    just before the searched p_f edges, and the mass in each p_f bin."""
 
     def __init__(self, scheme, state, cfg):
         state.require_grid("run_weak_experiment")
@@ -115,49 +117,47 @@ class _ShotTables:
         grid = state.grid
         self.grid = grid
         dp = grid.dp
-        self.ps = grid.ps
         psit = fourier_values(grid, state.values)
         chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
         self.n_ch = len(chan_vals)
-        g = np.stack(
-            [fourier_values(grid, cv * state.values) for cv in chan_vals]
-        )  # (n_ch, n)
-        self.u = np.abs(g) ** 2 * dp
-        cu = np.cumsum(self.u, axis=1)
-        self.na = cu[:, -1]
-        self.expectations = np.empty(cfg.n_i)
-        self.v = np.empty((cfg.n_i, self.n_ch, grid.n))
-        self.w = np.empty((cfg.n_i, self.n_ch, grid.n))
-        i_bins = bin_indices(cfg.p_i_edges, self.ps)
-
-        def bin_rows(b):  # writes only row b of expectations, v and w
-            mask = i_bins == b
-            self.expectations[b] = np.sum(np.abs(psit[mask]) ** 2) * dp
-            phi_pos = inverse_fourier_values(grid, mask * psit)
-            h = np.stack(
-                [fourier_values(grid, cv * phi_pos) for cv in chan_vals]
-            )
-            self.v[b] = 2.0 * np.real(np.conj(g) * h) * dp
-            self.w[b] = np.abs(h) ** 2 * dp
-
-        map_threads(bin_rows, range(cfg.n_i))
-        cv = np.cumsum(self.v, axis=2)
-        cw = np.cumsum(self.w, axis=2)
-        self.nv = cv[:, :, -1]
-        self.nw = cw[:, :, -1]
+        nb, nc = cfg.n_i, cfg.n_f
 
         # A shot lands at or beyond p_f edge k when its channel's cumulative
         # mass just before the edge's first grid index is below its target.
         # Edges at index 0 are always passed; edges at index n never are
         # (the grid inversion tops out at n - 1).  Only the edges between
         # are searched, through the cumulative tables sampled there.
-        first = np.searchsorted(self.ps, cfg.p_f_edges, side="left")
+        first = np.searchsorted(grid.ps, cfg.p_f_edges, side="left")
         self.edge_lo = int(np.sum(first == 0))
         self.edge_hi = int(np.sum(first < grid.n))
         before = first[self.edge_lo : self.edge_hi] - 1
-        self.cu_edges = cu[:, before]  # (n_ch, searched edges)
-        self.cv_edges = cv[:, :, before]  # (n_i, n_ch, searched edges)
-        self.cw_edges = cw[:, :, before]
+        f_bins = bin_indices(cfg.p_f_edges, grid.ps)
+        valid = f_bins >= 0
+
+        def reduced(masses):  # (n_ch, n) -> totals, edge cumulatives, p_f-bin masses
+            cum = np.cumsum(masses, axis=1)
+            cells = np.bincount(f_bins[valid], weights=masses[:, valid].sum(axis=0), minlength=nc)
+            return cum[:, -1], cum[:, before], cells
+
+        g = np.stack([fourier_values(grid, cv * state.values) for cv in chan_vals])  # (n_ch, n)
+        self.na, self.cu_edges, self.u_cells = reduced(np.abs(g) ** 2 * dp)
+        self.expectations = np.empty(nb)
+        self.nv, self.nw = np.empty((2, nb, self.n_ch))
+        self.cv_edges, self.cw_edges = np.empty((2, nb, self.n_ch, before.size))
+        self.v_cells, self.w_cells = np.empty((2, nb, nc))
+        i_bins = bin_indices(cfg.p_i_edges, grid.ps)
+
+        def bin_rows(b):  # writes only row b of every per-bin table
+            mask = i_bins == b
+            self.expectations[b] = np.sum(np.abs(psit[mask]) ** 2) * dp
+            phi_pos = inverse_fourier_values(grid, mask * psit)
+            h = np.stack([fourier_values(grid, cv * phi_pos) for cv in chan_vals])
+            self.nv[b], self.cv_edges[b], self.v_cells[b] = reduced(
+                2.0 * np.real(np.conj(g) * h) * dp
+            )
+            self.nw[b], self.cw_edges[b], self.w_cells[b] = reduced(np.abs(h) ** 2 * dp)
+
+        map_threads(bin_rows, range(nb))
 
     def landing_bins(self, b, picked, a2, ab, b2, targets):
         """p_f bin of each shot: the last edge passed, by bisection.
@@ -264,18 +264,23 @@ def run_weak_experiment(scheme, state, cfg):
             np.add.at(sum_r2[b], c_bin[ok], r[ok] ** 2)
 
     map_threads(run_bin, range(nb))
+    oracle = _expected_means(tables, cfg, None)
+    return _estimate(sum_r, sum_r2, counts_ch, overflow, oracle, cfg)
+
+
+def _estimate(sum_r, sum_r2, counts_ch, overflow, oracle, cfg):
+    """Cell means and standard errors from the accumulated shot sums."""
     counts = counts_ch.sum(axis=2)
-    means = np.full((nb, nc), np.nan)
-    ses = np.full((nb, nc), np.nan)
+    means = np.full(counts.shape, np.nan)
+    ses = np.full(counts.shape, np.nan)
     got = counts > 0
     means[got] = sum_r.sum(axis=2)[got] / counts[got]
     several = counts > 1
-    var = np.zeros((nb, nc))
+    var = np.zeros(counts.shape)
     var[several] = (
         sum_r2[several] - counts[several] * means[several] ** 2
     ) / (counts[several] - 1)
     ses[several] = np.sqrt(np.maximum(var[several], 0.0) / counts[several])
-    oracle = _expected_means(tables, cfg, None)
     return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
 
 
@@ -291,6 +296,7 @@ def run_reference(scheme, state, cfg):
     n_ch = len(chan_vals)
     nb, nc = cfg.n_i, cfg.n_f
     sum_r = np.zeros((nb, nc, n_ch))
+    sum_r2 = np.zeros((nb, nc))
     counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
     overflow = np.zeros(nb, dtype=np.int64)
     i_bins = bin_indices(cfg.p_i_edges, grid.ps)
@@ -317,15 +323,11 @@ def run_reference(scheme, state, cfg):
                 overflow[b] += 1
                 continue
             sum_r[b, c, xi] += r
+            sum_r2[b, c] += r ** 2
             counts_ch[b, c, xi] += 1
 
-    counts = counts_ch.sum(axis=2)
-    means = np.full((nb, nc), np.nan)
-    got = counts > 0
-    means[got] = sum_r.sum(axis=2)[got] / counts[got]
-    ses = np.full((nb, nc), np.nan)  # the reference keeps no squared sums
     oracle = deterministic_cells(scheme, state, cfg)
-    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
+    return _estimate(sum_r, sum_r2, counts_ch, overflow, oracle, cfg)
 
 
 _HERMITE_NODES = 61  # Gauss-Hermite nodes for the finite-sigma average
@@ -344,20 +346,16 @@ def deterministic_cells(scheme, state, cfg, sigma=None):
 
 def _expected_means(tables, cfg, sigma):
     """deterministic_cells over tables already built (sigma None: weak limit)."""
-    nb, nc = cfg.n_i, cfg.n_f
-    f_bins = bin_indices(cfg.p_f_edges, tables.ps)
-    valid = f_bins >= 0
-
-    def per_cell(arr):  # (n_ch, n) -> (nc,) column-aggregated over channels
-        flat = arr[:, valid].sum(axis=0)
-        return np.bincount(f_bins[valid], weights=flat, minlength=nc)
-
-    u_cells = per_cell(tables.u)
+    u_cells = tables.u_cells
     full = u_cells > EMPTY_BIN_MASS
-    means = np.full((nb, nc), np.nan)
-    for b in range(nb):
-        v_cells = per_cell(tables.v[b])
-        w_cells = per_cell(tables.w[b])
+    means = np.full((cfg.n_i, cfg.n_f), np.nan)
+    if sigma is not None:
+        t, wts = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
+        s_nodes = np.sqrt(2.0) * t
+        wts = wts / np.sqrt(np.pi)
+        na = tables.na.sum()
+    for b in range(cfg.n_i):
+        v_cells, w_cells = tables.v_cells[b], tables.w_cells[b]
         exp_b = tables.expectations[b]
         if sigma is None:
             # <r 1_c> -> Re <psi| Pi_b O^dag Proj_c O |psi> = V_c / 2: the
@@ -365,14 +363,8 @@ def _expected_means(tables, cfg, sigma):
             numerator = 0.5 * v_cells
             denominator = u_cells
         else:
-            t, wts = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
-            s_nodes = np.sqrt(2.0) * t
-            wts = wts / np.sqrt(np.pi)
-            numerator = np.zeros(nc)
-            denominator = np.zeros(nc)
-            na = tables.na.sum()
-            nv = tables.nv[b].sum()
-            nw = tables.nw[b].sum()
+            numerator, denominator = np.zeros(cfg.n_f), np.zeros(cfg.n_f)
+            nv, nw = tables.nv[b].sum(), tables.nw[b].sum()
             for s_node, wt in zip(s_nodes, wts):
                 lam = s_node / (2.0 * sigma)
                 alpha = 1.0 - lam * exp_b

@@ -292,6 +292,31 @@ def test_narrow_sign_closed_form_holds_for_unequal_amplitudes(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "name, amplitudes, note",
+    [
+        ("phase_ramp", None, "(asymmetric scheme: symmetric Re form loses odd moments)"),
+        ("sign_narrow", "1, 2", "(g is not even: the symmetric Re form is not chi)"),
+    ],
+)
+def test_audit_gap_note_names_its_cause(tmp_path, capsys, name, amplitudes, note):
+    """The |chi - Re g| note blames the scheme only when the odd moments
+    are nonzero; on unequal slit amplitudes every moment is 0 and the gap
+    is g's odd part.  The CSV carries the gap with no note."""
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    if amplitudes is not None:
+        text = text.replace("[state]\n", f"[state]\namplitudes = {amplitudes}\n")
+    cfg = write(tmp_path, "audit.cfg", text)
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--config", cfg]) == 0
+    gap = [l for l in capsys.readouterr().out.splitlines() if l.startswith("|chi - Re g| gap")]
+    assert len(gap) == 1 and gap[0].endswith("  " + note)
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+    rows = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+    assert float(rows["re_form_gap"]) > 0.1
+    assert "(" not in out.read_text()
+
+
 def test_cmd_phi_and_moments(tmp_path):
     cfg = write(tmp_path, "kicks.cfg", KICKS_CFG)
     out = tmp_path / "phi.csv"

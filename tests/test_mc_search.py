@@ -8,7 +8,7 @@ import pytest
 
 from wwm import simulate
 from wwm.config import build_grid, build_scheme, build_state, parse_config
-from wwm.grid import bin_indices, make_grid
+from wwm.grid import bin_indices, fourier_values, inverse_fourier_values, make_grid
 from wwm.simulate import (
     MCConfig,
     MCEstimate,
@@ -25,6 +25,26 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIELDS = ("counts", "channel_sums", "channel_counts", "overflow", "means", "std_errors")
 
 
+def full_cumulative_tables(scheme, state, cfg):
+    """The per-momentum cumulative quadratic-form coefficients over all n
+    grid points: cu (n_ch, n), cv and cw (n_i, n_ch, n)."""
+    grid = state.grid
+    dp = grid.dp
+    psit = fourier_values(grid, state.values)
+    chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
+    g = np.stack([fourier_values(grid, cv * state.values) for cv in chan_vals])
+    i_bins = bin_indices(cfg.p_i_edges, grid.ps)
+    v = np.empty((cfg.n_i, len(chan_vals), grid.n))
+    w = np.empty_like(v)
+    for b in range(cfg.n_i):
+        phi_pos = inverse_fourier_values(grid, (i_bins == b) * psit)
+        h = np.stack([fourier_values(grid, cv * phi_pos) for cv in chan_vals])
+        v[b] = 2.0 * np.real(np.conj(g) * h) * dp
+        w[b] = np.abs(h) ** 2 * dp
+    u = np.abs(g) ** 2 * dp
+    return np.cumsum(u, axis=1), np.cumsum(v, axis=2), np.cumsum(w, axis=2)
+
+
 def grid_bisection_experiment(scheme, state, cfg):
     """Reference: each shot's p_f grid index by bisection over all n grid
     points of its channel's cumulative distribution, on the draws of one
@@ -33,9 +53,7 @@ def grid_bisection_experiment(scheme, state, cfg):
     n = tables.grid.n
     n_ch = tables.n_ch
     nb, nc = cfg.n_i, cfg.n_f
-    cu = np.cumsum(tables.u, axis=1)
-    cv_all = np.cumsum(tables.v, axis=2)
-    cw_all = np.cumsum(tables.w, axis=2)
+    cu, cv_all, cw_all = full_cumulative_tables(scheme, state, cfg)
     sum_r = np.zeros((nb, nc, n_ch))
     sum_r2 = np.zeros((nb, nc))
     counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
@@ -70,7 +88,7 @@ def grid_bisection_experiment(scheme, state, cfg):
             lo = np.where(ge, lo, mid)
 
         r = tables.expectations[b] + cfg.sigma * S_
-        c_bin = bin_indices(cfg.p_f_edges, tables.ps[hi])
+        c_bin = bin_indices(cfg.p_f_edges, tables.grid.ps[hi])
         ok = c_bin >= 0
         overflow[b] = int((~ok).sum())
         flat = c_bin[ok] * n_ch + picked[ok]
@@ -202,3 +220,23 @@ def test_mc_memory_does_not_grow_with_shots(sign, grid_small):
     small = _mc_peak(sign, state, 10 ** 4)
     large = _mc_peak(sign, state, 10 ** 6)
     assert large <= small + 4 * MIB
+
+
+def test_shot_tables_hold_no_per_momentum_rows():
+    """At n = 16384 with 16 p_i bins the (bins x channels x n) coefficient
+    arrays alone are 17 MiB; the tables keep only their per-bin reductions,
+    and the run's peak stays well below holding them."""
+    scheme, state, s = shipped("sign", 16384)
+    cfg = mc_config(s, seed=0, shots=10 ** 4)
+    tracemalloc.start()
+    try:
+        tables = _ShotTables(scheme, state, cfg)
+        retained = tracemalloc.get_traced_memory()[0]
+        del tables
+        tracemalloc.reset_peak()
+        run_weak_experiment(scheme, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * MIB
+    assert peak < 10 * MIB

@@ -81,6 +81,7 @@ def test_fast_path_matches_reference(mc_state, sign):
     both = fast.counts > 0
     assert np.max(np.abs(fast.means[both] - ref.means[both])) < 1e-9
     assert np.array_equal(fast.overflow, ref.overflow)
+    assert np.array_equal(fast.std_errors, ref.std_errors, equal_nan=True)
 
 
 def test_seed_determinism_and_bin_order_independence(mc_state, sign):
