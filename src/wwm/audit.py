@@ -83,7 +83,7 @@ def run_audit(scheme, state, seed=0):
     dist = pwv_marginal(scheme, state)
     sup_third = support_metric(dist, np.pi / (3.0 * s))
     sup_inv = support_metric(dist, 1.0 / s)
-    abs_mass = dist.abs_mass()
+    abs_mass = support_metric(dist, 0.0)
 
     rng = np.random.default_rng(seed)
     mixed = rebase(scheme, haar_unitary(len(scheme), rng))

@@ -4,17 +4,19 @@
         [--sigma f] [--shots n] [--seed u64] [--qmax f] [--nmoments k] [--x f]
 
 Commands: check, pwv, phi, moments, support, simulate, audit, wigner,
-momentum-dist.  Each returns (text, exit code[, report]); `main` writes
-the text to the output path, or stdout when none is set, and then prints
-the report, if any, to stdout.  CSV output uses %.12e formatting with
-point masses as leading `# atom,<location>,<weight>` comment lines, and
-is written atomically (temp file + rename).  Exit codes: 0 success,
-1 validation failure, 2 parse error.
+momentum-dist.  `main` builds the scheme and state; each command returns
+(text, exit code[, report]); `main` writes the text to the output path,
+or stdout when none is set, and then prints the report, if any, to
+stdout.  CSV output uses %.12e formatting with point masses as leading
+`# atom,<location>,<weight>` comment lines, and is written atomically
+(temp file + rename).  Exit codes: 0 success, 1 validation failure or
+library warning (chi not settling at the box edges), 2 parse error.
 """
 
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -81,8 +83,7 @@ def _build(cfg):
     return scheme, build_state(cfg, grid)
 
 
-def cmd_check(cfg, args):
-    scheme, state = _build(cfg)
+def cmd_check(cfg, args, scheme, state):
     residual = completeness_residual(scheme, state)
     vis = visibility(scheme, cfg.s)
     text = (
@@ -92,13 +93,11 @@ def cmd_check(cfg, args):
     return text, 0 if residual < COMPLETENESS_TOL else 1
 
 
-def cmd_pwv(cfg, args):
-    scheme, state = _build(cfg)
+def cmd_pwv(cfg, args, scheme, state):
     return _dist_csv(pwv_marginal(scheme, state), cfg.s), 0
 
 
-def cmd_phi(cfg, args):
-    scheme, state = _build(cfg)
+def cmd_phi(cfg, args, scheme, state):
     qmax = args.qmax if args.qmax is not None else 4.0 * cfg.s
     if not (np.isfinite(qmax) and qmax > 0):
         raise WWMError(f"--qmax must be a positive number, got {qmax}")
@@ -119,8 +118,7 @@ def cmd_phi(cfg, args):
     ), 0
 
 
-def cmd_moments(cfg, args):
-    scheme, state = _build(cfg)
+def cmd_moments(cfg, args, scheme, state):
     rep = moments(char_fn(scheme, state, qs=moment_qs(cfg.s)), args.nmoments)
     lines = ["n,moment"]
     for k, value in enumerate(rep.values, start=1):
@@ -129,8 +127,7 @@ def cmd_moments(cfg, args):
     return _lines(lines), 0
 
 
-def cmd_support(cfg, args):
-    scheme, state = _build(cfg)
+def cmd_support(cfg, args, scheme, state):
     dist = pwv_marginal(scheme, state)
     widths = (np.pi / (3 * cfg.s), 1.0 / cfg.s)
     return _csv(
@@ -139,9 +136,7 @@ def cmd_support(cfg, args):
     ), 0
 
 
-def cmd_simulate(cfg, args):
-    scheme, state = _build(cfg)
-    state.require_grid("simulate")
+def cmd_simulate(cfg, args, scheme, state):
     edges = default_bins(cfg.s, cfg.n_bins, cfg.bin_span)
     mc_cfg = MCConfig(
         sigma=args.sigma,
@@ -169,19 +164,14 @@ def cmd_simulate(cfg, args):
     ), 0
 
 
-def cmd_audit(cfg, args):
-    scheme, state = _build(cfg)
+def cmd_audit(cfg, args, scheme, state):
     report = audit_mod.run_audit(scheme, state, seed=args.seed)
-    csv = _lines(",".join(r) for r in audit_mod.csv_rows(report)) if args.out else None
+    csv = _lines(",".join(r) for r in audit_mod.csv_rows(report)) if cfg.out else None
     return csv, 0, audit_mod.render_text(report) + "\n"
 
 
-def cmd_wigner(cfg, args):
-    scheme, state = _build(cfg)
-    state.require_grid("wigner")
-    x = args.x if args.x is not None else (
-        cfg.wigner_x if cfg.wigner_x is not None else cfg.s / 4.0
-    )
+def cmd_wigner(cfg, args, scheme, state):
+    x = cfg.wigner_x if cfg.wigner_x is not None else cfg.s / 4.0
     if not np.isfinite(x):
         raise WWMError(f"wigner slice x must be a finite number, got {x}")
     dist = wigner_kernel(scheme, x, state.grid)
@@ -194,9 +184,7 @@ def cmd_wigner(cfg, args):
     return _dist_csv(dist, cfg.s, lead), 0
 
 
-def cmd_momentum_dist(cfg, args):
-    scheme, state = _build(cfg)
-    state.require_grid("momentum-dist")
+def cmd_momentum_dist(cfg, args, scheme, state):
     initial = momentum_density(state)
     final = momentum_density(apply_wwm(scheme, state))
     ps = state.grid.ps
@@ -217,6 +205,7 @@ COMMANDS = {
     "wigner": cmd_wigner,
     "momentum-dist": cmd_momentum_dist,
 }
+GRID_ONLY = ("simulate", "wigner", "momentum-dist")
 
 
 def make_parser():
@@ -243,16 +232,22 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.mode:
             cfg.kind = MODE_KINDS[args.mode]
-        args.out = args.out or cfg.out
-        text, code, *report = COMMANDS[args.command](cfg, args)
+        cfg.out = args.out or cfg.out
+        cfg.wigner_x = args.x if args.x is not None else cfg.wigner_x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            scheme, state = _build(cfg)
+            if args.command in GRID_ONLY:
+                state.require_grid(args.command)
+            text, code, *report = COMMANDS[args.command](cfg, args, scheme, state)
         if text is not None:
-            _write_out(args.out, text)
+            _write_out(cfg.out, text)
         sys.stdout.writelines(report)
         return code
     except (ConfigError, ExpressionError) as err:
         print(f"wwm: parse error: {err}", file=sys.stderr)
         return 2
-    except (WWMError, OSError) as err:
+    except (WWMError, OSError, UserWarning) as err:
         print(f"wwm: {err}", file=sys.stderr)
         return 1
 

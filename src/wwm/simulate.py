@@ -98,7 +98,7 @@ def back_action(grid, psi, p_bin, S, sigma):
     momenta lo <= p < hi.  The state change vanishes like |S|/sigma.
     """
     tilde = fourier_values(grid, psi)
-    mask = (grid.ps >= p_bin[0]) & (grid.ps < p_bin[1])
+    mask = bin_indices(p_bin, grid.ps) == 0
     expectation = float(np.sum(np.abs(tilde[mask]) ** 2) * grid.dp)
     lam = S / (2.0 * sigma)
     updated = tilde + lam * (mask * tilde - expectation * tilde)
@@ -302,13 +302,10 @@ def run_reference(scheme, state, cfg):
     i_bins = bin_indices(cfg.p_i_edges, grid.ps)
 
     for b in range(nb):
-        mask = i_bins == b
-        expectation = float(np.sum(np.abs(psit[mask]) ** 2) * dp)
+        expectation = float(np.sum(np.abs(psit[i_bins == b]) ** 2) * dp)
         S, u_channel, u_pf = _draws(cfg, b)
         for k in range(cfg.shots_per_bin):
-            lam = S[k] / (2.0 * cfg.sigma)
-            disturbed = psit + lam * (mask * psit - expectation * psit)
-            pos = inverse_fourier_values(grid, disturbed)
+            pos = back_action(grid, state.values, cfg.p_i_edges[b : b + 2], S[k], cfg.sigma)
             dens = np.stack(
                 [np.abs(fourier_values(grid, cv * pos)) ** 2 * dp for cv in chan_vals]
             )

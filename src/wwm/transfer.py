@@ -64,11 +64,6 @@ class MixedDistribution:
     def dp(self):
         return float(self.ps[1] - self.ps[0]) if self.ps.size > 1 else 0.0
 
-    def abs_mass(self):
-        return float(
-            sum(abs(w) for _, w in self.atoms) + np.sum(np.abs(self.density)) * self.dp
-        )
-
     def bin_masses(self):
         """Density folded to per-bin masses with atoms added to their bins."""
         masses = self.density * self.dp

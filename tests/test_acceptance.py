@@ -143,9 +143,9 @@ def test_criterion_07_classical_agreement(kick_pair, state_a50, grid):
     ok = len(dist.atoms) == 2
     for (loc, weight), target in zip(dist.atoms, (-k, k)):
         ok = ok and abs(loc - target) <= grid.dp and abs(weight - 0.5) <= 0.005
-    ok = ok and abs(dist.abs_mass() - 1.0) <= 1e-6
+    ok = ok and abs(support_metric(dist, 0.0) - 1.0) <= 1e-6
     ok = ok and dist.atoms == classical.atoms
-    assert report(7, ok, f"atoms {dist.atoms}, abs mass {dist.abs_mass():.9f}")
+    assert report(7, ok, f"atoms {dist.atoms}, abs mass {support_metric(dist, 0.0):.9f}")
 
 
 def _with_zero_channel(scheme):

@@ -174,6 +174,40 @@ def test_scheme_is_probed_at_the_config_s(tmp_path, capsys):
     assert capsys.readouterr().err == "wwm: channel evaluation produced a non-finite value\n"
 
 
+UNSETTLED = " did not settle at the box edges (spread {}); enlarge the box\n"
+CHI_UNSETTLED = (POLE_AT_S1_CFG, "chi" + UNSETTLED.format("1.95e-01"))
+UNSETTLED_RUNS = {
+    "pwv": CHI_UNSETTLED,
+    "support": CHI_UNSETTLED,
+    "audit": CHI_UNSETTLED,
+    "wigner": (
+        SIGN_CFG.replace("builtin = sign", "O = exp(i*x^2)"),
+        "wigner kernel tail at x=0.25" + UNSETTLED.format("4.42e-01"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNSETTLED_RUNS))
+def test_unsettled_tails_exit_1(tmp_path, capsys, command):
+    """A scheme whose tails do not settle ends the run with one `wwm: ` line,
+    not Python's warning text beside an exit-0 output."""
+    text, message = UNSETTLED_RUNS[command]
+    cfg = write(tmp_path, "unsettled.cfg", text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "wwm: " + message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "wigner", "momentum-dist"])
+def test_grid_only_commands_reject_narrow(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    cfg = str(CONFIGS / "sign_narrow.cfg")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"wwm: {command} needs a gaussian (grid) state, not narrow\n"
+    assert not out.exists()
+
+
 def reference_csv(header, columns, comments=()):
     """The writer's first form: FMT % v on each numpy scalar of each row."""
     lines = [f"# {c}" for c in comments]
@@ -569,14 +603,16 @@ def test_cmd_wigner_rejects_nonfinite_kernel(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("pole, code", [(11.0, 0), (8.50390625, 1)])
 def test_wigner_evaluates_channels_only_where_rows_reach(tmp_path, capsys, pole, code):
-    """O = exp(i/(x - pole)) is singular at one lattice point of SIGN_CFG's grid.
+    """O = exp(i*theta(x - 8.3)/(x - pole)) is singular at one lattice point of
+    SIGN_CFG's grid, and equals 1 wherever the printed kernel reaches
+    (x +- u < 8.25), so that kernel settles at the box edges.
 
     The identity check's kernel rows reach about [-9.6, 9.6], n/2 samples
     beyond the state's support: x = 11 lies outside that reach (and outside
     the scheme probe's [-10, 10]), so nothing may evaluate or warn there;
     x = 8.50390625 lies inside it and must end the run with a message.
     """
-    scheme = f"O = exp(i/(x-{pole!r}))"
+    scheme = f"O = exp(i*theta(x-8.3)/(x-{pole!r}))"
     cfg = write(tmp_path, "pole.cfg", SIGN_CFG.replace("builtin = sign", scheme))
     out = tmp_path / "wig.csv"
     with warnings.catch_warnings(record=True) as caught:
