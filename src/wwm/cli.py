@@ -107,7 +107,9 @@ def cmd_phi(cfg, args, scheme, state):
     half = max(8, int(round(qmax / dq)))
     qs = dq * np.arange(-half, half + 1)
     chi = char_fn(scheme, state, qs=qs)
-    even_c, odd_c, _ = asymptote_split(chi.values)
+    # a kick scheme's chi is an exact atom sum, whose tails never settle
+    what = "chi" if scheme.kick_terms is None else None
+    even_c, odd_c, _ = asymptote_split(chi.values, what)
     return _csv(
         ("q", "re_chi", "im_chi"),
         (qs, chi.values.real, chi.values.imag),

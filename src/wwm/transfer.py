@@ -353,25 +353,30 @@ def moments(chi, n_max=4):
 
 
 def _pair_products(ext, n):
-    """B[j, m] = e[j + n/2 + m] conj(e[j + n/2 - m]), m in FFT order.
+    """B[j, m] = e[j + n/2 + m] conj(e[j + n/2 - m]) for m = 0..n/2.
 
     ext holds consecutive lattice samples e, read as len(ext) - n strided
-    windows of n + 1.  A state's rows [a, b) read
-    np.pad(psi, n // 2)[a : b + n]: zero extension, not periodic wrap,
-    which would pair each slit with the other slit's periodic image and
-    plant a spurious interference ridge at the box edge.
+    windows of n + 1.  B[j, -m] = conj(B[j, m]) up to the rounding of the
+    imaginary part, so these n/2 + 1 columns are the Hermitian half of each
+    row.  A state's rows [a, b) read np.pad(psi, n // 2)[a : b + n]: zero extension, not
+    periodic wrap, which would pair each slit with the other slit's
+    periodic image and plant a spurious interference ridge at the box edge.
     """
     win = sliding_window_view(ext, n + 1)
     h = n // 2
-    out = np.empty((win.shape[0], n), dtype=complex)
-    np.multiply(win[:, h:n], np.conj(win[:, h:0:-1]), out=out[:, :h])
-    np.multiply(win[:, :h], np.conj(win[:, n:h:-1]), out=out[:, h:])
-    return out
+    # a ufunc call, not `*`: numpy may elide the conj temporary by swapping
+    # the operands, and a fused multiply-add rounds Im(a b) and Im(b a) apart
+    half = np.conj(win[:, h::-1])
+    return np.multiply(win[:, h:], half, out=half)
 
 
-def _wigner_rows(pair_rows, dx):
-    """(dx / pi) x the FFT along u (FFT order) of each row, p ascending."""
-    return (dx / np.pi) * np.fft.fftshift(np.fft.fft(pair_rows, axis=-1), axes=-1)
+def _wigner_rows(half_rows, dx):
+    """(dx / pi) x the real FFT along u of each Hermitian row, p ascending.
+
+    half_rows holds m = 0..n/2 of rows of n samples; hfft reads the
+    Nyquist column's real part, as the full row's FFT does.
+    """
+    return (dx / np.pi) * np.fft.fftshift(np.fft.hfft(half_rows, axis=-1), axes=-1)
 
 
 def fine_momentum_grid(grid):
@@ -397,7 +402,8 @@ def wigner_kernel(scheme, x, grid):
     atoms, remainder, tail_density = tail_split(
         u_sym, pair, f"wigner kernel tail at x={x}", ps_fine, 2.0
     )
-    density = _wigner_rows(np.fft.ifftshift(remainder), grid.dx)
+    # the remainder is not exactly Hermitian: transform the whole row
+    density = (grid.dx / np.pi) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(remainder)))
     return MixedDistribution(atoms, ps_fine, density.real + tail_density)
 
 
@@ -420,6 +426,10 @@ def verify_wigner_identity(scheme, state):
     Both routes read each channel sampled once at the lattice points
     x_min + k dx, k in [lo - n/2, hi + n/2], that the rows reach; with a
     dyadic dx these equal x_j +- u_m exactly.
+
+    Every row either route transforms is Hermitian in u (pair products) or
+    real (Wigner rows), so each is held and transformed as its half:
+    m = 0..n/2 through hfft, and the convolution in p through rfft/irfft.
     """
     state.require_grid("verify_wigner_identity")
     require_complete(scheme, state)
@@ -441,18 +451,18 @@ def verify_wigner_identity(scheme, state):
         windows = [samples[start - lo : stop - lo + n] for samples in channels]
         w_f_direct = np.zeros((stop - start, n))
         for window in windows:
-            w_f_direct += _wigner_rows(_pair_products(window * ext, n), dx).real
+            w_f_direct += _wigner_rows(_pair_products(window * ext, n), dx)
 
-        w_i = _wigner_rows(_pair_products(ext, n), dx).real
+        w_i = _wigner_rows(_pair_products(ext, n), dx)
 
-        kernel_rows = np.zeros((stop - start, n), dtype=complex)
+        kernel_rows = np.zeros((stop - start, h + 1), dtype=complex)
         for window in windows:
             kernel_rows += _pair_products(window, n)
-        kernel_density = _wigner_rows(kernel_rows, dx).real
+        kernel_density = _wigner_rows(kernel_rows, dx)
 
-        conv = np.fft.ifft(
-            np.fft.fft(w_i, axis=1) * np.fft.fft(kernel_density, axis=1), axis=1
-        ).real
+        conv = np.fft.irfft(
+            np.fft.rfft(w_i, axis=1) * np.fft.rfft(kernel_density, axis=1), n, axis=1
+        )
         w_f_conv = np.roll(conv, -h, axis=1) * d_fine
         return np.max(np.abs(w_f_direct - w_f_conv))
 

@@ -177,6 +177,7 @@ def test_scheme_is_probed_at_the_config_s(tmp_path, capsys):
 UNSETTLED = " did not settle at the box edges (spread {}); enlarge the box\n"
 CHI_UNSETTLED = (POLE_AT_S1_CFG, "chi" + UNSETTLED.format("1.95e-01"))
 UNSETTLED_RUNS = {
+    "phi": (POLE_AT_S1_CFG, "chi" + UNSETTLED.format("1.10e-01")),
     "pwv": CHI_UNSETTLED,
     "support": CHI_UNSETTLED,
     "audit": CHI_UNSETTLED,

@@ -281,7 +281,7 @@ def wigner_rows(state):
     """Wigner function of a grid state on (grid xs) x (fine_momentum_grid)."""
     grid = state.grid
     ext = np.pad(state.values, grid.n // 2)
-    return _wigner_rows(_pair_products(ext, grid.n), grid.dx).real
+    return _wigner_rows(_pair_products(ext, grid.n), grid.dx)
 
 
 def fine_momentum_amplitudes(grid, values):

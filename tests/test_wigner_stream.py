@@ -19,18 +19,21 @@ PHASE_RAMP = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 
 
 def index_pair_products(values, rows=None):
-    """Reference gather: B[j, m] = psi(x_j + u_m) conj(psi(x_j - u_m)), u_m in
-    FFT order, psi zero outside its box, by int64 index arrays."""
+    """Reference gather: B[j, m] = psi(x_j + u_m) conj(psi(x_j - u_m)),
+    u_m = m dx for m = 0..n/2, psi zero outside its box, by int64 index
+    arrays."""
     n = values.size
     pad = np.zeros(3 * n, dtype=complex)
     pad[n : 2 * n] = values
     j = np.arange(n)[slice(None) if rows is None else rows, None]
-    m_signed = (((np.arange(n) + n // 2) % n) - n // 2)[None, :]
-    return pad[n + j + m_signed] * np.conj(pad[n + j - m_signed])
+    m = np.arange(n // 2 + 1)[None, :]
+    # a ufunc call keeps _pair_products' operand order, so Im rounds alike
+    return np.multiply(pad[n + j + m], np.conj(pad[n + j - m]))
 
 
 def dense_verify_wigner_identity(scheme, state):
-    """Reference: both routes on full n x n arrays, every row computed."""
+    """Reference: both routes on full n x (n/2 + 1) and n x n arrays, every
+    row computed, with the check's per-row transforms."""
     state.require_grid("verify_wigner_identity")
     grid = state.grid
     n = grid.n
@@ -38,24 +41,24 @@ def dense_verify_wigner_identity(scheme, state):
     w_f_direct = np.zeros((n, n))
     for ch in scheme.channels:
         conditioned = ch.evaluate(grid.xs) * state.values  # unnormalized
-        w_f_direct += _wigner_rows(index_pair_products(conditioned), dx).real
+        w_f_direct += _wigner_rows(index_pair_products(conditioned), dx)
 
-    w_i = _wigner_rows(index_pair_products(state.values), dx).real
+    w_i = _wigner_rows(index_pair_products(state.values), dx)
 
-    u_fft = dx * (((np.arange(n) + n // 2) % n) - n // 2)
+    u_half = dx * np.arange(n // 2 + 1)
     xs = grid.xs
-    kernel_rows = np.empty((n, n), dtype=complex)
+    kernel_rows = np.empty((n, n // 2 + 1), dtype=complex)
     block = max(1, 2 ** 21 // n)
     for lo in range(0, n, block):
         xb = xs[lo : lo + block, None]
-        kernel_rows[lo : lo + block] = scheme.contraction(xb + u_fft, xb - u_fft)
-    kernel_density = (dx / np.pi) * np.fft.fft(kernel_rows, axis=1)
-    kernel_density = np.fft.fftshift(kernel_density, axes=1).real
+        kernel_rows[lo : lo + block] = scheme.contraction(xb + u_half, xb - u_half)
+    kernel_density = (dx / np.pi) * np.fft.hfft(kernel_rows, n, axis=1)
+    kernel_density = np.fft.fftshift(kernel_density, axes=1)
 
     d_fine = 0.5 * grid.dp
-    conv = np.fft.ifft(
-        np.fft.fft(w_i, axis=1) * np.fft.fft(kernel_density, axis=1), axis=1
-    ).real
+    conv = np.fft.irfft(
+        np.fft.rfft(w_i, axis=1) * np.fft.rfft(kernel_density, axis=1), n, axis=1
+    )
     w_f_conv = np.roll(conv, -(n // 2), axis=1) * d_fine
     return float(np.max(np.abs(w_f_direct - w_f_conv)))
 
@@ -100,7 +103,7 @@ def test_identity_check_memory_is_bounded(sign, state_a50):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * MIB
+    assert peak < 24 * MIB
 
 
 @pytest.mark.parametrize("n", [16, 1024])
@@ -113,6 +116,33 @@ def test_strided_gather_equals_index_gather(n):
         assert np.array_equal(strided, index_pair_products(values, slice(start, stop)))
 
 
+def full_row(half):
+    """The n-sample Hermitian row in FFT order whose half is m = 0..n/2:
+    index n/2 holds m = -n/2, the conjugate of the half's last column."""
+    return np.concatenate([half[:, :-1], np.conj(half[:, :0:-1])], axis=1)
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_half_spectrum_transform_equals_full_transform(n):
+    """hfft of the half row is the real part of the full row's FFT, the
+    Nyquist column's imaginary part included, on random Hermitian rows and
+    on pair products of random samples."""
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal((5, n // 2 + 1)) + 1j * rng.standard_normal((5, n // 2 + 1))
+    half[:, 0] = half[:, 0].real  # a Hermitian row's m = 0 sample is real
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pairs = index_pair_products(samples, slice(n // 4, n // 4 + 5))
+    dx = 0.25
+    for rows in (half, pairs):
+        full = full_row(rows)
+        scale = np.max(np.abs(full), axis=1, keepdims=True)
+        reference = np.fft.fftshift(np.fft.fft(full, axis=1), axes=1).real
+        transformed = np.fft.fftshift(np.fft.hfft(rows, n, axis=1), axes=1)
+        assert np.all(np.abs(transformed - reference) <= 1e-13 * scale)
+        wigner = (np.pi / dx) * _wigner_rows(rows, dx)
+        assert np.all(np.abs(wigner - reference) <= 1e-13 * scale)
+
+
 def phase_ramp():
     return parse_scheme(PHASE_RAMP)
 
@@ -123,16 +153,16 @@ def test_lattice_kernel_rows_equal_contraction(box, identity, sign, kick_pair, s
     lattice channel samples are the kernel rows bit for bit."""
     grid = make_grid(*box)
     n, h, dx = grid.n, grid.n // 2, grid.dx
-    u_fft = dx * (((np.arange(n) + h) % n) - h)
+    u_half = dx * np.arange(h + 1)  # column h is +n/2 dx
     rnd = random_complete_scheme(np.random.default_rng(11))
     for sch in (identity, sign, kick_pair, sew, phase_ramp(), rnd):
         for lo, hi in [(0, n - 1), (n // 3, n // 2), (n - 1, n - 1)]:
             lattice = grid.x_min + dx * np.arange(lo - h, hi + h + 1)
-            rows = np.zeros((hi + 1 - lo, n), dtype=complex)
+            rows = np.zeros((hi + 1 - lo, h + 1), dtype=complex)
             for samples in sch.evaluate(lattice):
                 rows += _pair_products(samples, n)
             xb = grid.xs[lo : hi + 1, None]
-            assert np.array_equal(rows, sch.contraction(xb + u_fft, xb - u_fft))
+            assert np.array_equal(rows, sch.contraction(xb + u_half, xb - u_half))
 
 
 def test_identity_check_same_bits_on_any_worker_count(monkeypatch, sign, sew):
