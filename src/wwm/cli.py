@@ -27,8 +27,8 @@ from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
 from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import (
-    asymptote_split, char_fn, moment_qs, moments, support_metric, verify_wigner_identity,
-    wigner_kernel,
+    WIGNER_IDENTITY_TOL, asymptote_split, char_fn, moment_qs, moments, support_metric,
+    verify_wigner_identity, wigner_kernel,
 )
 # pwv_joint is called by no command: perfbench/traced_job.py reads cli.pwv_joint (ROADMAP 1)
 from .weakvalue import pwv_joint, pwv_marginal  # noqa: F401
@@ -178,8 +178,10 @@ def cmd_wigner(cfg, args, scheme, state):
         raise WWMError(f"wigner slice x must be a finite number, got {x}")
     dist = wigner_kernel(scheme, x, state.grid)
     residual = verify_wigner_identity(scheme, state)
-    if not np.isfinite(residual):
-        raise WWMError(f"wigner identity residual is not finite: {residual}")
+    if not residual < WIGNER_IDENTITY_TOL:  # NaN too
+        raise WWMError(
+            f"wigner identity residual {residual:.3e} is not below {WIGNER_IDENTITY_TOL:.0e}"
+        )
     if not np.all(np.isfinite(dist.density)):
         raise WWMError(f"wigner kernel density at x = {x} is not finite")
     lead = [f"x,{FMT % x}", f"identity_residual,{FMT % residual}"]

@@ -96,6 +96,15 @@ def total_mass(dist):
     return float(sum(w for _, w in dist.atoms) + np.sum(dist.density) * dist.dp)
 
 
+def half_row_wigner(half_rows, dx):
+    """(dx / pi) x the real FFT along u of each Hermitian row, p ascending.
+
+    half_rows holds m = 0..n/2 of rows of n samples; hfft reads the
+    Nyquist column's real part, as the full row's FFT does.
+    """
+    return (dx / np.pi) * np.fft.fftshift(np.fft.hfft(half_rows, axis=-1), axes=-1)
+
+
 def random_complete_scheme(rng, n_channels=2):
     """Random expression scheme that is complete by construction.
 

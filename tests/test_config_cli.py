@@ -535,7 +535,18 @@ def test_cmd_wigner(tmp_path):
     assert main(["wigner", "--config", cfg, "--x", "0.25", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     residual = float(next(l for l in lines if l.startswith("# identity_residual")).split(",")[1])
-    assert residual < 1e-8
+    assert residual < 1e-14
+
+
+def test_cmd_wigner_exits_1_when_the_identity_fails(tmp_path, monkeypatch, capsys):
+    """A finite residual above criterion 10's bound fails like a NaN one:
+    one `wwm:` line, exit 1, no output file."""
+    monkeypatch.setattr(cli, "verify_wigner_identity", lambda scheme, state: 1e-3)
+    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
+    out = tmp_path / "wig.csv"
+    assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "wwm: wigner identity residual 1.000e-03 is not below 1e-06\n"
 
 
 def test_cmd_wigner_rejects_nonfinite_x(tmp_path):

@@ -11,7 +11,6 @@ from wwm.state import gaussian_twin_slits, narrow_twin_slits
 from wwm.transfer import (
     MixedDistribution,
     _pair_products,
-    _wigner_rows,
     asymptote_split,
     char_fn,
     classical_transfer,
@@ -23,7 +22,7 @@ from wwm.transfer import (
     wigner_kernel,
 )
 from wwm.weakvalue import pwv_narrow_sign
-from conftest import S, random_complete_scheme, total_mass
+from conftest import S, half_row_wigner, random_complete_scheme, total_mass
 
 
 # --- classical transfer ---------------------------------------------------
@@ -281,7 +280,7 @@ def wigner_rows(state):
     """Wigner function of a grid state on (grid xs) x (fine_momentum_grid)."""
     grid = state.grid
     ext = np.pad(state.values, grid.n // 2)
-    return _wigner_rows(_pair_products(ext, grid.n), grid.dx)
+    return half_row_wigner(_pair_products(ext, grid.n), grid.dx)
 
 
 def fine_momentum_amplitudes(grid, values):
@@ -358,9 +357,9 @@ def test_wigner_kernel_basis_invariant(wgrid, sign, sew):
 def test_wigner_identity_all_builtins(wgrid, wstate, identity, sign, sew):
     kicked = builtin("kicks", kicks=[(0.5, np.pi / 2), (0.5, -np.pi / 2)])
     for sch in (identity, kicked, sign, sew):
-        assert verify_wigner_identity(sch, wstate) < 1e-8
+        assert verify_wigner_identity(sch, wstate) < 1e-14
 
 
 def test_wigner_identity_random_scheme(wgrid, wstate):
     sch = random_complete_scheme(np.random.default_rng(5))
-    assert verify_wigner_identity(sch, wstate) < 1e-8
+    assert verify_wigner_identity(sch, wstate) < 1e-14

@@ -10,8 +10,8 @@ from wwm import parallel
 from wwm.grid import make_grid
 from wwm.scheme import parse_scheme
 from wwm.state import gaussian_twin_slits
-from wwm.transfer import _pair_products, _wigner_rows, verify_wigner_identity
-from conftest import S, random_complete_scheme
+from wwm.transfer import _pair_products, verify_wigner_identity
+from conftest import S, half_row_wigner, random_complete_scheme
 
 MIB = 2 ** 20
 
@@ -33,17 +33,20 @@ def index_pair_products(values, rows=None):
 
 def dense_verify_wigner_identity(scheme, state):
     """Reference: both routes on full n x (n/2 + 1) and n x n arrays, every
-    row computed, with the check's per-row transforms."""
+    row computed, with the check's per-row transforms: the direct route's
+    pair products summed over channels and transformed once, the rows
+    compared in FFT order and the scales applied once."""
     state.require_grid("verify_wigner_identity")
     grid = state.grid
     n = grid.n
     dx = grid.dx
-    w_f_direct = np.zeros((n, n))
+    conditioned_rows = np.zeros((n, n // 2 + 1), dtype=complex)
     for ch in scheme.channels:
         conditioned = ch.evaluate(grid.xs) * state.values  # unnormalized
-        w_f_direct += _wigner_rows(index_pair_products(conditioned), dx)
+        conditioned_rows += index_pair_products(conditioned)
+    direct = np.fft.hfft(conditioned_rows, n, axis=1)
 
-    w_i = _wigner_rows(index_pair_products(state.values), dx)
+    w_i = np.fft.hfft(index_pair_products(state.values), n, axis=1)
 
     u_half = dx * np.arange(n // 2 + 1)
     xs = grid.xs
@@ -52,15 +55,12 @@ def dense_verify_wigner_identity(scheme, state):
     for lo in range(0, n, block):
         xb = xs[lo : lo + block, None]
         kernel_rows[lo : lo + block] = scheme.contraction(xb + u_half, xb - u_half)
-    kernel_density = (dx / np.pi) * np.fft.hfft(kernel_rows, n, axis=1)
-    kernel_density = np.fft.fftshift(kernel_density, axes=1)
+    kernel = np.fft.hfft(kernel_rows, n, axis=1)
 
-    d_fine = 0.5 * grid.dp
-    conv = np.fft.irfft(
-        np.fft.rfft(w_i, axis=1) * np.fft.rfft(kernel_density, axis=1), n, axis=1
-    )
-    w_f_conv = np.roll(conv, -(n // 2), axis=1) * d_fine
-    return float(np.max(np.abs(w_f_direct - w_f_conv)))
+    wigner_scale = dx / np.pi
+    conv = np.fft.irfft(np.fft.rfft(w_i, axis=1) * np.fft.rfft(kernel, axis=1), n, axis=1)
+    conv_scale = wigner_scale * 0.5 * grid.dp
+    return wigner_scale * float(np.max(np.abs(direct - conv_scale * conv)))
 
 
 def twin_a20():
@@ -103,7 +103,7 @@ def test_identity_check_memory_is_bounded(sign, state_a50):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * MIB
+    assert peak < 20 * MIB
 
 
 @pytest.mark.parametrize("n", [16, 1024])
@@ -139,7 +139,7 @@ def test_half_spectrum_transform_equals_full_transform(n):
         reference = np.fft.fftshift(np.fft.fft(full, axis=1), axes=1).real
         transformed = np.fft.fftshift(np.fft.hfft(rows, n, axis=1), axes=1)
         assert np.all(np.abs(transformed - reference) <= 1e-13 * scale)
-        wigner = (np.pi / dx) * _wigner_rows(rows, dx)
+        wigner = (np.pi / dx) * half_row_wigner(rows, dx)
         assert np.all(np.abs(wigner - reference) <= 1e-13 * scale)
 
 
@@ -187,4 +187,4 @@ def test_identity_check_on_a_non_dyadic_box(sign, sew):
     state = gaussian_twin_slits(S, S / 20, make_grid(-4.3, 4, 1024))
     rnd = random_complete_scheme(np.random.default_rng(7))
     for sch in (sign, sew, phase_ramp(), rnd):
-        assert verify_wigner_identity(sch, state) < 1e-8
+        assert verify_wigner_identity(sch, state) < 1e-14
