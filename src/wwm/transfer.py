@@ -402,37 +402,29 @@ WIGNER_IDENTITY_TOL = 1e-6  # criterion 10: largest residual a sound check may l
 
 
 def verify_wigner_identity(scheme, state):
-    """Max abs difference between the two routes to the final Wigner function.
+    """Upper bound on max |W_direct - W_conv| of the final Wigner function.
 
-    Route one transforms the pair products of the unnormalized conditioned
-    states O_xi psi, summed over the channels, once per x row: the Wigner
-    function of rho_f = sum_xi |O_xi psi><O_xi psi|.  Route two convolves
-    the initial Wigner function with the scheme kernel row by row.  The
-    direct route never reads the kernel or a convolution, so the routes stay
-    independent.  Both run on blocks of x rows, so no n x n array is ever
-    held, one thread per usable core; no result depends on the block or
-    thread count.
+    W_f = K (*)_p W_i, and each Wigner row is a transform in u of pair
+    products B[e][j, m] = e(x_j + u_m) conj(e(x_j - u_m)), so by the
+    convolution theorem the identity holds row by row in u, transform-free:
+    sum_xi B[O_xi psi] (rho_f = sum_xi |O_xi psi><O_xi psi|, unnormalized)
+    equals B[psi] times sum_xi B[O_xi], the kernel's channel contraction.
+    A row's difference dB, with B[j, -m] = conj(B[j, m]), moves its Wigner
+    row at every p by at most (dx/pi) (|dB_0| + 2 sum_{0<m<n/2} |dB_m| +
+    |dB_n/2|); the residual is the largest such row bound.  The product is
+    a ufunc call with B[psi] first and the row sums are numpy's pairwise
+    sum(axis=1), so no bit depends on the block or thread count.
 
-    Only the rows inside the index hull [lo, hi] of the nonzero samples of
-    psi are computed, since O_xi psi vanishes wherever psi does.  Skipping
-    the others is exact when the state vanishes outside [lo, hi] and the
-    channels are finite: for a row j outside, one of j + m and j - m lies
-    outside too for every m, so its pair products, and its rows in both
-    routes, are 0.
+    The two sides gather psi and the channel samples differently, so the
+    check catches a misaligned lattice gather or mis-sampled channels; it
+    does not check the density wigner_kernel returns at one slice x.
 
-    Both routes read each channel sampled once at the lattice points
-    x_min + k dx, k in [lo - n/2, hi + n/2], that the rows reach; with a
-    dyadic dx these equal x_j +- u_m exactly.
-
-    Every row either route transforms is Hermitian in u (pair products) or
-    real (Wigner rows), so each is held and transformed as its half:
-    m = 0..n/2 through hfft, and the convolution in p through rfft/irfft.
-    The rows are compared in FFT order, p = 0 first: n is a power of two,
-    so p-ascending order is a roll by n/2, the rolls of W_i and the kernel
-    cancel in the circular convolution, the direct route's roll equals the
-    convolution route's, and a row's max |difference| ignores the order.
-    The dx/pi of every Wigner row and the d_fine of the convolution cost
-    one multiply of the convolution rows and one of the maximum.
+    Rows run in blocks, one thread per usable core; no n x n array is held.
+    Only rows in the index hull [lo, hi] of psi's nonzero samples are
+    computed: for a row outside, one of j +- m lies outside for every m, so
+    both sides are 0 there (finite channels).  Each channel is sampled once
+    at the lattice points x_min + k dx, k in [lo - n/2, hi + n/2], the rows
+    reach; with a dyadic dx these equal x_j +- u_m exactly.
     """
     state.require_grid("verify_wigner_identity")
     require_complete(scheme, state)
@@ -444,23 +436,17 @@ def verify_wigner_identity(scheme, state):
     support = np.flatnonzero(psi) - h
     lo, hi = int(support[0]), int(support[-1])
     channels = scheme.evaluate(grid.x_min + dx * np.arange(lo - h, hi + h + 1))
-
-    wigner_scale = dx / np.pi
-    conv_scale = wigner_scale * 0.5 * grid.dp  # W_i's dx/pi times d_fine
     block = rows_per_task(n)
 
     def block_residual(start):
         stop = min(start + block, hi + 1)
         ext = psi[start : stop + n]
         windows = [samples[start - lo : stop - lo + n] for samples in channels]
-        direct = np.fft.hfft(sum(_pair_products(w * ext, n) for w in windows), axis=1)
-        spectrum = np.fft.rfft(np.fft.hfft(_pair_products(ext, n), axis=1), axis=1)
-        kernel = np.fft.hfft(sum(_pair_products(w, n) for w in windows), axis=1)
-        spectrum *= np.fft.rfft(kernel, axis=1)
-        conv = np.fft.irfft(spectrum, n, axis=1)
-        conv *= conv_scale
-        direct -= conv
-        return np.max(np.abs(direct, out=direct))
+        delta = sum(_pair_products(w * ext, n) for w in windows)
+        kernel = sum(_pair_products(w, n) for w in windows)
+        delta -= np.multiply(_pair_products(ext, n), kernel, out=kernel)
+        mag = np.abs(delta, out=delta).real
+        return np.max(mag[:, 0] + 2 * mag[:, 1:h].sum(axis=1) + mag[:, h])
 
     residuals = map_threads(block_residual, range(lo, hi + 1, block))
-    return wigner_scale * float(np.max(residuals))  # unlike max(), keeps a NaN from any block
+    return (dx / np.pi) * float(np.max(residuals))  # unlike max(), keeps a NaN from any block

@@ -3,7 +3,9 @@
 Scale covariance: with hbar = 1, scaling every length (the box, s and a)
 by 2 scales every momentum by 1/2, so P_wv in units of hbar/s is
 unchanged.  Mirror: the scheme O(-x) on a symmetric state transfers -p
-wherever O(x) transfers p, so odd moments flip sign.
+wherever O(x) transfers p, so odd moments flip sign.  Basis invariance:
+a Haar rebase of the channels, O'_eta = sum_xi U[eta, xi] O_xi, leaves
+every channel sum, and so the joint table and the MC cell means, unchanged.
 """
 
 import re
@@ -14,8 +16,10 @@ import pytest
 
 from wwm.cli import _build
 from wwm.config import parse_config
+from wwm.scheme import haar_unitary, rebase
+from wwm.simulate import MCConfig, default_bins, deterministic_cells
 from wwm.transfer import char_fn, moment_qs, moments
-from wwm.weakvalue import pwv_marginal
+from wwm.weakvalue import pwv_joint, pwv_marginal
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PHASE_RAMP_O = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
@@ -64,3 +68,38 @@ def test_mirror_flips_phase_ramp():
     signs = np.array([-1.0, 1.0, -1.0, 1.0])  # <p^n>, n = 1..4
     assert np.max(np.abs(base_moments.values - signs * mirrored_moments.values)) < 1e-6
     assert np.max(np.abs(base_moments.values[[0, 2]])) > 0.1  # odd moments are not zero
+
+
+# Rebase bounds: the largest residual measured over the four grid configs at
+# rebase seed 0, times REBASE_FACTOR.
+REBASE_FACTOR = 4
+GRID_CONFIGS = ["sign", "kick_pair", "phase_ramp", "sew_flat"]
+
+
+def rebased(name):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    scheme, state = _build(cfg)
+    mixed = rebase(scheme, haar_unitary(len(scheme), np.random.default_rng(0)))
+    return cfg, scheme, mixed, state
+
+
+@pytest.mark.parametrize("name", GRID_CONFIGS)
+def test_joint_table_is_basis_invariant(name):
+    _, scheme, mixed, state = rebased(name)
+    base, other = pwv_joint(scheme, state), pwv_joint(mixed, state)
+    assert np.array_equal(base.p_i, other.p_i)
+    # measured 6.9e-18 (phase_ramp), against entries up to 2.0e-2
+    assert np.max(np.abs(base.matrix - other.matrix)) < REBASE_FACTOR * 6.9e-18
+
+
+# (sigma, measured): None is the weak limit, 10 the CLI's default probe width
+@pytest.mark.parametrize("sigma, measured", [(None, 4.4e-16), (10.0, 1.9e-15)])
+@pytest.mark.parametrize("name", GRID_CONFIGS)
+def test_deterministic_cells_are_basis_invariant(name, sigma, measured):
+    cfg, scheme, mixed, state = rebased(name)
+    edges = default_bins(cfg.s, cfg.n_bins, cfg.bin_span)
+    mc = MCConfig(sigma=10.0, shots_per_bin=1, p_i_edges=edges, p_f_edges=edges)
+    base = deterministic_cells(scheme, state, mc, sigma=sigma)
+    other = deterministic_cells(mixed, state, mc, sigma=sigma)
+    assert np.array_equal(np.isnan(base), np.isnan(other))
+    assert np.nanmax(np.abs(base - other)) < REBASE_FACTOR * measured
