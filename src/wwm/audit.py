@@ -13,7 +13,9 @@ import numpy as np
 from .scheme import completeness_residual, haar_unitary, rebase, visibility
 from .simulate import require_seed
 from .state import apply_wwm, momentum_density
-from .transfer import char_fn, moment_qs, moments, phi_symmetric, support_metric
+from .transfer import (
+    char_fn, moment_qs, moments, phi_dq, phi_symmetric, support_metric, support_widths,
+)
 from .weakvalue import pwv_marginal
 
 POSITIVE_TOL = 1e-6
@@ -72,7 +74,7 @@ def run_audit(scheme, state, seed=0):
     residual = completeness_residual(scheme, state)
     vis = visibility(scheme, s)
 
-    qs = (s / 64.0) * np.arange(-512, 513)
+    qs = phi_dq(s) * np.arange(-512, 513)
     chi = char_fn(scheme, state, qs=qs)
     idx_s = int(np.argmin(np.abs(qs - s)))
     chi_at_s = float(np.abs(chi.values[idx_s]))
@@ -81,8 +83,7 @@ def run_audit(scheme, state, seed=0):
     rep = moments(char_fn(scheme, state, qs=moment_qs(s)))
 
     dist = pwv_marginal(scheme, state)
-    sup_third = support_metric(dist, np.pi / (3.0 * s))
-    sup_inv = support_metric(dist, 1.0 / s)
+    sup_third, sup_inv = (support_metric(dist, w) for w in support_widths(s))
     abs_mass = support_metric(dist, 0.0)
 
     rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
 """Command line front end.
 
     wwm <command> --config <path> [--mode grid|narrow] [--out <path>]
-        [--sigma f] [--shots n] [--seed u64] [--qmax f] [--nmoments k] [--x f]
+        [--sigma f] [--shots n] [--seed u64] [--qmax f] [--x f]
 
 Commands: check, pwv, phi, moments, support, simulate, audit, wigner,
 momentum-dist.  `main` builds the scheme and state; each command returns
@@ -27,8 +27,8 @@ from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
 from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import (
-    WIGNER_IDENTITY_TOL, asymptote_split, char_fn, moment_qs, moments, support_metric,
-    verify_wigner_identity, wigner_kernel,
+    WIGNER_IDENTITY_TOL, asymptote_split, char_fn, moment_qs, moments, phi_dq, support_metric,
+    support_widths, verify_wigner_identity, wigner_kernel,
 )
 # pwv_joint is called by no command: perfbench/traced_job.py reads cli.pwv_joint (ROADMAP 1)
 from .weakvalue import pwv_joint, pwv_marginal  # noqa: F401
@@ -101,7 +101,7 @@ def cmd_phi(cfg, args, scheme, state):
     qmax = args.qmax if args.qmax is not None else 4.0 * cfg.s
     if not (np.isfinite(qmax) and qmax > 0):
         raise WWMError(f"--qmax must be a positive number, got {qmax}")
-    dq = cfg.s / 64.0
+    dq = phi_dq(cfg.s)
     if qmax / dq > PHI_MAX_HALF:
         raise WWMError(f"--qmax {qmax} needs more than {2 * PHI_MAX_HALF + 1} q samples")
     half = max(8, int(round(qmax / dq)))
@@ -121,7 +121,7 @@ def cmd_phi(cfg, args, scheme, state):
 
 
 def cmd_moments(cfg, args, scheme, state):
-    rep = moments(char_fn(scheme, state, qs=moment_qs(cfg.s)), args.nmoments)
+    rep = moments(char_fn(scheme, state, qs=moment_qs(cfg.s)))
     lines = ["n,moment"]
     for k, value in enumerate(rep.values, start=1):
         lines.append(f"{k},{FMT % value}")
@@ -131,7 +131,7 @@ def cmd_moments(cfg, args, scheme, state):
 
 def cmd_support(cfg, args, scheme, state):
     dist = pwv_marginal(scheme, state)
-    widths = (np.pi / (3 * cfg.s), 1.0 / cfg.s)
+    widths = support_widths(cfg.s)
     return _csv(
         ("half_width", "half_width_hbar_over_s", "outside_abs_mass"),
         (widths, (np.pi / 3, 1.0), [support_metric(dist, w) for w in widths]),
@@ -225,7 +225,6 @@ def make_parser():
     parser.add_argument("--shots", type=int, default=10 ** 4)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--qmax", type=float)
-    parser.add_argument("--nmoments", type=int, default=4)
     parser.add_argument("--x", type=float, help="position for the wigner kernel slice")
     return parser
 

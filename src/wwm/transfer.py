@@ -169,6 +169,8 @@ def tail_split(xs, values, what, ps, frequency_factor=1.0):
     subtracted along tanh(x/lambda), whose transform is added back at ps
     as the damped 1/p term.  Returns (atoms, remainder, tail_density): the
     caller transforms the remainder and adds tail_density to the result.
+    The atom is returned whatever its weight; MixedDistribution drops it
+    when negligible.
     """
     # lambda is small enough that tanh is fully settled at the box edges
     # (tanh(10) differs from 1 by 4e-9), wide enough that its transform,
@@ -177,8 +179,7 @@ def tail_split(xs, values, what, ps, frequency_factor=1.0):
     even_c, odd_c, _ = asymptote_split(values, what)
     remainder = values - even_c - odd_c * np.tanh(xs / lam)
     tail_density = np.real(-1j * odd_c) * damped_pv_kernel(ps, lam, frequency_factor)
-    atoms = [(0.0, float(np.real(even_c)))] if abs(even_c) > 1e-12 else []
-    return atoms, remainder, tail_density
+    return [(0.0, float(np.real(even_c)))], remainder, tail_density
 
 
 _REFINE = 4  # oversampling of the x quadrature on the lattice route
@@ -285,9 +286,19 @@ def moment_qs(s):
     return (s / 128.0) * np.arange(-16, 17)
 
 
+def phi_dq(s):
+    """The q step of chi as `phi` and the audit sample it: s/64."""
+    return s / 64.0
+
+
+def support_widths(s):
+    """The half-widths pi/(3s) and 1/s that `support` and the audit read."""
+    return np.pi / (3 * s), 1.0 / s
+
+
 @dataclass
 class MomentsReport:
-    values: np.ndarray  # <p^n> for n = 1..n_max
+    values: np.ndarray  # <p^n> for n = 1..4
     imag_residual: float  # should be ~0; diagnostic for asymmetric rounding
 
 
@@ -324,17 +335,15 @@ def _central_diff(chi, order, step_bins):
     return total / (denom * h ** power)
 
 
-def moments(chi, n_max=4):
-    """Transfer moments <p^n> = (-i d/dq)^n chi at q=0, n = 1..n_max.
+def moments(chi):
+    """Transfer moments <p^n> = (-i d/dq)^n chi at q=0, n = 1..4.
 
     Uses central differences at steps 4*dq, 2*dq, dq combined by two
     Richardson extrapolation rounds (leading error O(dq^6)).
     """
-    if not 1 <= n_max <= 4:
-        raise WWMError("n_max must be between 1 and 4")
     values = []
     residual = 0.0
-    for order in range(1, n_max + 1):
+    for order in _STENCILS:
         d4 = _central_diff(chi, order, 4)
         d2 = _central_diff(chi, order, 2)
         d1 = _central_diff(chi, order, 1)
@@ -415,9 +424,11 @@ def verify_wigner_identity(scheme, state):
     a ufunc call with B[psi] first and the row sums are numpy's pairwise
     sum(axis=1), so no bit depends on the block or thread count.
 
-    The two sides gather psi and the channel samples differently, so the
-    check catches a misaligned lattice gather or mis-sampled channels; it
-    does not check the density wigner_kernel returns at one slice x.
+    Both sides read the same psi and channel slices, and B[w e] = B[w] B[e]
+    for any samples, so the identity holds term by term (the distributive
+    law) and the residual measures rounding: the check guards only its own
+    index arithmetic.  The channel sampling and the density wigner_kernel
+    returns at one slice x are on neither side.
 
     Rows run in blocks, one thread per usable core; no n x n array is held.
     Only rows in the index hull [lo, hi] of psi's nonzero samples are

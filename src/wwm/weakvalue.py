@@ -40,9 +40,6 @@ from .transfer import (
     tail_split,
 )
 
-_PROMOTE_SHARE = 0.99
-_PROMOTE_FLOOR = 1e-8
-
 
 def pwv_narrow_sign(s, ps):
     """Closed form for the sign measurement on narrow slits.
@@ -60,22 +57,6 @@ def pwv_narrow_sign(s, ps):
     return MixedDistribution([(0.0, 0.5)], ps, density)
 
 
-def _promote_single_bins(atoms, ps, density):
-    """Move bins holding almost all of their local mass into the atom list."""
-    if ps.size < 2:
-        return atoms, density
-    dp = ps[1] - ps[0]
-    masses = density * dp
-    window = np.convolve(np.abs(masses), np.ones(7), mode="same")
-    concentrated = (np.abs(masses) > _PROMOTE_SHARE * window) & (
-        np.abs(masses) > _PROMOTE_FLOOR
-    )
-    for k in np.nonzero(concentrated)[0]:
-        atoms.append((float(ps[k]), float(masses[k])))
-        density[k] = 0.0
-    return atoms, density
-
-
 def distribution_from_chi(chi):
     """Inverse-transform a characteristic function into atoms plus density."""
     qs = chi.qs
@@ -84,7 +65,6 @@ def distribution_from_chi(chi):
     ps = qgrid.ps
     atoms, remainder, tail_density = tail_split(qs, chi.values, "chi", ps)
     density = (fourier_values(qgrid, remainder) / SQRT_2PI).real + tail_density
-    atoms, density = _promote_single_bins(atoms, ps, density)
     return MixedDistribution(atoms, ps, density)
 
 

@@ -242,7 +242,7 @@ def test_criterion_12_moment_decay(grid, sign):
     qs = (S / 128.0) * np.arange(-16, 17)
     for a in (S / 10, S / 20):
         st = gaussian_twin_slits(S, a, grid)
-        rep = moments(char_fn(sign, st, qs=qs), 2)
+        rep = moments(char_fn(sign, st, qs=qs))
         values.append(abs(rep.values[1]))
     ok = values[1] < values[0] and values[1] < 1e-2 * values[0]
     assert report(

@@ -43,6 +43,15 @@ def test_classical_transfer_rejects_non_kick(sign):
         classical_transfer(sign)
 
 
+def test_mixed_distribution_drops_negligible_atoms(grid):
+    # the one rule for negligible atoms: tail_split returns its constant
+    # whatever its weight and leaves the drop to MixedDistribution
+    above = np.nextafter(1e-12, 1.0)
+    atoms = [(0.0, 1e-12), (1.0, -1e-12), (2.0, above), (3.0, -above)]
+    dist = MixedDistribution(atoms, grid.ps, np.zeros(grid.n))
+    assert dist.atoms == [(2.0, above), (3.0, -above)]
+
+
 # --- characteristic function ----------------------------------------------
 
 
@@ -214,8 +223,6 @@ def test_moments_stencil_bounds(identity, state_a50):
     chi = char_fn(identity, state_a50, qs=qs)
     with pytest.raises(WWMError):
         moments(chi)
-    with pytest.raises(WWMError):
-        moments(moments_chi(identity, state_a50), n_max=5)
 
 
 # --- support metric ---------------------------------------------------------
