@@ -1,16 +1,17 @@
 """Command line front end.
 
-    wwm <command> --config <path> [--mode grid|narrow] [--out <path>]
+    wwm <command> --config <path> [--out <path>]
         [--sigma f] [--shots n] [--seed u64] [--qmax f] [--x f]
 
 Commands: check, pwv, phi, moments, support, simulate, audit, wigner,
-momentum-dist.  `main` builds the scheme and state; each command returns
-(text, exit code[, report]); `main` writes the text to the output path,
-or stdout when none is set, and then prints the report, if any, to
-stdout.  CSV output uses %.12e formatting with point masses as leading
-`# atom,<location>,<weight>` comment lines, and is written atomically
-(temp file + rename).  Exit codes: 0 success, 1 validation failure or
-library warning (chi not settling at the box edges), 2 parse error.
+momentum-dist.  `main` builds the scheme and a state of the config's
+`[state] kind`; each command returns (text, exit code[, report]); `main`
+writes the text to the output path, or stdout when none is set, and then
+prints the report, if any, to stdout.  CSV output uses %.12e formatting
+with point masses as leading `# atom,<location>,<weight>` comment lines,
+and is written atomically (temp file + rename).  Exit codes: 0 success, 1
+validation failure or library warning (chi not settling at the box
+edges), 2 parse error.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import audit as audit_mod
-from .config import MODE_KINDS, build_grid, build_scheme, build_state, load_config
+from .config import build_grid, build_scheme, build_state, load_config
 from .errors import ConfigError, ExpressionError, WWMError
 from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
 from .simulate import MCConfig, default_bins, run_weak_experiment
@@ -107,17 +108,11 @@ def cmd_phi(cfg, args, scheme, state):
     half = max(8, int(round(qmax / dq)))
     qs = dq * np.arange(-half, half + 1)
     chi = char_fn(scheme, state, qs=qs)
-    # a kick scheme's chi is an exact atom sum, whose tails never settle
-    what = "chi" if scheme.kick_terms is None else None
-    even_c, odd_c, _ = asymptote_split(chi.values, what)
-    return _csv(
-        ("q", "re_chi", "im_chi"),
-        (qs, chi.values.real, chi.values.imag),
-        [
-            f"asymptote_even,{FMT % np.real(even_c)}",
-            f"asymptote_odd_imag,{FMT % np.imag(odd_c)}",
-        ],
-    ), 0
+    comments = []
+    if scheme.kick_terms is None:  # a kick scheme's chi, an atom sum, has no box-edge limit
+        even, odd, _ = asymptote_split(chi.values, "chi")
+        comments = [f"asymptote_even,{FMT % even.real}", f"asymptote_odd_imag,{FMT % odd.imag}"]
+    return _csv(("q", "re_chi", "im_chi"), (qs, chi.values.real, chi.values.imag), comments), 0
 
 
 def cmd_moments(cfg, args, scheme, state):
@@ -219,7 +214,6 @@ def make_parser():
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--mode", choices=sorted(MODE_KINDS))
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--sigma", type=float, default=10.0)
     parser.add_argument("--shots", type=int, default=10 ** 4)
@@ -233,8 +227,6 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.mode:
-            cfg.kind = MODE_KINDS[args.mode]
         cfg.out = args.out or cfg.out
         cfg.wigner_x = args.x if args.x is not None else cfg.wigner_x
         with warnings.catch_warnings():

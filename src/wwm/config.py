@@ -3,9 +3,11 @@
 Format: `[section]` headers with `key = value` lines, `#` comments,
 whitespace-insensitive.  Sections: grid (xmin, xmax, n), state (kind, s,
 a, amplitudes), scheme (builtin plus parameters, or repeated `O = <expr>`
-channel lines), run (mode, optional output path, MC binning, wigner slice
+channel lines), run (optional output path, MC binning, wigner slice
 position).  Numeric scheme parameters (kick strengths, sew width) may use
-the expression grammar with `s` bound, e.g. `kick = 0.5, pi/(2*s)`.
+the expression grammar with `s` bound, e.g. `kick = 0.5, pi/(2*s)`.  Input
+the run would not read is an error: a key given twice (`kick` and `O`
+repeat) or a scheme parameter the scheme does not take.
 """
 
 import cmath
@@ -18,8 +20,9 @@ from .scheme import Scheme, builtin, parse_scheme
 from .state import gaussian_twin_slits, narrow_twin_slits
 
 
-# [run] mode and --mode set the state kind; [run] is parsed after [state]
-MODE_KINDS = {"grid": "gaussian", "narrow": "narrow"}
+REPEATABLE = ("kick", "o")  # the keys a section may give more than once
+# the scheme parameters each scheme takes; None is custom O = lines
+TAKES = {None: (), "identity": (), "sign": (), "kicks": ("kick",), "sew_flat": ("w",)}
 
 
 @dataclass
@@ -54,7 +57,10 @@ def _sections(text):
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        out[current].append((key.strip().lower(), value.strip(), lineno))
+        key = key.strip().lower()
+        if key not in REPEATABLE and any(k == key for k, _, _ in out[current]):
+            raise ConfigError(f"line {lineno}: [{current}] gives {key!r} more than once")
+        out[current].append((key, value.strip(), lineno))
     return out
 
 
@@ -141,11 +147,7 @@ def parse_config(text):
 
     for key, value, lineno in sections.get("run", []):
         where = f"[run] line {lineno}"
-        if key == "mode":
-            if value not in MODE_KINDS:
-                raise ConfigError(f"{where}: mode must be grid or narrow")
-            cfg.kind = MODE_KINDS[value]
-        elif key == "out":
+        if key == "out":
             cfg.out = value
         elif key == "n_bins":
             cfg.n_bins = _integer(value, where)
@@ -162,6 +164,11 @@ def parse_config(text):
         raise ConfigError("[scheme] must give a builtin or O = ... channel lines")
     if cfg.scheme_builtin is not None and cfg.scheme_lines:
         raise ConfigError("[scheme] cannot mix builtin and custom channels")
+    takes = TAKES.get(cfg.scheme_builtin, ("kick", "w"))  # an unknown builtin fails at build
+    for key, _, lineno in sections.get("scheme", []):
+        if key in ("kick", "w") and key not in takes:
+            scheme = cfg.scheme_builtin or "custom O = channels"
+            raise ConfigError(f"[scheme] line {lineno}: {key!r} does not apply to {scheme}")
     return cfg
 
 

@@ -118,15 +118,15 @@ _BAND_FRAC = 0.1  # share of the samples in each outer band
 _SETTLE_TOL = 1e-3
 
 
-def asymptote_split(values, what=None):
+def asymptote_split(values, what):
     """Box-edge asymptotes of samples: (even_const, odd_const, band_spread).
 
     The asymptote model is values -> even_const +- odd_const at the box
     edges, with the constants estimated as means over the outer bands; the
     caller subtracts the odd part along its own odd template.  A large
     band_spread means the samples never settle (oscillating tails); the
-    constants then mostly cancel against the remainder.  When `what` names
-    the samples, a spread above the settle tolerance warns.
+    constants then mostly cancel against the remainder, and a spread above
+    the settle tolerance warns, naming the samples as `what`.
     """
     nb = max(2, int(len(values) * _BAND_FRAC))
     left = values[:nb]
@@ -134,7 +134,7 @@ def asymptote_split(values, what=None):
     m_minus = np.mean(left)
     m_plus = np.mean(right)
     spread = float(max(np.std(left), np.std(right)))
-    if what is not None and spread > _SETTLE_TOL:
+    if spread > _SETTLE_TOL:
         # level 4 is the caller of distribution_from_chi, wigner_kernel or
         # pwv_joint: each reaches this split through one helper
         warnings.warn(

@@ -41,7 +41,6 @@ STATE = {
     "amplitudes": values(["1, 1", "1, i", "0.6, 0.8", "1, -1", "1, 0"], ["0, 0", "1/0, 1", "1"]),
 }
 RUN = {
-    "mode": values(["grid", "narrow"], ["sideways"]),
     "n_bins": SIZE,
     "bin_span": values(["4", "pi/s"], BAD),
     "x": values(["0.25", "s/4", "-1"], BAD),
@@ -98,7 +97,7 @@ RUNNABLE_GRID = st.just(["xmin = -4", "xmax = 4", "n = 256"])
 RUNNABLE_STATE = st.tuples(
     st.sampled_from(["0.15", "0.2"]), keyed({"amplitudes": STATE["amplitudes"]})
 ).map(lambda t: ["kind = gaussian", "s = 1", f"a = {t[0]}"] + t[1])
-RUNNABLE_RUN = keyed({**RUN, "mode": st.just("grid"), "n_bins": values(["4", "16"], BAD_SIZE)})
+RUNNABLE_RUN = keyed({**RUN, "n_bins": values(["4", "16"], BAD_SIZE)})
 CONFIGS = st.one_of(
     st.tuples(GRID, keyed(STATE), SCHEME, keyed(RUN)),
     st.tuples(RUNNABLE_GRID, RUNNABLE_STATE, SCHEME, RUNNABLE_RUN),

@@ -33,9 +33,6 @@ a = 0.02
 
 [scheme]
 builtin = sign
-
-[run]
-mode = grid
 """
 
 KICKS_CFG = """
@@ -63,9 +60,6 @@ s = 2.0
 [scheme]
 O = theta(x)
 O = theta(-x)
-
-[run]
-mode = narrow
 """
 
 
@@ -99,14 +93,6 @@ def test_parse_config_narrow_custom():
     assert len(build_scheme(cfg)) == 2
 
 
-def test_run_mode_overrides_state_kind():
-    # [run] is read after [state] wherever it stands in the file
-    grid_first = "[run]\nmode = grid\n" + CUSTOM_CFG.replace("mode = narrow", "")
-    assert build_state(parse_config(grid_first)).kind == "gaussian"
-    narrow = SIGN_CFG.replace("mode = grid", "mode = narrow")
-    assert build_state(parse_config(narrow)).kind == "narrow"
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -116,6 +102,17 @@ def test_run_mode_overrides_state_kind():
         "stray = 1\n",
         "[run]\nmode = sideways\n[scheme]\nbuiltin = sign\n",
         "[scheme]\nkick = 1\n",
+        # a scheme parameter the scheme does not read
+        "[scheme]\nbuiltin = sign\nkick = 1, 0\n",
+        "[scheme]\nbuiltin = identity\nw = 0.25\n",
+        "[scheme]\nO = theta(x)\nO = theta(-x)\nkick = 1, 0\n",
+        "[scheme]\nO = 1\nw = 0.25\n",
+        "[scheme]\nbuiltin = kicks\nkick = 1, 0\nw = 0.25\n",
+        "[scheme]\nbuiltin = sew_flat\nw = 0.25\nkick = 1, 0\n",
+        # a single-valued key given twice
+        "[state]\ns = 1\ns = 2\n[scheme]\nbuiltin = sign\n",
+        "[scheme]\nbuiltin = sign\nbuiltin = identity\n",
+        "[run]\nx = 0\n[scheme]\nbuiltin = sign\n[run]\nx = 1\n",
     ],
 )
 def test_parse_config_rejects(text):
@@ -123,17 +120,32 @@ def test_parse_config_rejects(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("builtin = sign", "builtin = sign\n[run]\nmode = narrow", "'mode'"),
+        ("builtin = sign", "builtin = sign\nkick = 1, 0", "'kick'"),
+        ("s = 1.0", "s = 1.0\ns = 2.0", "'s'"),
+    ],
+)
+def test_dropped_config_input_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
+    cfg = write(tmp_path, "sign.cfg", SIGN_CFG.replace(old, new))
+    assert main(["check", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wwm: parse error: ") and key in err
+
+
 def test_fractional_integer_fields_exit_2(tmp_path):
-    for old, new in (("n = 4096", "n = 4096.7"), ("mode = grid", "mode = grid\nn_bins = 7.9")):
-        cfg = write(tmp_path, "frac.cfg", SIGN_CFG.replace(old, new))
+    for text in (SIGN_CFG.replace("n = 4096", "n = 4096.7"), SIGN_CFG + "[run]\nn_bins = 7.9\n"):
+        cfg = write(tmp_path, "frac.cfg", text)
         with pytest.raises(ConfigError):
-            parse_config(SIGN_CFG.replace(old, new))
+            parse_config(text)
         assert main(["check", "--config", cfg]) == 2
 
 
 def test_nonpositive_n_bins_exit_2(tmp_path):
     for n_bins in ("-3", "0"):
-        text = SIGN_CFG.replace("mode = grid", f"mode = grid\nn_bins = {n_bins}")
+        text = SIGN_CFG + f"[run]\nn_bins = {n_bins}\n"
         with pytest.raises(ConfigError):
             parse_config(text)
         cfg = write(tmp_path, "bins.cfg", text)
@@ -252,7 +264,7 @@ def test_cli_reruns_byte_identical(tmp_path, capsys):
     """Every command on a small grid config, and every command that takes
     one on a narrow config: a rerun writes the same bytes, --out gets what
     stdout gets without it, and audit's stdout is its report, never CSV."""
-    grid_text = WIGNER_CFG.replace("mode = grid", "mode = grid\nn_bins = 4")
+    grid_text = WIGNER_CFG + "[run]\nn_bins = 4\n"
     grid_cfg = write(tmp_path, "grid.cfg", grid_text)
     narrow_cfg = write(tmp_path, "narrow.cfg", NARROW_SIGN_CFG)
     narrow_commands = ("check", "pwv", "phi", "moments", "support", "audit")
@@ -286,9 +298,6 @@ s = 2.0
 
 [scheme]
 builtin = sign
-
-[run]
-mode = narrow
 """
 
 
@@ -304,9 +313,9 @@ def test_cmd_pwv_narrow_equals_closed_form(tmp_path):
 
 
 def test_cmd_pwv_narrow_samples_the_config_grid(tmp_path):
-    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
+    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG.replace("kind = gaussian", "kind = narrow"))
     out = tmp_path / "pwv.csv"
-    assert main(["pwv", "--config", cfg, "--mode", "narrow", "--out", str(out)]) == 0
+    assert main(["pwv", "--config", cfg, "--out", str(out)]) == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert [r.split(",")[0] for r in rows] == [FMT % p for p in make_grid(-4, 4, 1024).ps]
 
@@ -367,6 +376,22 @@ def test_cmd_phi_and_moments(tmp_path):
     lines = mout.read_text().splitlines()
     m2 = float(lines[2].split(",")[1])
     assert m2 == pytest.approx((np.pi / 2) ** 2, abs=1e-7)
+
+
+def test_cmd_phi_writes_asymptotes_only_where_chi_settles(tmp_path):
+    # sign's chi settles at 1/2 whatever --qmax is; a kick scheme's chi is
+    # an atom sum with no box-edge limit, so phi writes no asymptote for it
+    kicks = write(tmp_path, "kicks.cfg", KICKS_CFG)
+    sign = write(tmp_path, "sign.cfg", SIGN_CFG)
+    out = tmp_path / "phi.csv"
+    for qmax in ("3", "4", "5"):
+        assert main(["phi", "--config", kicks, "--qmax", qmax, "--out", str(out)]) == 0
+        assert out.read_text().startswith("q,re_chi,im_chi\n")
+        assert main(["phi", "--config", sign, "--qmax", qmax, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# asymptote_even,5.000000000000e-01"
+        assert lines[1].startswith("# asymptote_odd_imag,")
+        assert lines[2] == "q,re_chi,im_chi"
 
 
 def test_cmd_phi_rejects_nonpositive_qmax(tmp_path):
@@ -660,13 +685,6 @@ def test_cmd_audit_kicks_flags(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "distribution positive:                yes" in text
     assert "reflects moment change:               yes" in text
-
-
-def test_mode_flag_overrides(tmp_path):
-    cfg = write(tmp_path, "sign.cfg", SIGN_CFG)
-    out = tmp_path / "pwv.csv"
-    assert main(["pwv", "--config", cfg, "--mode", "narrow", "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[0] == "# atom,0.000000000000e+00,5.000000000000e-01"
 
 
 @pytest.mark.parametrize("s", ["1e300", "1e-300"])

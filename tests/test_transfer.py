@@ -90,7 +90,7 @@ def test_chi_sign_gaussian_matches_cumulative_oracle(grid, state_a50, sign):
 
 def test_chi_asymptotes_and_validation(sign, state_a50):
     chi = char_fn(sign, state_a50)
-    even_const, odd_const, band_spread = asymptote_split(chi.values)
+    even_const, odd_const, band_spread = asymptote_split(chi.values, "chi")
     assert np.real(even_const) == pytest.approx(0.5, abs=1e-10)
     assert abs(odd_const) < 1e-10
     assert band_spread < 1e-10

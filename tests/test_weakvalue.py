@@ -237,7 +237,7 @@ def phase_ramp():
 def test_phase_ramp_chi_asymmetric(grid, state_a20, phase_ramp):
     alpha, sch = phase_ramp
     chi = char_fn(sch, state_a20)
-    _, odd_const, band_spread = asymptote_split(chi.values)
+    _, odd_const, band_spread = asymptote_split(chi.values, "chi")
     assert band_spread < 1e-10
     assert abs(np.imag(odd_const)) > 0.1  # genuinely asymmetric
     gap = np.max(np.abs(chi.values - phi_symmetric(sch, state_a20, chi.qs)))
