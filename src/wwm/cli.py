@@ -23,7 +23,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from .config import build_grid, build_scheme, build_state, load_config
-from .errors import ConfigError, ExpressionError, WWMError
+from .errors import ConfigError, WWMError
 from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
 from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
@@ -239,7 +239,7 @@ def main(argv=None):
             _write_out(cfg.out, text)
         sys.stdout.writelines(report)
         return code
-    except (ConfigError, ExpressionError) as err:
+    except ConfigError as err:
         print(f"wwm: parse error: {err}", file=sys.stderr)
         return 2
     except (WWMError, OSError, UserWarning) as err:

@@ -1,13 +1,14 @@
 """Line-oriented run configuration.
 
 Format: `[section]` headers with `key = value` lines, `#` comments,
-whitespace-insensitive.  Sections: grid (xmin, xmax, n), state (kind, s,
-a, amplitudes), scheme (builtin plus parameters, or repeated `O = <expr>`
-channel lines), run (optional output path, MC binning, wigner slice
-position).  Numeric scheme parameters (kick strengths, sew width) may use
-the expression grammar with `s` bound, e.g. `kick = 0.5, pi/(2*s)`.  Input
-the run would not read is an error: a key given twice (`kick` and `O`
-repeat) or a scheme parameter the scheme does not take.
+whitespace-insensitive.  The sections: grid (xmin, xmax, n), state (kind,
+s, amplitudes, a for a gaussian state), scheme (builtin plus parameters,
+or repeated `O = <expr>` lines, one channel each) and run (output path, MC
+binning, wigner slice position).  Numbers use the expression grammar with
+no `x`; scheme and run numbers bind `s`, e.g. `kick = 0.5, pi/(2*s)`.
+Input the run would not read is an error: an unknown section, key or
+builtin, a key given twice (`kick` and `O` repeat), or a parameter the
+scheme or state does not take.
 """
 
 import cmath
@@ -16,13 +17,12 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, EvaluationError, ExpressionError
 from .expr import eval_expr, parse_expr
 from .grid import default_grid, make_grid
-from .scheme import Scheme, builtin, parse_scheme
+from .scheme import BUILTINS, Scheme, builtin, parse_scheme
 from .state import gaussian_twin_slits, narrow_twin_slits
 
 
+SECTIONS = ("grid", "state", "scheme", "run")
 REPEATABLE = ("kick", "o")  # the keys a section may give more than once
-# the scheme parameters each scheme takes; None is custom O = lines
-TAKES = {None: (), "identity": (), "sign": (), "kicks": ("kick",), "sew_flat": ("w",)}
 
 
 @dataclass
@@ -50,6 +50,8 @@ def _sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in SECTIONS:
+                raise ConfigError(f"line {lineno}: unknown section [{current}]")
             out.setdefault(current, [])
             continue
         if "=" not in line:
@@ -67,7 +69,7 @@ def _sections(text):
 def _complex_number(value, s=None, where=""):
     """Parse a numeric value through the expression grammar (pi, i, s work)."""
     try:
-        result = complex(eval_expr(parse_expr(value), 0.0, s))
+        result = complex(eval_expr(parse_expr(value), None, s))
     except (ExpressionError, EvaluationError) as err:
         raise ConfigError(f"{where}: bad number {value!r}: {err}") from None
     if not cmath.isfinite(result):
@@ -125,11 +127,16 @@ def parse_config(text):
             cfg.amplitudes = tuple(_complex_number(p, where=where) for p in parts)
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
+    for key, _, lineno in sections.get("state", []):
+        if key == "a" and cfg.kind == "narrow":
+            raise ConfigError(f"[state] line {lineno}: 'a' does not apply to kind = narrow")
 
     kicks = []
     for key, value, lineno in sections.get("scheme", []):
         where = f"[scheme] line {lineno}"
         if key == "builtin":
+            if value not in BUILTINS:
+                raise ConfigError(f"{where}: unknown builtin {value!r}")
             cfg.scheme_builtin = value
         elif key == "kick":
             parts = value.split(",")
@@ -139,6 +146,10 @@ def parse_config(text):
         elif key == "w":
             cfg.scheme_params["w"] = _number(value, cfg.s, where)
         elif key == "o":
+            try:
+                parse_expr(value)
+            except ExpressionError as err:
+                raise ConfigError(f"{where}: bad channel {value!r}: {err}") from None
             cfg.scheme_lines.append(value)
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
@@ -164,7 +175,7 @@ def parse_config(text):
         raise ConfigError("[scheme] must give a builtin or O = ... channel lines")
     if cfg.scheme_builtin is not None and cfg.scheme_lines:
         raise ConfigError("[scheme] cannot mix builtin and custom channels")
-    takes = TAKES.get(cfg.scheme_builtin, ("kick", "w"))  # an unknown builtin fails at build
+    takes = BUILTINS.get(cfg.scheme_builtin, ())  # custom O = lines take none
     for key, _, lineno in sections.get("scheme", []):
         if key in ("kick", "w") and key not in takes:
             scheme = cfg.scheme_builtin or "custom O = channels"
@@ -185,7 +196,7 @@ def build_grid(cfg):
 
 def build_scheme(cfg) -> Scheme:
     if cfg.scheme_lines:
-        return parse_scheme("\n".join(cfg.scheme_lines), cfg.s)
+        return parse_scheme(cfg.scheme_lines, cfg.s)
     return builtin(cfg.scheme_builtin, s=cfg.s, **cfg.scheme_params)
 
 

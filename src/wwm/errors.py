@@ -10,19 +10,12 @@ class GridError(WWMError):
 
 
 class ExpressionError(WWMError):
-    """Parse failure in the scheme expression grammar.
+    """Parse failure in the expression grammar, at a character offset into
+    the one expression parsed (a config error names its file line)."""
 
-    Carries the character offset into the parsed text plus 1-based
-    line/column, so config files can point at the offending spot.
-    """
-
-    def __init__(self, message, offset, text=""):
-        self.message = message
+    def __init__(self, message, offset):
         self.offset = offset
-        self.line = text.count("\n", 0, offset) + 1
-        last_nl = text.rfind("\n", 0, offset)
-        self.column = offset - last_nl
-        super().__init__(f"{message} at offset {offset} (line {self.line}, column {self.column})")
+        super().__init__(f"{message} at offset {offset}")
 
 
 class EvaluationError(WWMError):

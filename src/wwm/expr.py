@@ -77,7 +77,7 @@ def _tokenize(text):
             continue
         m = _TOKEN_RE.match(text, pos)
         if not m or m.start() != pos:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos, text)
+            raise ExpressionError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "num":
             tokens.append(("num", float(m.group("num")), pos))
         elif m.lastgroup == "name":
@@ -91,7 +91,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
 
@@ -104,7 +103,7 @@ class _Parser:
         return tok
 
     def fail(self, message):
-        raise ExpressionError(message, self.peek()[2], self.text)
+        raise ExpressionError(message, self.peek()[2])
 
     def expect_op(self, op):
         kind, val, _ = self.peek()
@@ -153,7 +152,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(val, arg)
-            raise ExpressionError(f"unknown name {val!r}", pos, self.text)
+            raise ExpressionError(f"unknown name {val!r}", pos)
         if (kind, val) == ("op", "("):
             self.advance()
             node = self.expr()
@@ -199,7 +198,8 @@ _FUNC_IMPL = {
 
 
 def eval_expr(node, x, s=None):
-    """Evaluate an AST at position(s) x (scalar or array), slit separation s."""
+    """Evaluate an AST at position(s) x, slit separation s; reading x or s
+    left None (a config number has no x) raises EvaluationError."""
     with np.errstate(all="ignore"):  # callers refuse a non-finite result
         return _eval(node, x, s)
 
@@ -209,6 +209,8 @@ def _eval(node, x, s):
         return complex(node.value)
     if isinstance(node, Symbol):
         if node.name == "x":
+            if x is None:
+                raise EvaluationError("expression uses 'x' but no position was given")
             return np.asarray(x, dtype=complex)
         if node.name == "s":
             if s is None:
@@ -235,41 +237,3 @@ def _eval(node, x, s):
         except ZeroDivisionError:  # Python complex scalars, not arrays
             raise EvaluationError("division by zero") from None
     return np.power(left, right)
-
-
-# --- printing ----------------------------------------------------------
-
-_LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_UNARY, _LEVEL_ATOM = range(5)
-
-
-def _level(node):
-    if isinstance(node, (Number, Symbol, Call)):
-        return _LEVEL_ATOM
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    return {"^": _LEVEL_FACTOR, "*": _LEVEL_TERM, "/": _LEVEL_TERM,
-            "+": _LEVEL_EXPR, "-": _LEVEL_EXPR}[node.op]
-
-
-def _emit(node, minimum):
-    text = print_expr(node)
-    if _level(node) < minimum:
-        return f"({text})"
-    return text
-
-
-def print_expr(node):
-    """Render an AST back to grammar text; parse_expr(print_expr(t)) == t."""
-    if isinstance(node, Number):
-        return repr(node.value)
-    if isinstance(node, Symbol):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({print_expr(node.arg)})"
-    if isinstance(node, Neg):
-        return "-" + _emit(node.operand, _LEVEL_UNARY)
-    if node.op in "+-":
-        return f"{_emit(node.left, _LEVEL_EXPR)} {node.op} {_emit(node.right, _LEVEL_TERM)}"
-    if node.op in "*/":
-        return f"{_emit(node.left, _LEVEL_TERM)}{node.op}{_emit(node.right, _LEVEL_FACTOR)}"
-    return f"{_emit(node.left, _LEVEL_UNARY)}^{_emit(node.right, _LEVEL_FACTOR)}"

@@ -17,14 +17,11 @@ COMPLETENESS_TOL = 1e-8  # max | sum_xi |O_xi(x)|^2 - 1 | of a complete scheme
 class Channel:
     """Channel backed by a python callable fn(x) -> complex values.
 
-    A slit separation fn reads is bound in when its scheme is built.  `ast`
-    is the parsed expression of a channel from scheme text, else None.
+    A slit separation fn reads is bound in when its scheme is built.
     """
 
-    def __init__(self, fn, name, ast=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.name = name
-        self.ast = ast
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -32,9 +29,6 @@ class Channel:
         if vals.shape != x.shape:
             vals = np.full(x.shape, complex(vals))
         return vals
-
-    def __repr__(self):
-        return f"Channel({self.name})"
 
 
 class Scheme:
@@ -84,36 +78,13 @@ class Scheme:
         return out
 
 
-def parse_scheme(text, s=None):
-    """Parse scheme text: one channel expression per line.
-
-    Lines may be bare expressions or `O = <expression>`; blank lines and
-    `#` comments are skipped.  The slit separation `s` that expressions
-    read is bound into every channel here, and the probe runs at it.
-    """
+def parse_scheme(exprs, s=None):
+    """Parse a scheme from one expression per channel.  The slit separation
+    `s` they read is bound into every channel here; the probe runs at it."""
     channels = []
-    consumed = 0
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            consumed += len(raw_line) + 1
-            continue
-        if line.startswith("O") and "=" in line:
-            head, _, line = line.partition("=")
-            if head.strip() != "O":
-                raise SchemeError(f"unexpected scheme line {raw_line!r}")
-            line = line.strip()
-        try:
-            ast = _expr.parse_expr(line)
-        except _expr.ExpressionError as err:
-            abs_offset = consumed + raw_line.find(line) + err.offset
-            raise _expr.ExpressionError(err.message, abs_offset, text) from None
-        channels.append(
-            Channel(lambda x, ast=ast: _expr.eval_expr(ast, x, s), _expr.print_expr(ast), ast)
-        )
-        consumed += len(raw_line) + 1
-    if not channels:
-        raise SchemeError("scheme text defines no channels")
+    for text in exprs:
+        ast = _expr.parse_expr(text)
+        channels.append(Channel(lambda x, ast=ast: _expr.eval_expr(ast, x, s)))
     sch = Scheme(channels)
     _probe(sch)
     return sch
@@ -133,6 +104,10 @@ def _sew_angle(x, w):
     return np.where(x <= -w, 0.0, np.where(x >= w, 0.5 * np.pi, ramp))
 
 
+# each builtin and the config keys it takes (`kick`: one pair of `kicks`)
+BUILTINS = {"identity": (), "sign": (), "kicks": ("kick",), "sew_flat": ("w",)}
+
+
 def builtin(name, kicks=None, w=None, s=None):
     """Construct a named builtin scheme.
 
@@ -145,11 +120,11 @@ def builtin(name, kicks=None, w=None, s=None):
                       outside (-w, w); pass `s` to validate w < s/2
     """
     if name == "identity":
-        ch = Channel(lambda x: np.ones_like(x, dtype=complex), "1")
+        ch = Channel(lambda x: np.ones_like(x, dtype=complex))
         return Scheme([ch], base="identity", kick_terms=[(1.0, 0.0)])
     if name == "sign":
-        plus = Channel(lambda x: _expr.theta(x), "theta(x)")
-        minus = Channel(lambda x: _expr.theta(-x), "theta(-x)")
+        plus = Channel(lambda x: _expr.theta(x))
+        minus = Channel(lambda x: _expr.theta(-x))
         return Scheme([plus, minus], base="sign")
     if name == "kicks":
         if not kicks:
@@ -159,11 +134,7 @@ def builtin(name, kicks=None, w=None, s=None):
         if any(nw < 0 for nw, _ in terms) or abs(total - 1.0) > 1e-9:
             raise SchemeError(f"kick weights must be >= 0 and sum to 1, got {total}")
         channels = [
-            Channel(
-                lambda x, amp=np.sqrt(nw), k=k: amp * np.exp(1j * k * x),
-                f"sqrt({nw})*exp(i*{k}*x)",
-            )
-            for nw, k in terms
+            Channel(lambda x, amp=np.sqrt(nw), k=k: amp * np.exp(1j * k * x)) for nw, k in terms
         ]
         return Scheme(channels, base="kicks", kick_terms=terms)
     if name == "sew_flat":
@@ -171,12 +142,8 @@ def builtin(name, kicks=None, w=None, s=None):
             raise SchemeError("sew_flat needs a positive half-width w")
         if s is not None and not (w < s / 2):
             raise SchemeError(f"sew_flat half-width w={w} must satisfy w < s/2")
-        cos_ch = Channel(
-            lambda x, w=w: np.cos(_sew_angle(x, w)).astype(complex), f"cos(angle;w={w})"
-        )
-        sin_ch = Channel(
-            lambda x, w=w: np.sin(_sew_angle(x, w)).astype(complex), f"sin(angle;w={w})"
-        )
+        cos_ch = Channel(lambda x, w=w: np.cos(_sew_angle(x, w)).astype(complex))
+        sin_ch = Channel(lambda x, w=w: np.sin(_sew_angle(x, w)).astype(complex))
         return Scheme([cos_ch, sin_ch], base="sew_flat")
     raise SchemeError(f"unknown builtin scheme {name!r}")
 
@@ -247,10 +214,7 @@ def rebase(scheme, unitary):
     if np.max(np.abs(u.conj().T @ u - np.eye(m))) > 1e-10:
         raise SchemeError("matrix is not unitary to 1e-10")
     channels = [
-        Channel(
-            _combination([(complex(u[eta, xi]), scheme.channels[xi]) for xi in range(m)]),
-            f"u{eta}",
-        )
+        Channel(_combination([(complex(u[eta, xi]), ch) for xi, ch in enumerate(scheme.channels)]))
         for eta in range(m)
     ]
     return Scheme(channels, base=scheme.base, kick_terms=scheme.kick_terms)

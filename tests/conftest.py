@@ -134,4 +134,4 @@ def random_complete_scheme(rng, n_channels=2):
             f"sin({f})*cos({h})*{phase()}",
             f"sin({f})*sin({h})*{phase()}",
         ]
-    return parse_scheme("\n".join(lines))
+    return parse_scheme(lines)

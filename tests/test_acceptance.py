@@ -149,7 +149,7 @@ def test_criterion_07_classical_agreement(kick_pair, state_a50, grid):
 
 
 def _with_zero_channel(scheme):
-    zero = Channel(lambda x: np.zeros_like(x, dtype=complex), "0")
+    zero = Channel(lambda x: np.zeros_like(x, dtype=complex))
     return Scheme(scheme.channels + [zero], base=scheme.base)
 
 

@@ -86,6 +86,11 @@ def keyed(keys):
     return st.tuples(*lines).map(lambda parts: sum(parts, [])).flatmap(st.permutations)
 
 
+# A narrow state reads no `a` (giving one is a parse error), so its lines
+# leave `a` out, and narrow runs can still get past the config.
+FREE_STATE = keyed(STATE).map(
+    lambda lines: [l for l in lines if "kind = narrow" not in lines or not l.startswith("a = ")]
+)
 GRID = st.tuples(values(["4", "8"], BAD), values(["4", "8"], BAD), SIZE).map(
     lambda t: ["xmin = -" + t[0], "xmax = " + t[1], "n = " + t[2]]
 )
@@ -99,7 +104,7 @@ RUNNABLE_STATE = st.tuples(
 ).map(lambda t: ["kind = gaussian", "s = 1", f"a = {t[0]}"] + t[1])
 RUNNABLE_RUN = keyed({**RUN, "n_bins": values(["4", "16"], BAD_SIZE)})
 CONFIGS = st.one_of(
-    st.tuples(GRID, keyed(STATE), SCHEME, keyed(RUN)),
+    st.tuples(GRID, FREE_STATE, SCHEME, keyed(RUN)),
     st.tuples(RUNNABLE_GRID, RUNNABLE_STATE, SCHEME, RUNNABLE_RUN),
 ).map(
     lambda parts: "".join(

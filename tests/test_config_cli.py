@@ -113,6 +113,18 @@ def test_parse_config_narrow_custom():
         "[state]\ns = 1\ns = 2\n[scheme]\nbuiltin = sign\n",
         "[scheme]\nbuiltin = sign\nbuiltin = identity\n",
         "[run]\nx = 0\n[scheme]\nbuiltin = sign\n[run]\nx = 1\n",
+        # a section, a state parameter or a builtin the run would not read
+        "[rnu]\nn_bins = 0\nfoo = bar\n[scheme]\nbuiltin = sign\n",
+        "[state]\nkind = narrow\na = 0.05\n[scheme]\nbuiltin = sign\n",
+        "[state]\na = 0.05\nkind = narrow\n[scheme]\nbuiltin = sign\n",
+        "[scheme]\nbuiltin = foo\n",
+        # a number that reads the position x, which a config value has not
+        "[grid]\nxmin = -8\nxmax = 8 + x\nn = 64\n[scheme]\nbuiltin = sign\n",
+        "[state]\na = 0.02 + x\n[scheme]\nbuiltin = sign\n",
+        # a channel that does not parse (an empty `O =` was skipped, `O = O = ...` read)
+        "[scheme]\nO = theta(x)\nO = exp(\n",
+        "[scheme]\nO = theta(x)\nO =\nO = theta(-x)\n",
+        "[scheme]\nO = O = theta(x)\nO = theta(-x)\n",
     ],
 )
 def test_parse_config_rejects(text):
@@ -126,6 +138,11 @@ def test_parse_config_rejects(text):
         ("builtin = sign", "builtin = sign\n[run]\nmode = narrow", "'mode'"),
         ("builtin = sign", "builtin = sign\nkick = 1, 0", "'kick'"),
         ("s = 1.0", "s = 1.0\ns = 2.0", "'s'"),
+        ("builtin = sign", "builtin = sign\n[rnu]\nn_bins = 0\nfoo = bar", "[rnu]"),
+        ("kind = gaussian", "kind = narrow", "'a'"),
+        ("builtin = sign", "builtin = foo", "'foo'"),
+        ("xmax = 8", "xmax = 8 + x", "[grid] line 5: bad number '8 + x'"),
+        ("a = 0.02", "a = 0.02 + x", "[state] line 11: bad number '0.02 + x'"),
     ],
 )
 def test_dropped_config_input_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
@@ -163,6 +180,18 @@ def test_cmd_check_exit_codes(tmp_path, capsys):
 
     broken = write(tmp_path, "broken.cfg", "[scheme]\nO = exp(\n")
     assert main(["check", "--config", broken]) == 2
+
+
+def test_channel_syntax_error_names_the_file_line(tmp_path, capsys):
+    """The offset counts in the value of the `O =` line the error names."""
+    text = SIGN_CFG.replace("builtin = sign", "O = theta(x)\n  O =  exp(  # comment")
+    cfg = write(tmp_path, "broken.cfg", text)
+    assert main(["check", "--config", cfg]) == 2
+    lineno = text.splitlines().index("  O =  exp(  # comment") + 1
+    assert capsys.readouterr().err == (
+        f"wwm: parse error: [scheme] line {lineno}: bad channel 'exp(': "
+        "expected a number, symbol, function call or parenthesis at offset 4\n"
+    )
 
 
 # A complete scheme at its own s = 2, whose first channel has a pole at s = 1
@@ -313,7 +342,8 @@ def test_cmd_pwv_narrow_equals_closed_form(tmp_path):
 
 
 def test_cmd_pwv_narrow_samples_the_config_grid(tmp_path):
-    cfg = write(tmp_path, "sign.cfg", WIGNER_CFG.replace("kind = gaussian", "kind = narrow"))
+    text = WIGNER_CFG.replace("kind = gaussian", "kind = narrow").replace("a = 0.05\n", "")
+    cfg = write(tmp_path, "sign.cfg", text)
     out = tmp_path / "pwv.csv"
     assert main(["pwv", "--config", cfg, "--out", str(out)]) == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]

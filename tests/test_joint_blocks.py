@@ -75,7 +75,7 @@ def cases(grid_small, sign, sew, kick_pair):
     """The shipped grid configs' schemes at n = 2048, all on a = s/20 slits
     (the n = 2048 grid does not resolve a = s/50)."""
     state = gaussian_twin_slits(S, S / 20, grid_small)
-    ramp = parse_scheme(PHASE_RAMP)
+    ramp = parse_scheme([PHASE_RAMP])
     return {"sign": sign, "phase_ramp": ramp, "sew_flat": sew, "kick_pair": kick_pair}, state
 
 

@@ -13,7 +13,7 @@ from wwm.state import gaussian_twin_slits
 from wwm.transfer import char_fn, correlation_g, moments
 from conftest import S
 
-PHASE_RAMP = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 PHI_QS = (S / 64.0) * np.arange(-256, 257)  # the q grid of `wwm phi`
 
 
@@ -43,7 +43,7 @@ def twin(a, n):
 
 @pytest.mark.parametrize(
     "scheme, a",
-    [(builtin("sign"), 0.02), (parse_scheme(PHASE_RAMP), 0.05)],
+    [(builtin("sign"), 0.02), (parse_scheme([PHASE_RAMP]), 0.05)],
     ids=["sign", "phase_ramp"],
 )
 def test_lattice_route_converges_faster_than_direct(scheme, a):

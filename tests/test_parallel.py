@@ -35,7 +35,7 @@ def use_cores(monkeypatch, cores):
 @pytest.fixture(scope="module")
 def schemes(sign, kick_pair, sew):
     rnd = random_complete_scheme(np.random.default_rng(11))
-    return [sign, kick_pair, sew, parse_scheme(PHASE_RAMP), rnd]
+    return [sign, kick_pair, sew, parse_scheme([PHASE_RAMP]), rnd]
 
 
 @pytest.fixture(scope="module")

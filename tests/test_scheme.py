@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wwm.errors import EvaluationError, ExpressionError, SchemeError
-from wwm.expr import print_expr
 from wwm.scheme import (
     builtin,
     check_completeness,
@@ -14,24 +13,14 @@ from wwm.scheme import (
 from conftest import S, random_complete_scheme
 
 
-def print_scheme(scheme):
-    """Inverse of parse_scheme for expression-backed schemes."""
-    lines = []
-    for ch in scheme.channels:
-        if ch.ast is None:
-            raise SchemeError("only expression channels can be printed")
-        lines.append(f"O = {print_expr(ch.ast)}")
-    return "\n".join(lines)
-
-
 def test_parse_scheme_sign_pair(grid):
-    sch = parse_scheme("theta(x)\ntheta(-x)")
+    sch = parse_scheme(["theta(x)", "theta(-x)"])
     assert len(sch) == 2
     assert check_completeness(sch, grid) < 1e-12
 
 
 def test_parse_scheme_single_phase_channel():
-    sch = parse_scheme("O = exp(i*pi*x/(2*s))/sqrt(2.0)", S)
+    sch = parse_scheme(["exp(i*pi*x/(2*s))/sqrt(2.0)"], S)
     assert len(sch) == 1
     vals = sch.evaluate(np.array([0.3]))
     assert abs(vals[0, 0]) == pytest.approx(2 ** -0.5)
@@ -39,32 +28,17 @@ def test_parse_scheme_single_phase_channel():
 
 def test_parse_scheme_errors():
     with pytest.raises(ExpressionError):
-        parse_scheme("exp(")
+        parse_scheme(["exp("])
     with pytest.raises(SchemeError):
-        parse_scheme("# nothing here")
+        parse_scheme([])
     with pytest.raises(EvaluationError):
-        parse_scheme("1/x")  # blows up at the origin
-
-
-def test_print_round_trip():
-    text = "O = theta(x)\nO = theta(-x)"
-    sch = parse_scheme(text)
-    again = parse_scheme(print_scheme(sch))
-    assert [c.ast for c in again.channels] == [c.ast for c in sch.channels]
-
-
-def test_print_scheme_rejects_non_expression_channels(sign):
-    parsed = parse_scheme("O = theta(x)\nO = theta(-x)")
-    rebased = rebase(parsed, haar_unitary(2, np.random.default_rng(0)))
-    for sch in (sign, rebased):
-        with pytest.raises(SchemeError):
-            print_scheme(sch)
+        parse_scheme(["1/x"])  # blows up at the origin
 
 
 def test_completeness_residuals(grid, sign, kick_pair):
     assert check_completeness(sign, grid) < 1e-12  # x=0 spike exempted
     assert check_completeness(kick_pair, grid) < 1e-12
-    lonely = parse_scheme("theta(x)")
+    lonely = parse_scheme(["theta(x)"])
     assert check_completeness(lonely, grid) == pytest.approx(1.0)
 
 

@@ -70,7 +70,7 @@ def test_apply_wwm_probabilities(grid, state_a50, sign, identity, sew):
 
 
 def test_apply_wwm_rejects_incomplete(grid, state_a50):
-    lonely = parse_scheme("theta(x)")
+    lonely = parse_scheme(["theta(x)"])
     with pytest.raises(CompletenessError):
         apply_wwm(lonely, state_a50)
 

@@ -100,7 +100,7 @@ def test_chi_asymptotes_and_validation(sign, state_a50):
 
 def test_chi_rejects_incomplete(state_a50):
     with pytest.raises(CompletenessError):
-        char_fn(parse_scheme("theta(x)"), state_a50)
+        char_fn(parse_scheme(["theta(x)"]), state_a50)
 
 
 def nan_beyond_zero(scheme, state, qs):

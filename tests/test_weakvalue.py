@@ -199,7 +199,7 @@ def test_rebin_and_conditional_cells(state_a50, sign):
 
 def test_unsettled_tails_warn(grid_small):
     # a chirp channel never settles at the box edges, on either route
-    chirp = parse_scheme("O = exp(i*x^2)")
+    chirp = parse_scheme(["exp(i*x^2)"])
     state = gaussian_twin_slits(S, S / 20, grid_small)
     with pytest.warns(UserWarning):
         pwv_marginal(chirp, state)
@@ -229,9 +229,7 @@ def phase_ramp():
     # single channel exp(i*alpha*ramp(x)): a partial phase kick felt only by
     # the right slit; chi has unequal box-edge asymptotes (odd part != 0)
     alpha = 0.8
-    return alpha, parse_scheme(
-        f"exp(i*{alpha}*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
-    )
+    return alpha, parse_scheme([f"exp(i*{alpha}*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"])
 
 
 def test_phase_ramp_chi_asymmetric(grid, state_a20, phase_ramp):

@@ -15,7 +15,7 @@ from conftest import S, half_row_wigner, random_complete_scheme
 
 MIB = 2 ** 20
 
-PHASE_RAMP = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 
 
 def index_pair_products(values, rows=None):
@@ -138,7 +138,7 @@ def test_half_spectrum_transform_equals_full_transform(n):
 
 
 def phase_ramp():
-    return parse_scheme(PHASE_RAMP)
+    return parse_scheme([PHASE_RAMP])
 
 
 @pytest.mark.parametrize("box", [(-8, 8, 256), (-4.5, 4, 512)])
