@@ -81,6 +81,8 @@ class Scheme:
 def parse_scheme(exprs, s=None):
     """Parse a scheme from one expression per channel.  The slit separation
     `s` they read is bound into every channel here; the probe runs at it."""
+    if isinstance(exprs, str):
+        raise SchemeError("parse_scheme takes a list of expressions, one per channel, not a str")
     channels = []
     for text in exprs:
         ast = _expr.parse_expr(text)

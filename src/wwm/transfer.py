@@ -186,21 +186,25 @@ _REFINE = 4  # oversampling of the x quadrature on the lattice route
 
 
 def _lattice_g(scheme, state):
-    """g at every x lattice point: one FFT linear correlation per channel
-    on a band-limited 4x refinement of psi, since step-like channels
-    otherwise leave an O(dx^2) Riemann residue in the density tails."""
+    """g at every x lattice point: an FFT linear correlation on a
+    band-limited 4x refinement of psi, since step-like channels otherwise
+    leave an O(dx^2) Riemann residue in the density tails.  The channels'
+    spectra, 2m points each for the refined length m, are summed and take
+    one inverse transform."""
     fine, psi_fine = spectral_refine(state.grid, state.values, _REFINE)
     weights = np.abs(psi_fine) ** 2 * fine.dx
+    del psi_fine  # not read again: m complex samples off the peak
     m = fine.n
     offsets = fine.dx * np.arange(-(m - 1), m)
-    # g[k] = sum_j a[j] conj(O((j - k) dx)), zero-padded so nothing wraps
-    size = 1 << (3 * m - 3).bit_length()
-    g = np.zeros(m, dtype=complex)
+    # g[k] = sum_j a[j] conj(O((j - k) dx)): of the 3m - 2 correlation terms,
+    # lag k >= m - 1 aliases only k + 2m >= 3m - 1, so nothing read wraps
+    size = 2 * m
+    spectrum = np.zeros(size, dtype=complex)
     for ch in scheme.channels:
         a = np.fft.fft(weights * ch.evaluate(fine.xs), size)
-        b = np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], size)
-        g += np.fft.ifft(a * b)[m - 1 : 2 * m - 1]
-    return g[::_REFINE]
+        a *= np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], size)
+        spectrum += a
+    return np.fft.ifft(spectrum)[m - 1 : 2 * m - 1 : _REFINE]
 
 
 def correlation_g(scheme, state, qs):
@@ -210,7 +214,8 @@ def correlation_g(scheme, state, qs):
     or not, take g(q) = sum_xi N_xi exp(i k_xi q): the transform of the
     kick atoms, exact for the normalized psi every builder returns.
     Otherwise a q on the x lattice ((q - x_min)/dx an integer to 1e-9, the
-    index in [0, n)) reads from one _lattice_g per call, so it gets the
+    index in [0, n)) reads from one _lattice_g per call (one inverse FFT
+    of 8n points over the summed channel spectra), so it gets the
     same value whatever else qs holds; only the rest (off-lattice, x_max,
     beyond the box, non-finite) take the direct q x x quadrature.  Channels
     are evaluated analytically at shifted points: no periodic wrap-around.

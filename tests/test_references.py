@@ -17,6 +17,9 @@ rounding.  For x > 0 the Wigner kernel's channel contraction is 1 for
 |u| < x, 1/2 at |u| = x (theta(0) = 1/2) and 0 beyond, so on the lattice
 the kernel is the Dirichlet sum, to rounding, and the continuum kernel
 sin(2xp)/(pi p) is met at first order in dx, whatever the box length.
+
+The transfer moments <p^n> = (-i d/dq)^n chi(0) are exact too: 0 for sign,
+since chi = 1 on |q| < s/2, and (1/2) 0.8^n for the phase_ramp config.
 """
 
 from functools import cache
@@ -25,9 +28,9 @@ import numpy as np
 import pytest
 
 from wwm.grid import make_grid
-from wwm.scheme import builtin
+from wwm.scheme import builtin, parse_scheme
 from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density
-from wwm.transfer import wigner_kernel
+from wwm.transfer import char_fn, moment_qs, moments, wigner_kernel
 from wwm.weakvalue import pwv_marginal
 
 S = 1.0
@@ -138,3 +141,33 @@ def test_sign_kernel_meets_continuum_at_measured_error(length, n, k, x):
 def test_sign_kernel_converges_at_first_order(n, x):
     order = np.log2(kernel_continuum_error(16, n, x) / kernel_continuum_error(16, 2 * n, x))
     assert order >= 0.95  # measured 0.99 to 1.00
+
+
+PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+# config -> (slit width a, scheme, exact <p^n> at n = 1..4, then |error|
+# measured on the shipped box and n with one 16n point FFT correlation per
+# channel, and with one 8n point inverse FFT over the summed spectra)
+MOMENT_CASES = {
+    "sign": (
+        A,
+        builtin("sign"),
+        np.zeros(4),
+        (2.94e-15, 9.54e-12, 1.22e-10, 4.95e-7),
+        (5.64e-16, 1.01e-14, 4.94e-11, 3.34e-9),
+    ),
+    "phase_ramp": (
+        0.05,
+        parse_scheme([PHASE_RAMP]),
+        0.5 * 0.8 ** np.arange(1, 5),
+        (1.28e-14, 6.83e-12, 5.17e-10, 4.64e-7),
+        (2.55e-15, 6.82e-12, 2.13e-10, 4.62e-7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_CASES))
+def test_moments_match_exact_values(name):
+    a, scheme, exact, wide_fft, half_fft = MOMENT_CASES[name]
+    state = gaussian_twin_slits(S, a, make_grid(-8, 8, 4096))
+    rep = moments(char_fn(scheme, state, qs=moment_qs(S)))
+    assert np.all(np.abs(rep.values - exact) < 2 * np.maximum(wide_fft, half_fft))

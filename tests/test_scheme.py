@@ -35,6 +35,13 @@ def test_parse_scheme_errors():
         parse_scheme(["1/x"])  # blows up at the origin
 
 
+@pytest.mark.parametrize("text", ["12", "theta(x)"])
+def test_parse_scheme_refuses_one_string(text):
+    """A str is not read one channel per character ("12": two constants)."""
+    with pytest.raises(SchemeError, match="list of expressions"):
+        parse_scheme(text)
+
+
 def test_completeness_residuals(grid, sign, kick_pair):
     assert check_completeness(sign, grid) < 1e-12  # x=0 spike exempted
     assert check_completeness(kick_pair, grid) < 1e-12
