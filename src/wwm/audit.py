@@ -74,13 +74,13 @@ def run_audit(scheme, state, seed=0):
     residual = completeness_residual(scheme, state)
     vis = visibility(scheme, s)
 
-    qs = phi_dq(s) * np.arange(-512, 513)
+    qs = phi_dq(state) * np.arange(-512, 513)
     chi = char_fn(scheme, state, qs=qs)
     idx_s = int(np.argmin(np.abs(qs - s)))
     chi_at_s = float(np.abs(chi.values[idx_s]))
     re_gap = float(np.max(np.abs(chi.values - phi_symmetric(scheme, state, qs))))
 
-    rep = moments(char_fn(scheme, state, qs=moment_qs(s)))
+    rep = moments(char_fn(scheme, state, qs=moment_qs(state)))
 
     dist = pwv_marginal(scheme, state)
     sup_third, sup_inv = (support_metric(dist, w) for w in support_widths(s))

@@ -102,7 +102,7 @@ def cmd_phi(cfg, args, scheme, state):
     qmax = args.qmax if args.qmax is not None else 4.0 * cfg.s
     if not (np.isfinite(qmax) and qmax > 0):
         raise WWMError(f"--qmax must be a positive number, got {qmax}")
-    dq = phi_dq(cfg.s)
+    dq = phi_dq(state)
     if qmax / dq > PHI_MAX_HALF:
         raise WWMError(f"--qmax {qmax} needs more than {2 * PHI_MAX_HALF + 1} q samples")
     half = max(8, int(round(qmax / dq)))
@@ -116,7 +116,7 @@ def cmd_phi(cfg, args, scheme, state):
 
 
 def cmd_moments(cfg, args, scheme, state):
-    rep = moments(char_fn(scheme, state, qs=moment_qs(cfg.s)))
+    rep = moments(char_fn(scheme, state, qs=moment_qs(state)))
     lines = ["n,moment"]
     for k, value in enumerate(rep.values, start=1):
         lines.append(f"{k},{FMT % value}")

@@ -98,16 +98,3 @@ def inverse_fourier_values(grid, values):
     spectrum = np.fft.ifftshift(values * np.exp(1j * grid.x_min * grid.ps))
     return SQRT_2PI / grid.dx * np.fft.ifft(spectrum)
 
-
-def spectral_refine(grid, values, factor):
-    """Band-limited resampling of position samples onto a refined grid.
-
-    Zero-pads the spectrum, so it is exact for fields whose momentum
-    content fits the original box (anything this package produces).
-    """
-    fine = grid.refined(factor)
-    spectrum = fourier_values(grid, values)
-    padded = np.zeros(fine.n, dtype=complex)
-    lo = (fine.n - grid.n) // 2
-    padded[lo : lo + grid.n] = spectrum
-    return fine, inverse_fourier_values(fine, padded)

@@ -25,7 +25,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CompletenessError, SchemeError, WWMError
-from .grid import spectral_refine
 from .parallel import map_threads, rows_per_task
 from .scheme import require_complete
 
@@ -188,23 +187,28 @@ _REFINE = 4  # oversampling of the x quadrature on the lattice route
 def _lattice_g(scheme, state):
     """g at every x lattice point: an FFT linear correlation on a
     band-limited 4x refinement of psi, since step-like channels otherwise
-    leave an O(dx^2) Riemann residue in the density tails.  The channels'
-    spectra, 2m points each for the refined length m, are summed and take
-    one inverse transform."""
-    fine, psi_fine = spectral_refine(state.grid, state.values, _REFINE)
-    weights = np.abs(psi_fine) ** 2 * fine.dx
-    del psi_fine  # not read again: m complex samples off the peak
-    m = fine.n
-    offsets = fine.dx * np.arange(-(m - 1), m)
-    # g[k] = sum_j a[j] conj(O((j - k) dx)): of the 3m - 2 correlation terms,
-    # lag k >= m - 1 aliases only k + 2m >= 3m - 1, so nothing read wraps
-    size = 2 * m
-    spectrum = np.zeros(size, dtype=complex)
-    for ch in scheme.channels:
-        a = np.fft.fft(weights * ch.evaluate(fine.xs), size)
-        a *= np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], size)
-        spectrum += a
-    return np.fft.ifft(spectrum)[m - 1 : 2 * m - 1 : _REFINE]
+    leave an O(dx^2) Riemann residue in the density tails.  It reads every
+    4th lag only, so it runs by polyphase: fine point 4j + r takes psi on
+    the r-th shifted lattice, one n-point spectral shift, and each (channel,
+    r) adds a 2n-point spectrum to one sum with one inverse transform."""
+    n = state.grid.n
+    dx_f = state.grid.length / (_REFINE * n)  # the 4x grid's step, to the float
+    spectrum = np.fft.fft(state.values)
+    # fftfreq order puts the Nyquist bin at -pi/dx, as zero-padding does
+    phase = 2j * np.pi * np.fft.fftfreq(n) / _REFINE
+    # G[k] = sum_r sum_j a_r[j] conj(O(dx_f (4 (j - k) + r))): of the 3n - 2
+    # terms of each correlation, lag k >= n - 1 aliases only k + 2n >= 3n - 1
+    size = 2 * n
+    total = np.zeros(size, dtype=complex)
+    for r in range(_REFINE):
+        weights = np.abs(np.fft.ifft(spectrum * np.exp(phase * r))) ** 2 * dx_f
+        xs = state.grid.x_min + dx_f * (_REFINE * np.arange(n) + r)
+        offsets = dx_f * (_REFINE * np.arange(-(n - 1), n) + r)
+        for ch in scheme.channels:
+            a = np.fft.fft(weights * ch.evaluate(xs), size)
+            a *= np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], size)
+            total += a
+    return np.fft.ifft(total)[n - 1 : 2 * n - 1]
 
 
 def correlation_g(scheme, state, qs):
@@ -215,7 +219,7 @@ def correlation_g(scheme, state, qs):
     kick atoms, exact for the normalized psi every builder returns.
     Otherwise a q on the x lattice ((q - x_min)/dx an integer to 1e-9, the
     index in [0, n)) reads from one _lattice_g per call (one inverse FFT
-    of 8n points over the summed channel spectra), so it gets the
+    of 2n points over the summed polyphase spectra), so it gets the
     same value whatever else qs holds; only the rest (off-lattice, x_max,
     beyond the box, non-finite) take the direct q x x quadrature.  Channels
     are evaluated analytically at shifted points: no periodic wrap-around.
@@ -286,14 +290,22 @@ def phi_symmetric(scheme, state, qs):
 # --- moments ------------------------------------------------------------
 
 
-def moment_qs(s):
+def _lattice_multiple(state, step):
+    """step as a whole number (>= 1) of x lattice steps on a grid state."""
+    if not state.is_grid:
+        return step
+    dx = state.grid.dx
+    return dx * max(1, round(step / dx))
+
+
+def moment_qs(state):
     """The q samples moments() differentiates chi on: 33 at steps of s/128."""
-    return (s / 128.0) * np.arange(-16, 17)
+    return _lattice_multiple(state, state.s / 128.0) * np.arange(-16, 17)
 
 
-def phi_dq(s):
+def phi_dq(state):
     """The q step of chi as `phi` and the audit sample it: s/64."""
-    return s / 64.0
+    return _lattice_multiple(state, state.s / 64.0)
 
 
 def support_widths(s):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from wwm.grid import make_grid
+from wwm.grid import fourier_values, inverse_fourier_values, make_grid
 from wwm.scheme import builtin, parse_scheme
 from wwm.simulate import deterministic_cells
 from wwm.state import (
@@ -135,3 +135,19 @@ def random_complete_scheme(rng, n_channels=2):
             f"sin({f})*sin({h})*{phase()}",
         ]
     return parse_scheme(lines)
+
+
+def spectral_refine(grid, values, factor):
+    """Band-limited resampling of position samples onto a refined grid.
+
+    Zero-pads the spectrum, so it is exact for fields whose momentum
+    content fits the original box (anything the package produces).  The
+    independent reference for the lattice g, which reads the same samples
+    as n-point spectral shifts.
+    """
+    fine = grid.refined(factor)
+    spectrum = fourier_values(grid, values)
+    padded = np.zeros(fine.n, dtype=complex)
+    lo = (fine.n - grid.n) // 2
+    padded[lo : lo + grid.n] = spectrum
+    return fine, inverse_fourier_values(fine, padded)

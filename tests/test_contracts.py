@@ -36,7 +36,7 @@ def doubled(text):
 def transfer(text):
     cfg = parse_config(text)
     scheme, state = _build(cfg)
-    return cfg.s, pwv_marginal(scheme, state), moments(char_fn(scheme, state, qs=moment_qs(cfg.s)))
+    return cfg.s, pwv_marginal(scheme, state), moments(char_fn(scheme, state, qs=moment_qs(state)))
 
 
 # phase_ramp is left out: its ramp ends at a fixed x = 1.0, which does not scale with s

@@ -7,8 +7,8 @@ from wwm.grid import (
     fourier_values,
     inverse_fourier_values,
     make_grid,
-    spectral_refine,
 )
+from conftest import spectral_refine
 
 
 def random_field(grid, seed):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from wwm.cli import main
-from wwm.grid import make_grid, spectral_refine
+from wwm.grid import make_grid
 from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
 from wwm.state import SlitState, gaussian_twin_slits
 from wwm.transfer import char_fn, correlation_g, moments
-from conftest import S, random_complete_scheme
+from conftest import S, random_complete_scheme, spectral_refine
 
 PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 PHI_QS = (S / 64.0) * np.arange(-256, 257)  # the q grid of `wwm phi`
@@ -98,24 +98,48 @@ def explicit_lattice_g(scheme, state, refine=4):
     return g
 
 
-@pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize("name", ["sign", "phase_ramp", "random"])
-def test_lattice_route_is_the_explicit_linear_correlation(name, n):
+def white_noise(n, x_min=-2.5, x_max=1.5):
+    """Normalized complex normal samples on an off-centre box: every Fourier
+    bin is populated, the Nyquist bin too, so the spectral shifts' phase
+    convention shows, and |psi|^2 is O(1) at the box edges, so a wrap would."""
+    grid = make_grid(x_min, x_max, n)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    values = values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
+    return SlitState("gaussian", S, (2**-0.5, 2**-0.5), grid, values)
+
+
+# max |g - explicit| measured, over the three schemes at n = 64 and 256
+EXPLICIT_GAP = {"wide_slits": 1.12e-15, "white_noise": 8.9e-16}
+
+
+@pytest.mark.parametrize(
+    "make_state, name, n",
+    [
+        pytest.param(make, name, n, id=f"{prefix}{name}-{n}")
+        for make, prefix in ((wide_slits, ""), (white_noise, "white_noise-"))
+        for name in ("sign", "phase_ramp", "random")
+        for n in (64, 256)
+    ],
+)
+def test_lattice_route_is_the_explicit_linear_correlation(make_state, name, n):
     scheme = {
         "sign": builtin("sign"),
         "phase_ramp": parse_scheme([PHASE_RAMP]),
         "random": random_complete_scheme(np.random.default_rng(n)),
     }[name]
-    state = wide_slits(n)
+    state = make_state(n)
     ref = explicit_lattice_g(scheme, state)
     density = np.abs(state.values) ** 2
     assert density[[0, -1]].min() > 1e-5 * density.max()  # a wrap would show
-    assert np.max(np.abs(correlation_g(scheme, state, state.grid.xs) - ref)) < 1e-14
+    gap = np.max(np.abs(correlation_g(scheme, state, state.grid.xs) - ref))
+    assert gap < 8 * EXPLICIT_GAP[make_state.__name__]
 
 
 def test_lattice_route_memory_is_bounded():
-    """At n = 16384 the lattice g holds a few 2m = 8n point spectra; it
-    read 21.4 MiB with one 16n point transform per channel, 11.4 MiB now."""
+    """At n = 16384 the lattice g holds a few 2n point spectra and builds no
+    4x grid: it read 21.4 MiB with one 16n point transform per channel,
+    11.4 MiB with 8n point spectra on the refined psi, 4.0 MiB now."""
     state = twin(0.02, 16384)
     tracemalloc.start()
     try:
@@ -123,7 +147,7 @@ def test_lattice_route_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15 * 2**20
+    assert peak < 6 * 2**20
 
 
 # --- dispatch -----------------------------------------------------------

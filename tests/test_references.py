@@ -22,11 +22,13 @@ The transfer moments <p^n> = (-i d/dq)^n chi(0) are exact too: 0 for sign,
 since chi = 1 on |q| < s/2, and (1/2) 0.8^n for the phase_ramp config.
 """
 
+import math
 from functools import cache
 
 import numpy as np
 import pytest
 
+from wwm.cli import main
 from wwm.grid import make_grid
 from wwm.scheme import builtin, parse_scheme
 from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density
@@ -146,7 +148,9 @@ def test_sign_kernel_converges_at_first_order(n, x):
 PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 # config -> (slit width a, scheme, exact <p^n> at n = 1..4, then |error|
 # measured on the shipped box and n with one 16n point FFT correlation per
-# channel, and with one 8n point inverse FFT over the summed spectra)
+# channel, with one 8n point inverse FFT over the summed spectra, and with
+# the 2n point polyphase sum, which the bound does not read: sign's <p^4>
+# there is back at the Richardson rounding floor near 5e-7)
 MOMENT_CASES = {
     "sign": (
         A,
@@ -154,6 +158,7 @@ MOMENT_CASES = {
         np.zeros(4),
         (2.94e-15, 9.54e-12, 1.22e-10, 4.95e-7),
         (5.64e-16, 1.01e-14, 4.94e-11, 3.34e-9),
+        (2.28e-15, 9.55e-12, 1.06e-10, 4.99e-7),
     ),
     "phase_ramp": (
         0.05,
@@ -161,13 +166,56 @@ MOMENT_CASES = {
         0.5 * 0.8 ** np.arange(1, 5),
         (1.28e-14, 6.83e-12, 5.17e-10, 4.64e-7),
         (2.55e-15, 6.82e-12, 2.13e-10, 4.62e-7),
+        (4.94e-15, 3.11e-12, 1.36e-10, 1.23e-7),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MOMENT_CASES))
 def test_moments_match_exact_values(name):
-    a, scheme, exact, wide_fft, half_fft = MOMENT_CASES[name]
+    a, scheme, exact, wide_fft, half_fft, _ = MOMENT_CASES[name]
     state = gaussian_twin_slits(S, a, make_grid(-8, 8, 4096))
-    rep = moments(char_fn(scheme, state, qs=moment_qs(S)))
+    rep = moments(char_fn(scheme, state, qs=moment_qs(state)))
     assert np.all(np.abs(rep.values - exact) < 2 * np.maximum(wide_fft, half_fft))
+
+
+# max |chi - exact| of `wwm phi` on the shipped sign config (box 16, n = 4096)
+CHI_MEASURED = 4.76e-5
+SIGN_CFG = """
+[grid]
+xmin = {lo}
+xmax = {hi}
+n = 4096
+
+[state]
+kind = gaussian
+s = {s}
+a = {a}
+
+[scheme]
+builtin = sign
+"""
+
+
+@pytest.mark.parametrize(
+    "half_length, s", [(8, 1.0), (10, 1.0), (8, 1.0001)], ids=["shipped", "box_20", "s_1.0001"]
+)
+def test_phi_matches_exact_chi_on_any_lattice(tmp_path, half_length, s):
+    """`wwm phi` steps q by s/64 rounded to the x lattice, so a box or s that
+    puts s/64 off the lattice (box 20: 3.2 dx; s = 1.0001: 4.0004 dx) keeps
+    the lattice route's O(dx^2) error: the shipped bound, scaled by
+    (dx / dx_shipped)^2.  With q at exactly s/64, off the lattice, these
+    read 1.1e-2 and 2.7e-2 against 4.76e-5 shipped."""
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text(SIGN_CFG.format(lo=-half_length, hi=half_length, s=s, a=A))
+    out = tmp_path / "phi.csv"
+    assert main(["phi", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    qs, re_chi, im_chi = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    dx = 2 * half_length / 4096
+    steps = (qs + half_length) / dx
+    assert np.all(steps == np.rint(steps))  # every q on the x lattice
+    assert qs[-1] >= 4 * s - dx  # the default qmax, to the lattice
+    exact = 0.75 + 0.25 * np.vectorize(math.erf)((s / 2 - np.abs(qs)) / A)
+    bound = ERROR_FACTOR * CHI_MEASURED * (dx / (16 / 4096)) ** 2
+    assert np.max(np.abs(re_chi + 1j * im_chi - exact)) < bound
