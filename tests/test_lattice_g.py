@@ -139,7 +139,7 @@ def test_lattice_route_is_the_explicit_linear_correlation(make_state, name, n):
 def test_lattice_route_memory_is_bounded():
     """At n = 16384 the lattice g holds a few 2n point spectra and builds no
     4x grid: it read 21.4 MiB with one 16n point transform per channel,
-    11.4 MiB with 8n point spectra on the refined psi, 4.0 MiB now."""
+    11.4 MiB with 8n point spectra on the refined psi, 3.6 MiB now."""
     state = twin(0.02, 16384)
     tracemalloc.start()
     try:

@@ -214,7 +214,7 @@ def test_phi_matches_exact_chi_on_any_lattice(tmp_path, half_length, s):
     qs, re_chi, im_chi = np.array([[float(v) for v in row.split(",")] for row in rows]).T
     dx = 2 * half_length / 4096
     steps = (qs + half_length) / dx
-    assert np.all(steps == np.rint(steps))  # every q on the x lattice
+    assert np.all(np.abs(steps - np.rint(steps)) <= 1e-9)  # every q on the x lattice
     assert qs[-1] >= 4 * s - dx  # the default qmax, to the lattice
     exact = 0.75 + 0.25 * np.vectorize(math.erf)((s / 2 - np.abs(qs)) / A)
     bound = ERROR_FACTOR * CHI_MEASURED * (dx / (16 / 4096)) ** 2
