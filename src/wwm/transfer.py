@@ -184,47 +184,49 @@ def tail_split(xs, values, what, ps, frequency_factor=1.0):
 _REFINE = 4  # oversampling of the x quadrature on the lattice route
 
 
-def _lattice_g(scheme, state):
-    """g at every x lattice point: an FFT linear correlation on a
+def _lattice_g(scheme, state, k0):
+    """g at the n + 1 lags k0 ... k0 + n: an FFT linear correlation on a
     band-limited 4x refinement of psi, since step-like channels otherwise
-    leave an O(dx^2) Riemann residue in the density tails.  It reads every
-    4th lag only, so it runs by polyphase: fine point 4j + r takes psi on
-    the r-th shifted lattice, one n-point spectral shift, and each (channel,
-    r) adds a 2n-point spectrum to one sum with one inverse transform."""
+    leave an O(dx^2) Riemann residue.  It reads every 4th lag, so it runs by
+    polyphase: fine point 4j + r takes psi on the r-th shifted lattice, and
+    each (channel, r) adds a 2n-point spectrum to one inverse transform.
+    Lag k0 + n is slot 2n - 1 plus the j = 0 term, whose kernel factor is in the pad."""
     n = state.grid.n
     dx_f = state.grid.length / (_REFINE * n)  # the 4x grid's step, to the float
     spectrum = np.fft.fft(state.values)
     # fftfreq order puts the Nyquist bin at -pi/dx, as zero-padding does
     phase = 2j * np.pi * np.fft.fftfreq(n) / _REFINE
-    # G[k] = sum_r sum_j a_r[j] conj(O(dx_f (4 (j - k) + r))): of the 3n - 2
+    # G[k] = sum_r sum_j a_r[j] conj(O(dx_f (4 (j - k0 - k) + r))): of the 3n - 2
     # terms of each correlation, lag k >= n - 1 aliases only k + 2n >= 3n - 1
-    size = 2 * n
-    total = np.zeros(size, dtype=complex)
+    total, w0 = np.zeros(2 * n, dtype=complex), np.zeros(_REFINE)
     for r in range(_REFINE):
         weights = np.abs(np.fft.ifft(spectrum * np.exp(phase * r))) ** 2 * dx_f
+        w0[r] = weights[0]
         xs = state.grid.x_min + dx_f * (_REFINE * np.arange(n) + r)
-        offsets = dx_f * (_REFINE * np.arange(-(n - 1), n) + r)
+        offsets = dx_f * (_REFINE * np.arange(-(n - 1) - k0, n - k0) + r)
         for ch in scheme.channels:
-            a = np.fft.fft(weights * ch.evaluate(xs), size)
-            a *= np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], size)
+            a = np.fft.fft(weights * ch.evaluate(xs), 2 * n)
+            a *= np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], 2 * n)
             total += a
-    return np.fft.ifft(total)[n - 1 : 2 * n - 1]
+    g = np.fft.ifft(total)[n - 1 :]
+    rs = np.arange(_REFINE)  # the j = 0 terms at x_0 = x_min + r dx_f, lag k0 + n
+    g[-1] += w0 @ scheme.contraction(state.grid.x_min + dx_f * rs, dx_f * (rs - _REFINE * (n + k0)))
+    return g
 
 
 def correlation_g(scheme, state, qs):
-    """g(q) = sum_xi integral |psi|^2 O_xi(x) conj(O_xi(x-q)) dx at given qs.
+    """g(q) = sum_xi integral |psi|^2 O_xi(x) conj(O_xi(x-q)) dx at finite qs.
 
     Narrow states take the two-slit sum.  On a grid, kick schemes, rebased
-    or not, take g(q) = sum_xi N_xi exp(i k_xi q): the transform of the
-    kick atoms, exact for the normalized psi every builder returns.
-    Otherwise a q on the x lattice ((q - x_min)/dx an integer to 1e-9, the
-    index in [0, n)) reads from one _lattice_g per call (one inverse FFT
-    of 2n points over the summed polyphase spectra), so it gets the
-    same value whatever else qs holds; only the rest (off-lattice, x_max,
-    beyond the box, non-finite) take the direct q x x quadrature.  Channels
-    are evaluated analytically at shifted points: no periodic wrap-around.
+    or not, take g(q) = sum_xi N_xi exp(i k_xi q): the transform of the kick
+    atoms, exact for the normalized psi every builder returns.  Both take
+    any q.  Other schemes take lattice q = x_min + k dx only, k an integer
+    to 1e-9 + 1e-12 |k| (its rounding grows as |k| 2e-16) and below 2^52,
+    where floats still resolve the lattice; they raise naming the nearest.
     """
     qs = np.asarray(qs, dtype=float)
+    if not np.all(np.isfinite(qs)):
+        raise WWMError("correlation_g needs finite q")
     if not state.is_grid:
         s = state.s
         c_minus, c_plus = state.amplitudes
@@ -233,24 +235,22 @@ def correlation_g(scheme, state, qs):
         )
     if scheme.kick_terms is not None:
         return sum(nw * np.exp(1j * k * qs) for nw, k in scheme.kick_terms)
-    grid = state.grid
-    weights = np.abs(state.values) ** 2 * grid.dx
-    # clipping keeps +-inf out of the index arithmetic; NaN fails every test
-    pos = (np.clip(qs, grid.x_min - grid.dx, grid.x_max) - grid.x_min) / grid.dx
-    idx = np.rint(pos)
-    on = (np.abs(pos - idx) <= 1e-9) & (idx >= 0) & (idx < grid.n)
+    grid, n = state.grid, state.grid.n
+    pos = (qs - grid.x_min) / grid.dx
+    k = np.rint(pos)
+    off = ~(np.abs(pos - k) <= 1e-9 + 1e-12 * np.abs(k)) | (np.abs(k) > 2.0**52)
+    if off.any():
+        q, near = float(qs[off][0]), float(grid.x_min + grid.dx * k[off][0])
+        raise WWMError(f"q = {q!r} is off the x lattice; the nearest lattice q is {near!r}")
+    # block b holds the lags b n ... b n + n, and a k two blocks share reads the
+    # one nearer block 0: one _lattice_g per block, so no q's bits depend on the rest
+    blocks = left = (k - (k > 0)) // n
     g = np.zeros(qs.shape, dtype=complex)
-    if on.any():
-        g[on] = _lattice_g(scheme, state)[idx[on].astype(int)]
-    off = qs[~on]
-    direct = np.zeros(off.shape, dtype=complex)
-    chunk = max(1, 2 ** 22 // grid.n)
-    weighted = [(ch, weights * ch.evaluate(grid.xs)) for ch in scheme.channels]
-    for lo in range(0, off.size, chunk):
-        diffs = grid.xs[None, :] - off[lo : lo + chunk, None]
-        for ch, a in weighted:
-            direct[lo : lo + chunk] += np.conj(ch.evaluate(diffs)) @ a
-    g[~on] = direct
+    while left.size:
+        b = left.min()
+        pick = blocks == b
+        g[pick] = _lattice_g(scheme, state, int(b) * n)[(k[pick] - b * n).astype(int)]
+        left = left[left > b]
     return g
 
 
@@ -258,9 +258,8 @@ def char_fn(scheme, state, qs=None):
     """Characteristic function chi(q) = [g(q) + conj(g(-q))] / 2.
 
     qs=None picks the positions of state.grid (narrow: its output grid), which
-    must be symmetric about 0.  g(q) and g(-q) come from one correlation_g call,
-    whose lattice test maps each -q to the index of its grid point, so all
-    lattice q share one FFT correlation (qs=None: all but g(-x_min)).
+    must be symmetric about 0.  g(q) and g(-q) come from one correlation_g
+    call; on a grid, qs=None reads them from the lags 0 ... n, one lattice block.
     Raises if the scheme is incomplete; validates chi(0) = 1 and |chi| <= 1.
     """
     require_complete(scheme, state)

@@ -1,6 +1,10 @@
-"""correlation_g's per-q dispatch: the lattice route, the kick closed form,
-and the direct quadrature that remains for off-lattice q."""
+"""correlation_g's per-q dispatch: the lattice route in blocks of n + 1
+lags for any lattice q, in the box or beyond it, the kick closed form and
+the narrow sum for any finite q, and the refusal of every other q.  The
+q x x Riemann sum the package once ran off the lattice, dense_direct_g,
+stays here as the reference beyond the box."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -8,10 +12,11 @@ import numpy as np
 import pytest
 
 from wwm.cli import main
+from wwm.errors import WWMError
 from wwm.grid import make_grid
 from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
-from wwm.state import SlitState, gaussian_twin_slits
-from wwm.transfer import char_fn, correlation_g, moments
+from wwm.state import SlitState, gaussian_twin_slits, narrow_twin_slits
+from wwm.transfer import char_fn, correlation_g, moments, phi_dq
 from conftest import S, random_complete_scheme, spectral_refine
 
 PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
@@ -84,15 +89,16 @@ def wide_slits(n, length=4.0):
     return SlitState("gaussian", S, (2**-0.5, 2**-0.5), grid, values.astype(complex))
 
 
-def explicit_lattice_g(scheme, state, refine=4):
-    """Reference: g at x_min + i dx as the O(m^2) linear correlation over
-    the same 4x band-limited refinement, at lags (j - refine i) dx_fine.
+def explicit_lattice_g(scheme, state, idx, refine=4):
+    """Reference: g at x_min + i dx, i in idx, as the O(m^2) linear
+    correlation over the same 4x band-limited refinement, at lags
+    (j - refine i) dx_fine.
     A 2m - 2 point circular correlation (the 2m - 1 kernel folded, not
     cropped) moves phase_ramp and random by 1e-7 here, sign not at all."""
     fine, psi_fine = spectral_refine(state.grid, state.values, refine)
     weights = np.abs(psi_fine) ** 2 * fine.dx
-    lags = np.arange(fine.n)[None, :] - refine * np.arange(state.grid.n)[:, None]
-    g = np.zeros(state.grid.n, dtype=complex)
+    lags = np.arange(fine.n)[None, :] - refine * idx[:, None]
+    g = np.zeros(idx.size, dtype=complex)
     for ch in scheme.channels:
         g += np.conj(ch.evaluate(fine.dx * lags)) @ (weights * ch.evaluate(fine.xs))
     return g
@@ -129,25 +135,34 @@ def test_lattice_route_is_the_explicit_linear_correlation(make_state, name, n):
         "random": random_complete_scheme(np.random.default_rng(n)),
     }[name]
     state = make_state(n)
-    ref = explicit_lattice_g(scheme, state)
+    grid = state.grid
+    # the box, then each side of the block edges at multiples of n: lag
+    # b n + n is the circular slot 2n - 1 plus its j = 0 term
+    edges = np.array([-n - 1, -n, -1, 0, n - 1, n, n + 1, 2 * n, 2 * n + 1])
+    ref = explicit_lattice_g(scheme, state, np.concatenate([np.arange(n), edges]))
     density = np.abs(state.values) ** 2
     assert density[[0, -1]].min() > 1e-5 * density.max()  # a wrap would show
-    gap = np.max(np.abs(correlation_g(scheme, state, state.grid.xs) - ref))
+    qs = np.concatenate([grid.xs, grid.x_min + grid.dx * edges])
+    gap = np.max(np.abs(correlation_g(scheme, state, qs) - ref))
     assert gap < 8 * EXPLICIT_GAP[make_state.__name__]
 
 
 def test_lattice_route_memory_is_bounded():
     """At n = 16384 the lattice g holds a few 2n point spectra and builds no
     4x grid: it read 21.4 MiB with one 16n point transform per channel,
-    11.4 MiB with 8n point spectra on the refined psi, 3.6 MiB now."""
+    11.4 MiB with 8n point spectra on the refined psi, 3.8 MiB now.  The
+    q and -q of `phi --qmax 40`, five blocks reaching past the +-8 box,
+    read 3.5 MiB (161 MiB when a q x x quadrature served q beyond the box)."""
     state = twin(0.02, 16384)
-    tracemalloc.start()
-    try:
-        correlation_g(builtin("sign"), state, state.grid.xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    half = phi_dq(state) * np.arange(-2560, 2561)
+    for qs in (state.grid.xs, np.concatenate([half, -half])):
+        tracemalloc.start()
+        try:
+            correlation_g(builtin("sign"), state, qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 # --- dispatch -----------------------------------------------------------
@@ -157,10 +172,10 @@ def test_on_lattice_entries_do_not_depend_on_the_rest(sign, state_a50):
     grid = state_a50.grid
     whole = correlation_g(sign, state_a50, grid.xs)
     picks = np.array([0, 5, 1000, 2048, 4095])
-    off = np.array([grid.xs[10] + 0.3 * grid.dx, grid.x_max, 12.0, -12.0])
-    qs = np.concatenate([grid.xs[picks[:2]], off, grid.xs[picks[2:]]])
+    other_blocks = np.array([grid.x_max, 12.0, -12.0])  # blocks 0, 1 and -1
+    qs = np.concatenate([grid.xs[picks[:2]], other_blocks, grid.xs[picks[2:]]])
     g = correlation_g(sign, state_a50, qs)
-    assert np.array_equal(g[[0, 1, 6, 7, 8]], whole[picks])
+    assert np.array_equal(g[[0, 1, 5, 6, 7]], whole[picks])
     # a lattice q built another way (phi's s/64 steps) reads the same bits
     assert np.array_equal(correlation_g(sign, state_a50, PHI_QS[::-1]), whole[1024:3073:4][::-1])
 
@@ -172,15 +187,48 @@ def test_box_edges_and_out_of_box_match_direct(sign, state_a50):
     assert np.max(np.abs(correlation_g(sign, state_a50, qs) - ref)) < 1e-12
 
 
-def test_non_finite_q_do_not_raise_in_the_dispatch(sign, state_a50):
+def test_non_finite_q_are_refused_on_every_state(sign, kick_pair, state_a50):
+    states = ((sign, state_a50), (kick_pair, state_a50), (sign, narrow_twin_slits(S)))
+    for bad in (np.nan, np.inf, -np.inf):
+        for scheme, state in states:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # refused with no RuntimeWarning
+                with pytest.raises(WWMError, match="finite"):
+                    correlation_g(scheme, state, np.array([state_a50.grid.xs[3], bad]))
+
+
+def test_off_lattice_q_is_refused_naming_the_nearest(sign, state_a50):
     grid = state_a50.grid
-    qs = np.array([np.nan, grid.xs[3], np.inf, -np.inf, grid.xs[7]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        g = correlation_g(sign, state_a50, qs)
-    whole = correlation_g(sign, state_a50, grid.xs)
-    assert g[1] == whole[3] and g[4] == whole[7]
-    assert np.all(np.isfinite(g[[2, 3]]))  # each slit is wholly on one side
+    near = float(grid.xs[10])
+    with pytest.raises(WWMError, match=re.escape(f"nearest lattice q is {near!r}")):
+        correlation_g(sign, state_a50, np.array([grid.xs[3], near + 0.3 * grid.dx]))
+    # beyond the box too, at lattice index 3n + 7
+    far = grid.x_min + grid.dx * (3 * grid.n + 7)
+    with pytest.raises(WWMError, match=re.escape(f"nearest lattice q is {far!r}")):
+        correlation_g(sign, state_a50, np.array([far - 0.2 * grid.dx]))
+    # past 2^52 steps the floats no longer resolve the lattice
+    with pytest.raises(WWMError, match="off the x lattice"):
+        correlation_g(sign, state_a50, np.array([1e300]))
+
+
+def test_far_lattice_q_pass_at_their_rounding():
+    """q = 4 dx i, as `phi` steps, rounds its index by ~|k| 1.5e-16: 6e-8 at
+    |k| = 4e8, past a fixed 1e-9 tolerance.  Each reads its lattice bits."""
+    state = white_noise(64, -0.15, 0.15)  # dx = 0.3/64 is not a binary fraction
+    grid = state.grid
+    qs = (4 * grid.dx) * np.arange(10**8 - 200, 10**8 + 200)
+    lattice_qs = grid.x_min + grid.dx * np.rint((qs - grid.x_min) / grid.dx)
+    scheme = random_complete_scheme(np.random.default_rng(5))
+    g = correlation_g(scheme, state, qs)
+    assert np.array_equal(g, correlation_g(scheme, state, lattice_qs))
+
+
+def test_kick_and_narrow_take_any_finite_q(sign, kick_pair, state_a50):
+    qs = np.array([0.3 * state_a50.grid.dx, 1e-7, 11.0, -1e3, np.pi])
+    narrow = narrow_twin_slits(S)
+    assert np.all(np.isfinite(correlation_g(kick_pair, state_a50, qs)))
+    assert np.all(np.isfinite(correlation_g(sign, narrow, qs)))
+    assert correlation_g(sign, narrow, qs)[1] == pytest.approx(1.0)
 
 
 # --- kick closed form ----------------------------------------------------

@@ -198,24 +198,28 @@ builtin = sign
 
 
 @pytest.mark.parametrize(
-    "half_length, s", [(8, 1.0), (10, 1.0), (8, 1.0001)], ids=["shipped", "box_20", "s_1.0001"]
+    "half_length, s, qmax",
+    [(8, 1.0, None), (10, 1.0, None), (8, 1.0001, None), (8, 1.0, 40.0)],
+    ids=["shipped", "box_20", "s_1.0001", "shipped_qmax_40"],
 )
-def test_phi_matches_exact_chi_on_any_lattice(tmp_path, half_length, s):
+def test_phi_matches_exact_chi_on_any_lattice(tmp_path, half_length, s, qmax):
     """`wwm phi` steps q by s/64 rounded to the x lattice, so a box or s that
     puts s/64 off the lattice (box 20: 3.2 dx; s = 1.0001: 4.0004 dx) keeps
     the lattice route's O(dx^2) error: the shipped bound, scaled by
     (dx / dx_shipped)^2.  With q at exactly s/64, off the lattice, these
-    read 1.1e-2 and 2.7e-2 against 4.76e-5 shipped."""
+    read 1.1e-2 and 2.7e-2 against 4.76e-5 shipped.  q beyond the box
+    (--qmax 40 on the +-8 box) stays on the lattice route: 4.76e-5."""
     cfg = tmp_path / "sign.cfg"
     cfg.write_text(SIGN_CFG.format(lo=-half_length, hi=half_length, s=s, a=A))
     out = tmp_path / "phi.csv"
-    assert main(["phi", "--config", str(cfg), "--out", str(out)]) == 0
+    extra = [] if qmax is None else ["--qmax", str(qmax)]
+    assert main(["phi", "--config", str(cfg), "--out", str(out), *extra]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     qs, re_chi, im_chi = np.array([[float(v) for v in row.split(",")] for row in rows]).T
     dx = 2 * half_length / 4096
     steps = (qs + half_length) / dx
     assert np.all(np.abs(steps - np.rint(steps)) <= 1e-9)  # every q on the x lattice
-    assert qs[-1] >= 4 * s - dx  # the default qmax, to the lattice
+    assert qs[-1] >= (qmax or 4 * s) - dx  # qmax, by default 4 s, to the lattice
     exact = 0.75 + 0.25 * np.vectorize(math.erf)((s / 2 - np.abs(qs)) / A)
     bound = ERROR_FACTOR * CHI_MEASURED * (dx / (16 / 4096)) ** 2
     assert np.max(np.abs(re_chi + 1j * im_chi - exact)) < bound

@@ -144,7 +144,7 @@ def test_half_bound_at_s_for_zero_visibility(sign, sew, kick_pair, narrow):
 
 
 def test_chi_gaussian_converges_to_narrow(grid, narrow, sew, kick_pair, sign):
-    qs = np.linspace(-4, 4, 401)
+    qs = (S / 64) * np.arange(-256, 257)  # phi's q grid, on the x lattice
     chi_n = {s.base: char_fn(s, narrow, qs=qs).values for s in (sew, kick_pair, sign)}
     errs = {}
     for a in (S / 20, S / 40):
