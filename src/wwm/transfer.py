@@ -184,33 +184,34 @@ def tail_split(xs, values, what, ps, frequency_factor=1.0):
 _REFINE = 4  # oversampling of the x quadrature on the lattice route
 
 
-def _lattice_g(scheme, state, k0):
-    """g at the n + 1 lags k0 ... k0 + n: an FFT linear correlation on a
-    band-limited 4x refinement of psi, since step-like channels otherwise
+def _lattice_g(scheme, state, m0):
+    """g at the n + 1 lags q = (m0 + i) dx, i = 0 ... n: an FFT linear correlation
+    on a band-limited 4x refinement of psi, since step-like channels otherwise
     leave an O(dx^2) Riemann residue.  It reads every 4th lag, so it runs by
     polyphase: fine point 4j + r takes psi on the r-th shifted lattice, and
     each (channel, r) adds a 2n-point spectrum to one inverse transform.
-    Lag k0 + n is slot 2n - 1 plus the j = 0 term, whose kernel factor is in the pad."""
-    n = state.grid.n
-    dx_f = state.grid.length / (_REFINE * n)  # the 4x grid's step, to the float
+    Lag m0 + n is slot 2n - 1 plus the j = 0 term, whose kernel factor is in the pad."""
+    grid, n = state.grid, state.grid.n
+    dx_f = grid.length / (_REFINE * n)  # the 4x grid's step, to the float
+    k0, f = divmod(m0 - grid.x_min / grid.dx, 1.0)  # steps past x_min; f = 0 if centred on 0
     spectrum = np.fft.fft(state.values)
     # fftfreq order puts the Nyquist bin at -pi/dx, as zero-padding does
     phase = 2j * np.pi * np.fft.fftfreq(n) / _REFINE
-    # G[k] = sum_r sum_j a_r[j] conj(O(dx_f (4 (j - k0 - k) + r))): of the 3n - 2
-    # terms of each correlation, lag k >= n - 1 aliases only k + 2n >= 3n - 1
+    # G[i] = sum_r sum_j a_r[j] conj(O(dx_f (4 (j - k0 - f - i) + r))): of the 3n - 2
+    # terms of each correlation, lag i >= n - 1 aliases only i + 2n >= 3n - 1
     total, w0 = np.zeros(2 * n, dtype=complex), np.zeros(_REFINE)
     for r in range(_REFINE):
         weights = np.abs(np.fft.ifft(spectrum * np.exp(phase * r))) ** 2 * dx_f
         w0[r] = weights[0]
-        xs = state.grid.x_min + dx_f * (_REFINE * np.arange(n) + r)
-        offsets = dx_f * (_REFINE * np.arange(-(n - 1) - k0, n - k0) + r)
+        xs = grid.x_min + dx_f * (_REFINE * np.arange(n) + r)
+        offsets = dx_f * (_REFINE * np.arange(1 - n - int(k0), n - int(k0)) + (r - _REFINE * f))
         for ch in scheme.channels:
             a = np.fft.fft(weights * ch.evaluate(xs), 2 * n)
             a *= np.fft.fft(np.conj(ch.evaluate(offsets))[::-1], 2 * n)
             total += a
     g = np.fft.ifft(total)[n - 1 :]
-    rs = np.arange(_REFINE)  # the j = 0 terms at x_0 = x_min + r dx_f, lag k0 + n
-    g[-1] += w0 @ scheme.contraction(state.grid.x_min + dx_f * rs, dx_f * (rs - _REFINE * (n + k0)))
+    rs = np.arange(_REFINE)  # the j = 0 terms at x_0 = x_min + r dx_f, lag m0 + n
+    g[-1] += w0 @ scheme.contraction(grid.x_min + dx_f * rs, dx_f * (rs - _REFINE * (n + k0 + f)))
     return g
 
 
@@ -220,9 +221,8 @@ def correlation_g(scheme, state, qs):
     Narrow states take the two-slit sum.  On a grid, kick schemes, rebased
     or not, take g(q) = sum_xi N_xi exp(i k_xi q): the transform of the kick
     atoms, exact for the normalized psi every builder returns.  Both take
-    any q.  Other schemes take lattice q = x_min + k dx only, k an integer
-    to 1e-9 + 1e-12 |k| (its rounding grows as |k| 2e-16) and below 2^52,
-    where floats still resolve the lattice; they raise naming the nearest.
+    any q.  Other schemes take lag lattice q = m dx only, m an integer to 1e-9 +
+    64 eps |m| (64 times its rounding) and |m| <= 2^40, where that is still 1/64.
     """
     qs = np.asarray(qs, dtype=float)
     if not np.all(np.isfinite(qs)):
@@ -235,21 +235,22 @@ def correlation_g(scheme, state, qs):
         )
     if scheme.kick_terms is not None:
         return sum(nw * np.exp(1j * k * qs) for nw, k in scheme.kick_terms)
-    grid, n = state.grid, state.grid.n
-    pos = (qs - grid.x_min) / grid.dx
-    k = np.rint(pos)
-    off = ~(np.abs(pos - k) <= 1e-9 + 1e-12 * np.abs(k)) | (np.abs(k) > 2.0**52)
+    grid, n, reach = state.grid, state.grid.n, 2.0**40 * state.grid.dx
+    pos = np.clip(qs, -reach, reach) / grid.dx  # clipped, so the division cannot overflow
+    m = np.rint(pos)
+    off = (np.abs(pos - m) > 1e-9 + 64 * 2.0**-52 * np.abs(m)) | (np.abs(qs) > reach)
     if off.any():
-        q, near = float(qs[off][0]), float(grid.x_min + grid.dx * k[off][0])
-        raise WWMError(f"q = {q!r} is off the x lattice; the nearest lattice q is {near!r}")
-    # block b holds the lags b n ... b n + n, and a k two blocks share reads the
-    # one nearer block 0: one _lattice_g per block, so no q's bits depend on the rest
-    blocks = left = (k - (k > 0)) // n
+        q, near = float(qs[off][0]), float(grid.dx * m[off][0])
+        raise WWMError(f"q = {q!r} is not m dx, |m| <= 2^40: the nearest lattice q is {near!r}")
+    # block b, the lags base + b n + [0, n], is the box's own at b = 0; a lag two blocks
+    # share reads the one nearer block 0, so no q's bits depend on the rest
+    base = np.rint(grid.x_min / grid.dx)
+    blocks = left = (m - base - (m > base)) // n
     g = np.zeros(qs.shape, dtype=complex)
     while left.size:
         b = left.min()
-        pick = blocks == b
-        g[pick] = _lattice_g(scheme, state, int(b) * n)[(k[pick] - b * n).astype(int)]
+        m0, pick = base + b * n, blocks == b
+        g[pick] = _lattice_g(scheme, state, m0)[(m[pick] - m0).astype(int)]
         left = left[left > b]
     return g
 

@@ -1,6 +1,7 @@
 """correlation_g's per-q dispatch: the lattice route in blocks of n + 1
-lags for any lattice q, in the box or beyond it, the kick closed form and
-the narrow sum for any finite q, and the refusal of every other q.  The
+lags for any lag q = m dx, in the box or beyond it, on a box centred on 0
+or not, the kick closed form and the narrow sum for any finite q, and the
+refusal of every other q.  The
 q x x Riemann sum the package once ran off the lattice, dense_direct_g,
 stays here as the reference beyond the box."""
 
@@ -89,18 +90,17 @@ def wide_slits(n, length=4.0):
     return SlitState("gaussian", S, (2**-0.5, 2**-0.5), grid, values.astype(complex))
 
 
-def explicit_lattice_g(scheme, state, idx, refine=4):
-    """Reference: g at x_min + i dx, i in idx, as the O(m^2) linear
-    correlation over the same 4x band-limited refinement, at lags
-    (j - refine i) dx_fine.
+def explicit_g(scheme, state, qs, refine=4):
+    """Reference: g at qs as the O(m^2) linear correlation over the same 4x
+    band-limited refinement, each channel's O(x - q) taken at the fine x.
+    (On the dyadic boxes below x - q is exact, the lag (j - 4 i) dx_fine.)
     A 2m - 2 point circular correlation (the 2m - 1 kernel folded, not
     cropped) moves phase_ramp and random by 1e-7 here, sign not at all."""
     fine, psi_fine = spectral_refine(state.grid, state.values, refine)
     weights = np.abs(psi_fine) ** 2 * fine.dx
-    lags = np.arange(fine.n)[None, :] - refine * idx[:, None]
-    g = np.zeros(idx.size, dtype=complex)
+    g = np.zeros(qs.size, dtype=complex)
     for ch in scheme.channels:
-        g += np.conj(ch.evaluate(fine.dx * lags)) @ (weights * ch.evaluate(fine.xs))
+        g += np.conj(ch.evaluate(fine.xs[None, :] - qs[:, None])) @ (weights * ch.evaluate(fine.xs))
     return g
 
 
@@ -115,15 +115,22 @@ def white_noise(n, x_min=-2.5, x_max=1.5):
     return SlitState("gaussian", S, (2**-0.5, 2**-0.5), grid, values)
 
 
+def off_step_noise(n):
+    """White noise on [-2.3, 1.7]: x_min is 0.2 dx off the lags q = m dx."""
+    return white_noise(n, -2.3, 1.7)
+
+
 # max |g - explicit| measured, over the three schemes at n = 64 and 256
-EXPLICIT_GAP = {"wide_slits": 1.12e-15, "white_noise": 8.9e-16}
+EXPLICIT_GAP = {"wide_slits": 1.12e-15, "white_noise": 8.9e-16, "off_step_noise": 1.12e-15}
 
 
 @pytest.mark.parametrize(
     "make_state, name, n",
     [
         pytest.param(make, name, n, id=f"{prefix}{name}-{n}")
-        for make, prefix in ((wide_slits, ""), (white_noise, "white_noise-"))
+        for make, prefix in (
+            (wide_slits, ""), (white_noise, "white_noise-"), (off_step_noise, "off_step-")
+        )
         for name in ("sign", "phase_ramp", "random")
         for n in (64, 256)
     ],
@@ -139,11 +146,11 @@ def test_lattice_route_is_the_explicit_linear_correlation(make_state, name, n):
     # the box, then each side of the block edges at multiples of n: lag
     # b n + n is the circular slot 2n - 1 plus its j = 0 term
     edges = np.array([-n - 1, -n, -1, 0, n - 1, n, n + 1, 2 * n, 2 * n + 1])
-    ref = explicit_lattice_g(scheme, state, np.concatenate([np.arange(n), edges]))
+    base = np.rint(grid.x_min / grid.dx)  # the box's own lags are base ... base + n
+    qs = grid.dx * (base + np.concatenate([np.arange(n), edges]))
     density = np.abs(state.values) ** 2
     assert density[[0, -1]].min() > 1e-5 * density.max()  # a wrap would show
-    qs = np.concatenate([grid.xs, grid.x_min + grid.dx * edges])
-    gap = np.max(np.abs(correlation_g(scheme, state, qs) - ref))
+    gap = np.max(np.abs(correlation_g(scheme, state, qs) - explicit_g(scheme, state, qs)))
     assert gap < 8 * EXPLICIT_GAP[make_state.__name__]
 
 
@@ -206,9 +213,16 @@ def test_off_lattice_q_is_refused_naming_the_nearest(sign, state_a50):
     far = grid.x_min + grid.dx * (3 * grid.n + 7)
     with pytest.raises(WWMError, match=re.escape(f"nearest lattice q is {far!r}")):
         correlation_g(sign, state_a50, np.array([far - 0.2 * grid.dx]))
-    # past 2^52 steps the floats no longer resolve the lattice
-    with pytest.raises(WWMError, match="off the x lattice"):
-        correlation_g(sign, state_a50, np.array([1e300]))
+    # a half step far out: 1e12 steps round by ~1e-4 steps, well inside the tolerance
+    with pytest.raises(WWMError, match=re.escape(f"nearest lattice q is {grid.dx * 1e12!r}")):
+        correlation_g(sign, state_a50, np.array([grid.dx * (1e12 + 0.5)]))
+    # past 2^40 steps every q is refused, naming the last lattice q
+    last = re.escape(f"nearest lattice q is {grid.dx * 2.0**40!r}")
+    for q in (grid.dx * (2.0**40 + 1), np.finfo(float).max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # q / dx would overflow unclipped
+            with pytest.raises(WWMError, match=last):
+                correlation_g(sign, state_a50, np.array([q]))
 
 
 def test_far_lattice_q_pass_at_their_rounding():
@@ -221,6 +235,10 @@ def test_far_lattice_q_pass_at_their_rounding():
     scheme = random_complete_scheme(np.random.default_rng(5))
     g = correlation_g(scheme, state, qs)
     assert np.array_equal(g, correlation_g(scheme, state, lattice_qs))
+    # out to the 2^40 step bound, where the rounding is ~1e-4 steps
+    far = np.array([grid.dx * 1e12, (4 * grid.dx) * 2.5e11, grid.dx * 2.0**40])
+    far = correlation_g(scheme, state, far)
+    assert far[0] == far[1] and np.all(np.isfinite(far))
 
 
 def test_kick_and_narrow_take_any_finite_q(sign, kick_pair, state_a50):

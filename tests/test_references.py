@@ -198,28 +198,43 @@ builtin = sign
 
 
 @pytest.mark.parametrize(
-    "half_length, s, qmax",
-    [(8, 1.0, None), (10, 1.0, None), (8, 1.0001, None), (8, 1.0, 40.0)],
-    ids=["shipped", "box_20", "s_1.0001", "shipped_qmax_40"],
+    "lo, hi, s, qmax",
+    [(-8, 8, 1.0, None), (-10, 10, 1.0, None), (-8, 8, 1.0001, None), (-8, 8, 1.0, 40.0),
+     (-9, 8, 1.0, None)],
+    ids=["shipped", "box_20", "s_1.0001", "shipped_qmax_40", "off_centre"],
 )
-def test_phi_matches_exact_chi_on_any_lattice(tmp_path, half_length, s, qmax):
+def test_phi_matches_exact_chi_on_any_lattice(tmp_path, lo, hi, s, qmax):
     """`wwm phi` steps q by s/64 rounded to the x lattice, so a box or s that
     puts s/64 off the lattice (box 20: 3.2 dx; s = 1.0001: 4.0004 dx) keeps
     the lattice route's O(dx^2) error: the shipped bound, scaled by
     (dx / dx_shipped)^2.  With q at exactly s/64, off the lattice, these
     read 1.1e-2 and 2.7e-2 against 4.76e-5 shipped.  q beyond the box
-    (--qmax 40 on the +-8 box) stays on the lattice route: 4.76e-5."""
+    (--qmax 40 on the +-8 box) stays on the lattice route: 4.76e-5.  On
+    [-9, 8] x_min is 0.47 dx off the lags q = m dx, read at that sub-step
+    lag: 2.0e-5 against a scaled bound of 5.9e-5."""
     cfg = tmp_path / "sign.cfg"
-    cfg.write_text(SIGN_CFG.format(lo=-half_length, hi=half_length, s=s, a=A))
+    cfg.write_text(SIGN_CFG.format(lo=lo, hi=hi, s=s, a=A))
     out = tmp_path / "phi.csv"
     extra = [] if qmax is None else ["--qmax", str(qmax)]
     assert main(["phi", "--config", str(cfg), "--out", str(out), *extra]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     qs, re_chi, im_chi = np.array([[float(v) for v in row.split(",")] for row in rows]).T
-    dx = 2 * half_length / 4096
-    steps = (qs + half_length) / dx
-    assert np.all(np.abs(steps - np.rint(steps)) <= 1e-9)  # every q on the x lattice
+    dx = (hi - lo) / 4096
+    steps = qs / dx
+    assert np.all(np.abs(steps - np.rint(steps)) <= 1e-9)  # every q a lag m dx
     assert qs[-1] >= (qmax or 4 * s) - dx  # qmax, by default 4 s, to the lattice
     exact = 0.75 + 0.25 * np.vectorize(math.erf)((s / 2 - np.abs(qs)) / A)
     bound = ERROR_FACTOR * CHI_MEASURED * (dx / (16 / 4096)) ** 2
     assert np.max(np.abs(re_chi + 1j * im_chi - exact)) < bound
+
+
+def test_moments_on_a_box_not_centred_on_0(tmp_path):
+    """`wwm moments` on [-9, 8], where x_min is 0.47 dx off the lags q = m dx
+    it samples, meets the sign bounds above (measured <p^4> 5.3e-7)."""
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text(SIGN_CFG.format(lo=-9, hi=8, s=S, a=A))
+    out = tmp_path / "moments.csv"
+    assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 0
+    values = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:5]])
+    _, _, exact, wide_fft, half_fft, _ = MOMENT_CASES["sign"]
+    assert np.all(np.abs(values - exact) < 2 * np.maximum(wide_fft, half_fft))
