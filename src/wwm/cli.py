@@ -64,7 +64,9 @@ def _csv(header, columns, comments=(), formats=None):
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     row_fmt = ",".join(formats or [FMT] * len(columns))
-    lines.extend(row_fmt % tuple(row) for row in np.column_stack(columns).tolist())
+    table = np.column_stack(columns)
+    for k in range(0, len(table), 1024):  # a whole table's Python floats would set the peak
+        lines.extend(row_fmt % tuple(row) for row in table[k : k + 1024].tolist())
     return _lines(lines)
 
 

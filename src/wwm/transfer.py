@@ -112,6 +112,11 @@ class CharacteristicFunction:
     def at0(self):
         return complex(self.values[self.index0])
 
+    @property
+    def ps(self):  # the dual momentum grid, p = 0 at index n/2
+        n = self.qs.size
+        return 2 * np.pi / (n * self.dq) * (np.arange(n) - n // 2)
+
 
 _BAND_FRAC = 0.1  # share of the samples in each outer band
 _SETTLE_TOL = 1e-3
@@ -134,8 +139,8 @@ def asymptote_split(values, what):
     m_plus = np.mean(right)
     spread = float(max(np.std(left), np.std(right)))
     if spread > _SETTLE_TOL:
-        # level 4 is the caller of distribution_from_chi, wigner_kernel or
-        # pwv_joint: each reaches this split through one helper
+        # level 4 is the caller of distribution_from_chi (pwv_marginal or
+        # wigner_kernel) or of pwv_joint: each reaches this split through one helper
         warnings.warn(
             f"{what} did not settle at the box edges (spread {spread:.2e}); "
             "enlarge the box",
@@ -144,24 +149,23 @@ def asymptote_split(values, what):
     return 0.5 * (m_plus + m_minus), 0.5 * (m_plus - m_minus), spread
 
 
-def damped_pv_kernel(ps, lam, frequency_factor=1.0):
+def damped_pv_kernel(ps, lam):
     """Fourier dual of tanh(q/lam): the damped principal-value tail.
 
     Returns D with  FT[(i c) tanh(q/lam)](p) = c * D(p)  under the
-    (1/2pi) integral tanh(q/lam) exp(-i f q) dq convention at f =
-    frequency_factor * p.  D ~ 1/(pi p) for small p and decays
-    exponentially at the dual-grid edge, matching how a smoothly
-    attained asymptote actually transforms.
+    (1/2pi) integral tanh(q/lam) exp(-i p q) dq convention.  D ~ 1/(pi p)
+    for small p and decays exponentially at the dual-grid edge, matching
+    how a smoothly attained asymptote actually transforms.
     """
-    arg = 0.5 * np.pi * lam * frequency_factor * ps
+    arg = 0.5 * np.pi * lam * ps
     out = np.zeros_like(ps)
     small = np.abs(arg) < 350.0
     nonzero = small & (arg != 0.0)
     out[nonzero] = 0.5 * lam / np.sinh(arg[nonzero])
-    return out * frequency_factor
+    return out
 
 
-def tail_split(xs, values, what, ps, frequency_factor=1.0):
+def tail_split(xs, values, what, ps):
     """Split the constant-plus-step tails off samples before a transform.
 
     The constant becomes the point mass at zero transfer; the step is
@@ -177,8 +181,22 @@ def tail_split(xs, values, what, ps, frequency_factor=1.0):
     lam = float(xs[-1] - xs[0]) / 20.0
     even_c, odd_c, _ = asymptote_split(values, what)
     remainder = values - even_c - odd_c * np.tanh(xs / lam)
-    tail_density = np.real(-1j * odd_c) * damped_pv_kernel(ps, lam, frequency_factor)
+    tail_density = np.real(-1j * odd_c) * damped_pv_kernel(ps, lam)
     return [(0.0, float(np.real(even_c)))], remainder, tail_density
+
+
+def distribution_from_chi(chi, what="chi"):
+    """(1/2pi) integral chi(q) exp(-i p q) dq at chi.ps, for chi with q = 0 at index n/2.
+
+    The tails split off first (tail_split, naming the samples `what`); the
+    remainder, not exactly Hermitian, is transformed whole.
+    """
+    if chi.index0 != chi.qs.size // 2:
+        raise WWMError(f"{what}: q = 0 is sample {chi.index0}, not n/2 = {chi.qs.size // 2}")
+    ps = chi.ps
+    atoms, remainder, tail_density = tail_split(chi.qs, chi.values, what, ps)
+    density = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(remainder)).real) * (chi.dq / (2 * np.pi))
+    return MixedDistribution(atoms, ps, density + tail_density)
 
 
 _REFINE = 4  # oversampling of the x quadrature on the lattice route
@@ -396,32 +414,21 @@ def _pair_products(ext, n):
     return np.multiply(win[:, h:], half, out=half)
 
 
-def fine_momentum_grid(grid):
-    return 0.5 * grid.dp * np.arange(-grid.n // 2, grid.n // 2)
-
-
 def wigner_kernel(scheme, x, grid):
     """x-conditioned momentum transfer kernel of a scheme.
 
     Defined so that the final Wigner function is the initial one convolved
-    with this kernel in p at every fixed x.  Returns a MixedDistribution on
-    the fine momentum grid; constant/sgn tails of the channel contraction
-    are split off as an atom at 0 and an analytic 1/p term, exactly like
-    the weak-value marginal pipeline.
+    with this kernel in p at every fixed x.  It is the transfer distribution
+    of the slice's pair contraction chi_x(q) = sum_xi O_xi(x + q/2)
+    conj(O_xi(x - q/2)), sampled at q = 2 dx (-n/2 ... n/2 - 1): kick
+    schemes return their atoms on its dual grid, the others
+    distribution_from_chi of it.
     """
-    ps_fine = fine_momentum_grid(grid)
+    qs = 2 * grid.dx * np.arange(-grid.n // 2, grid.n // 2)
+    chi = CharacteristicFunction(qs, scheme.contraction(x + qs / 2, x - qs / 2))
     if scheme.kick_terms is not None:
-        return classical_transfer(scheme, ps_fine)
-    n = grid.n
-    u_sym = grid.dx * np.arange(-n // 2, n // 2)
-    pair = scheme.contraction(x + u_sym, x - u_sym)
-    # the integral here runs over u = y/2, doubling the dual frequency
-    atoms, remainder, tail_density = tail_split(
-        u_sym, pair, f"wigner kernel tail at x={x}", ps_fine, 2.0
-    )
-    # the remainder is not exactly Hermitian: transform the whole row
-    density = (grid.dx / np.pi) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(remainder)))
-    return MixedDistribution(atoms, ps_fine, density.real + tail_density)
+        return classical_transfer(scheme, chi.ps)
+    return distribution_from_chi(chi, f"wigner kernel tail at x={x}")
 
 
 WIGNER_IDENTITY_TOL = 1e-6  # criterion 10: largest residual a sound check may leave

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import WWMError
-from .grid import BIN_SPAN, EMPTY_BIN_MASS, GridSpec, SQRT_2PI, bin_indices, fourier_values
+from .grid import BIN_SPAN, EMPTY_BIN_MASS, SQRT_2PI, bin_indices, fourier_values
 from .parallel import map_threads, rows_per_task
 from .scheme import require_complete
 from .transfer import (
@@ -37,7 +37,7 @@ from .transfer import (
     asymptote_split,
     char_fn,
     classical_transfer,
-    tail_split,
+    distribution_from_chi,
 )
 
 
@@ -55,17 +55,6 @@ def pwv_narrow_sign(s, ps):
     density[nonzero] = np.sin(0.5 * s * ps[nonzero]) / (2.0 * np.pi * ps[nonzero])
     density[~nonzero] = s / (4.0 * np.pi)
     return MixedDistribution([(0.0, 0.5)], ps, density)
-
-
-def distribution_from_chi(chi):
-    """Inverse-transform a characteristic function into atoms plus density."""
-    qs = chi.qs
-    n = qs.size
-    qgrid = GridSpec(float(qs[0]), float(qs[0] + n * chi.dq), n)
-    ps = qgrid.ps
-    atoms, remainder, tail_density = tail_split(qs, chi.values, "chi", ps)
-    density = (fourier_values(qgrid, remainder) / SQRT_2PI).real + tail_density
-    return MixedDistribution(atoms, ps, density)
 
 
 def pwv_marginal(scheme, state):

@@ -14,7 +14,7 @@ from wwm.transfer import (
     asymptote_split,
     char_fn,
     classical_transfer,
-    fine_momentum_grid,
+    distribution_from_chi,
     moments,
     phi_symmetric,
     support_metric,
@@ -284,7 +284,7 @@ def wstate(wgrid):
 
 
 def wigner_rows(state):
-    """Wigner function of a grid state on (grid xs) x (fine_momentum_grid)."""
+    """Wigner function of a grid state on (grid xs) x (momenta dp/2 apart, 0 at n/2)."""
     grid = state.grid
     ext = np.pad(state.values, grid.n // 2)
     return half_row_wigner(_pair_products(ext, grid.n), grid.dx)
@@ -318,7 +318,7 @@ def test_wigner_twin_slits_negative_ridge(wgrid, wstate):
 
 def test_wigner_marginals(wgrid, wstate):
     w = wigner_rows(wstate)
-    ps = fine_momentum_grid(wgrid)
+    ps = 0.5 * wgrid.dp * np.arange(-wgrid.n // 2, wgrid.n // 2)
     x_marginal = w.sum(axis=1) * (ps[1] - ps[0])
     assert np.max(np.abs(x_marginal - np.abs(wstate.values) ** 2)) < 1e-6
     p_marginal = w.sum(axis=0) * wgrid.dx
@@ -359,6 +359,25 @@ def test_wigner_kernel_basis_invariant(wgrid, sign, sew):
         d0 = wigner_kernel(sch, 0.2, wgrid)
         d1 = wigner_kernel(rebase(sch, u), 0.2, wgrid)
         assert np.max(np.abs(d0.bin_masses() - d1.bin_masses())) < 1e-9
+
+
+@pytest.mark.parametrize("box", [(-4, 4, 1024), (-3.1, 2.9, 256)])
+def test_wigner_kernel_kicks_share_the_dual_grid(box, sign, kick_pair):
+    g = make_grid(*box)
+    kicks = wigner_kernel(kick_pair, 0.3, g)
+    assert np.array_equal(kicks.ps, wigner_kernel(sign, 0.3, g).ps)
+    assert np.allclose(kicks.ps, 0.5 * g.dp * np.arange(-g.n // 2, g.n // 2), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_distribution_from_chi_needs_q0_at_n_over_2(wgrid, step):
+    n = wgrid.n
+    qs = wgrid.dx * np.arange(-n // 2, n // 2)
+    centred = distribution_from_chi(transfer.CharacteristicFunction(qs, np.ones(n, complex)))
+    assert centred.atoms == [(0.0, 1.0)] and not centred.density.any()
+    shifted = transfer.CharacteristicFunction(qs + step * wgrid.dx, np.ones(n, complex))
+    with pytest.raises(WWMError, match=f"q = 0 is sample {n // 2 - step}, not n/2 = {n // 2}"):
+        distribution_from_chi(shifted)
 
 
 def test_wigner_identity_all_builtins(wgrid, wstate, identity, sign, sew):

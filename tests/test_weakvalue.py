@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,21 @@ def test_unsettled_tails_warn(grid_small):
         wigner_kernel(chirp, S / 4, grid_small)
     with pytest.warns(UserWarning):
         pwv_joint(chirp, state)
+
+
+def test_unsettled_warning_points_at_the_caller_of_the_split_helper(grid_small):
+    # stacklevel 4: the caller of distribution_from_chi (pwv_marginal,
+    # wigner_kernel) or of pwv_joint
+    chirp = parse_scheme(["exp(i*x^2)"])
+    state = gaussian_twin_slits(S, S / 20, grid_small)
+    for run, where in (
+        (lambda: pwv_marginal(chirp, state), "weakvalue.py"),
+        (lambda: wigner_kernel(chirp, S / 4, grid_small), "transfer.py"),
+        (lambda: pwv_joint(chirp, state), "test_weakvalue.py"),
+    ):
+        with pytest.warns(UserWarning) as record:
+            run()
+        assert [Path(w.filename).name for w in record] == [where]
 
 
 def test_random_scheme_basis_invariance(grid, state_a20):
