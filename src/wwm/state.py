@@ -10,6 +10,7 @@ Two state flavours:
   of a single slit is exp(-a^2 p^2).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,10 @@ def _normalized_amplitudes(amplitudes):
     c = np.asarray(amplitudes, dtype=complex)
     if c.shape != (2,):
         raise StateError("amplitudes must be a pair (c_minus, c_plus)")
-    norm = np.sqrt(np.sum(np.abs(c) ** 2))
+    norm = math.hypot(*np.abs(c))  # scale-free: no modulus is squared out of range
     if norm == 0:
         raise StateError("amplitudes must not both vanish")
-    c = c / norm
-    return (complex(c[0]), complex(c[1]))
+    return tuple(complex(v) for v in c / norm)
 
 
 def narrow_twin_slits(s, amplitudes=(2 ** -0.5, 2 ** -0.5), grid=None):

@@ -82,8 +82,8 @@ def support_metric(dist, half_width):
 
 
 def classical_transfer(scheme, ps=()):
-    """Kick distribution sum_xi N_xi delta(p - k_xi) of a kick-form scheme,
-    with a zero density sampled at ps."""
+    """Kick distribution sum_xi N_xi delta(p - k_xi) of a kick-form scheme (or
+    its chi, which carries the scheme's kick_terms), with a zero density sampled at ps."""
     if scheme.kick_terms is None:
         raise SchemeError("scheme is not of classical kick form")
     atoms = [(k, nw) for nw, k in scheme.kick_terms]
@@ -95,19 +95,24 @@ def classical_transfer(scheme, ps=()):
 
 @dataclass
 class CharacteristicFunction:
+    """chi at uniform qs whose middle sample, n // 2, is q = 0: checked here, once."""
+
     qs: np.ndarray
     values: np.ndarray  # complex chi samples; asymptote_split reads their box edges
+    kick_terms: list = None  # a kick scheme's (weight, kick) pairs: its exact atoms
+
+    def __post_init__(self):
+        q0 = self.qs[self.index0]
+        if not abs(q0) <= 1e-9 * self.dq + 1e-300:  # written so that NaN fails
+            raise WWMError(f"q = 0 is not the middle sample {self.index0} of the q grid ({float(q0)!r})")
 
     @property
-    def dq(self):
-        return float(self.qs[1] - self.qs[0])
+    def dq(self):  # from the end samples: qs[1] - qs[0] carries the rounding of the largest |q|
+        return float(self.qs[-1] - self.qs[0]) / (self.qs.size - 1)
 
     @property
     def index0(self):
-        k = int(np.argmin(np.abs(self.qs)))
-        if abs(self.qs[k]) > 1e-9 * self.dq + 1e-300:
-            raise WWMError("q grid does not contain q = 0")
-        return k
+        return self.qs.size // 2
 
     def at0(self):
         return complex(self.values[self.index0])
@@ -186,14 +191,15 @@ def tail_split(xs, values, what, ps):
 
 
 def distribution_from_chi(chi, what="chi"):
-    """(1/2pi) integral chi(q) exp(-i p q) dq at chi.ps, for chi with q = 0 at index n/2.
+    """(1/2pi) integral chi(q) exp(-i p q) dq at chi.ps.
 
-    The tails split off first (tail_split, naming the samples `what`); the
-    remainder, not exactly Hermitian, is transformed whole.
+    A kick scheme's chi, an atom sum with no box-edge limit, gives its exact
+    atoms; any other has its tails split off first (tail_split, naming the
+    samples `what`) and the remainder, not exactly Hermitian, transformed whole.
     """
-    if chi.index0 != chi.qs.size // 2:
-        raise WWMError(f"{what}: q = 0 is sample {chi.index0}, not n/2 = {chi.qs.size // 2}")
     ps = chi.ps
+    if chi.kick_terms is not None:
+        return classical_transfer(chi, ps)
     atoms, remainder, tail_density = tail_split(chi.qs, chi.values, what, ps)
     density = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(remainder)).real) * (chi.dq / (2 * np.pi))
     return MixedDistribution(atoms, ps, density + tail_density)
@@ -276,21 +282,19 @@ def correlation_g(scheme, state, qs):
 def char_fn(scheme, state, qs=None):
     """Characteristic function chi(q) = [g(q) + conj(g(-q))] / 2.
 
-    qs=None picks the positions of state.grid (narrow: its output grid), which
-    must be symmetric about 0.  g(q) and g(-q) come from one correlation_g
-    call; on a grid, qs=None reads them from the lags 0 ... n, one lattice block.
+    qs=None picks the n lags q = (m - n/2) dx of state.grid (narrow: its
+    output grid), q = 0 at sample n/2, wherever the box sits.  Given qs
+    need q = 0 as their middle sample.  g(q) and g(-q) come from one
+    correlation_g call; on a grid, qs=None reads them from one lattice block.
     Raises if the scheme is incomplete; validates chi(0) = 1 and |chi| <= 1.
     """
     require_complete(scheme, state)
     if qs is None:
-        qgrid = state.grid
-        if abs(qgrid.x_min + qgrid.x_max) > 1e-9 * qgrid.length:
-            raise WWMError("char_fn needs a grid symmetric about q = 0")
-        qs = qgrid.xs
+        qs = state.grid.dx * (np.arange(state.grid.n) - state.grid.n // 2)
     qs = np.asarray(qs, dtype=float)
     g = correlation_g(scheme, state, np.concatenate([qs, -qs]))
     chi = 0.5 * (g[: qs.size] + np.conj(g[qs.size :]))
-    cf = CharacteristicFunction(qs, chi)
+    cf = CharacteristicFunction(qs, chi, scheme.kick_terms)
     at0 = cf.at0()
     if not abs(at0 - 1.0) <= 1e-7:  # written so that NaN fails
         raise CompletenessError(f"chi(0) = {at0}, expected 1")
@@ -420,14 +424,11 @@ def wigner_kernel(scheme, x, grid):
     Defined so that the final Wigner function is the initial one convolved
     with this kernel in p at every fixed x.  It is the transfer distribution
     of the slice's pair contraction chi_x(q) = sum_xi O_xi(x + q/2)
-    conj(O_xi(x - q/2)), sampled at q = 2 dx (-n/2 ... n/2 - 1): kick
-    schemes return their atoms on its dual grid, the others
-    distribution_from_chi of it.
+    conj(O_xi(x - q/2)), sampled at q = 2 dx (-n/2 ... n/2 - 1): its
+    distribution_from_chi, so kick schemes give their atoms on its dual grid.
     """
     qs = 2 * grid.dx * np.arange(-grid.n // 2, grid.n // 2)
-    chi = CharacteristicFunction(qs, scheme.contraction(x + qs / 2, x - qs / 2))
-    if scheme.kick_terms is not None:
-        return classical_transfer(scheme, chi.ps)
+    chi = CharacteristicFunction(qs, scheme.contraction(x + qs / 2, x - qs / 2), scheme.kick_terms)
     return distribution_from_chi(chi, f"wigner kernel tail at x={x}")
 
 

@@ -17,9 +17,9 @@ For the matrix elements the channel function is decomposed per channel as
 O(x) = A + B*sgn(x) + R(x) with decaying R; A gives the diagonal, B an
 analytic principal-value kernel, and R a short transform on a doubly
 refined grid so that all momentum differences are reachable.  Classical
-kick schemes bypass both pipelines and read only their kick_terms: the
-marginal is the exact atom list, and the table moves each row's initial
-mass |psi~(p_i)|^2 dp by each kick, in any channel basis.
+kick schemes read their kick_terms on both routes: the chi route's
+inversion gives the exact atoms on chi's dual grid, and the table moves
+each row's initial mass |psi~(p_i)|^2 dp by each kick, in any channel basis.
 """
 
 import warnings
@@ -36,7 +36,6 @@ from .transfer import (
     MixedDistribution,
     asymptote_split,
     char_fn,
-    classical_transfer,
     distribution_from_chi,
 )
 
@@ -58,19 +57,15 @@ def pwv_narrow_sign(s, ps):
 
 
 def pwv_marginal(scheme, state):
-    """Weak-valued distribution of the transfer p_f - p_i at the state's grid.ps.
+    """Weak-valued distribution of the transfer p_f - p_i on the state's momentum grid.
 
-    Dispatch:  kick-form schemes return their exact classical atoms; the
-    sign measurement on narrow slits returns the closed form, which holds
-    for any slit amplitudes and any channel basis; everything else goes
-    through the characteristic function.
+    The sign measurement on narrow slits returns the closed form, which
+    holds for any slit amplitudes and any channel basis; everything else,
+    kick schemes too, is the distribution of the characteristic function.
     """
-    if scheme.kick_terms is not None:
-        return classical_transfer(scheme, state.grid.ps)
     if not state.is_grid and scheme.base == "sign":
         return pwv_narrow_sign(state.s, state.grid.ps)
-    chi = char_fn(scheme, state)
-    return distribution_from_chi(chi)
+    return distribution_from_chi(char_fn(scheme, state))
 
 
 # --- joint table ---------------------------------------------------------

@@ -1,5 +1,7 @@
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -64,6 +66,7 @@ O = theta(-x)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GRID_CONFIGS = ("sign", "kick_pair", "phase_ramp", "sew_flat")
 MIB = 2 ** 20
 
@@ -348,6 +351,29 @@ def test_cmd_pwv_narrow_samples_the_config_grid(tmp_path):
     assert main(["pwv", "--config", cfg, "--out", str(out)]) == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert [r.split(",")[0] for r in rows] == [FMT % p for p in make_grid(-4, 4, 1024).ps]
+
+
+NARROW_SEW_OFF_CENTRE_CFG = """
+[grid]
+xmin = -7
+xmax = 9
+n = 4096
+
+[state]
+kind = narrow
+s = 1.0
+
+[scheme]
+builtin = sew_flat
+w = s/4
+"""
+
+
+@pytest.mark.parametrize("command", ["pwv", "support", "audit"])
+def test_narrow_state_grid_need_not_be_centred(tmp_path, capsys, command):
+    cfg = write(tmp_path, "sew_narrow.cfg", NARROW_SEW_OFF_CENTRE_CFG)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_narrow_sign_closed_form_holds_for_unequal_amplitudes(tmp_path, capsys):
@@ -802,3 +828,37 @@ def test_out_file_mode_follows_umask(tmp_path):
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o644
     assert [p.name for p in tmp_path.iterdir()] == ["check.txt"]
+
+
+def run_console(*args):
+    """`wwm <args>` in a fresh interpreter: (exit code, stdout, stderr), with
+    numpy's warning text on stderr as a console would show it."""
+    done = subprocess.run(
+        [sys.executable, "-m", "wwm.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("scaled, plain", [("1e200, 2e200", "1, 2"), ("1e-200, 1e-200", "1, 1")])
+def test_amplitudes_are_scale_free(tmp_path, scaled, plain):
+    """Amplitudes whose squares leave the float range normalize like their
+    plain multiples (they printed an overflow warning and exited 1, or read
+    as vanishing)."""
+    runs = []
+    for amplitudes in (scaled, plain):
+        text = WIGNER_CFG.replace("[state]\n", f"[state]\namplitudes = {amplitudes}\n")
+        assert f"amplitudes = {amplitudes}" in text
+        runs.append(run_console("pwv", "--config", write(tmp_path, "amp.cfg", text)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == ""
+
+
+def test_simulate_overflow_writes_one_stderr_line():
+    """numpy's overflow warnings in the shot tasks and the statistics stay off
+    stderr: only the refusal reaches it."""
+    args = ("simulate", "--config", str(CONFIGS / "sign.cfg"), "--sigma", "1e155", "--shots", "50")
+    assert run_console(*args) == (1, "", "wwm: simulate statistics are not finite at sigma = 1e+155\n")

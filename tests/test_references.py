@@ -238,3 +238,20 @@ def test_moments_on_a_box_not_centred_on_0(tmp_path):
     values = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:5]])
     _, _, exact, wide_fft, half_fft, _ = MOMENT_CASES["sign"]
     assert np.all(np.abs(values - exact) < 2 * np.maximum(wide_fft, half_fft))
+
+
+# max |density - exact| of `wwm pwv` on the sign config's [-9, 8] box
+OFF_CENTRE_MEASURED = 2.30e-7
+
+
+def test_pwv_support_and_audit_on_a_box_not_centred_on_0(tmp_path):
+    """chi is sampled on the lags q = (m - n/2) dx wherever the box sits, so
+    `pwv`, `support` and `audit` run on [-9, 8], and pwv's density meets the
+    closed form there as on the shipped box (5.42e-7 at dx = 16/4096)."""
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text(SIGN_CFG.format(lo=-9, hi=8, s=S, a=A))
+    for command in ("pwv", "support", "audit"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / f"{command}.csv")]) == 0
+    rows = [line for line in (tmp_path / "pwv.csv").read_text().splitlines() if line[0] != "#"]
+    ps, _, density, _ = np.array([[float(v) for v in row.split(",")] for row in rows[1:]]).T
+    assert np.max(np.abs(density - exact_density(ps))) < ERROR_FACTOR * OFF_CENTRE_MEASURED

@@ -370,14 +370,13 @@ def test_wigner_kernel_kicks_share_the_dual_grid(box, sign, kick_pair):
 
 
 @pytest.mark.parametrize("step", [-1, 1])
-def test_distribution_from_chi_needs_q0_at_n_over_2(wgrid, step):
+def test_characteristic_function_needs_q0_at_its_middle_sample(wgrid, step):
     n = wgrid.n
     qs = wgrid.dx * np.arange(-n // 2, n // 2)
     centred = distribution_from_chi(transfer.CharacteristicFunction(qs, np.ones(n, complex)))
     assert centred.atoms == [(0.0, 1.0)] and not centred.density.any()
-    shifted = transfer.CharacteristicFunction(qs + step * wgrid.dx, np.ones(n, complex))
-    with pytest.raises(WWMError, match=f"q = 0 is sample {n // 2 - step}, not n/2 = {n // 2}"):
-        distribution_from_chi(shifted)
+    with pytest.raises(WWMError, match=f"q = 0 is not the middle sample {n // 2} of the q grid"):
+        transfer.CharacteristicFunction(qs + step * wgrid.dx, np.ones(n, complex))
 
 
 def test_wigner_identity_all_builtins(wgrid, wstate, identity, sign, sew):

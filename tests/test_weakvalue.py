@@ -3,9 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wwm.errors import StateError
-from wwm.grid import bin_indices
-from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
+from wwm.errors import CompletenessError, StateError
+from wwm.grid import bin_indices, make_grid
+from wwm.scheme import Channel, Scheme, builtin, haar_unitary, parse_scheme, rebase
 from wwm.simulate import default_bins
 from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density, narrow_twin_slits
 from wwm.transfer import (
@@ -297,3 +297,22 @@ def test_damped_pv_kernel_closed_form():
         ) / (2 * np.pi)
         closed = damped_pv_kernel(np.array([p0]), lam)[0] - 1.0 / (np.pi * p0)
         assert abs(direct - (-1j) * closed) < 1e-8
+
+
+def test_kick_pwv_passes_the_chi_checks(state_a20):
+    """A kick scheme's marginal is its atoms read off chi, so a scheme whose
+    kick_terms do not match its channels is refused like any incomplete one."""
+    half = Scheme([Channel(lambda x: np.sqrt(0.5) * np.exp(2j * x))], "kicks", [(1.0, 2.0)])
+    with pytest.raises(CompletenessError):
+        pwv_marginal(half, state_a20)
+
+
+@pytest.mark.parametrize("box", [(-8.3, 8.3), (-7, 9.1)])
+def test_dual_grid_is_the_momentum_grid_on_a_non_dyadic_box(box, sign, kick_pair):
+    """chi's dq is read from its end samples, so pwv's p samples are grid.ps to
+    rounding where dx is not dyadic (qs[1] - qs[0] put them 8.8e-14 off, relative)."""
+    grid = make_grid(*box, 4096)
+    state = gaussian_twin_slits(S, S / 50, grid)
+    for scheme in (sign, kick_pair):
+        ps = pwv_marginal(scheme, state).ps
+        assert np.max(np.abs(ps - grid.ps)) <= 4 * np.spacing(np.max(np.abs(grid.ps)))
