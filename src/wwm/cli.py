@@ -9,7 +9,9 @@ momentum-dist.  `main` builds the scheme and a state of the config's
 writes the text to the output path, or stdout when none is set, and then
 prints the report, if any, to stdout.  CSV output uses %.12e formatting
 with point masses as leading `# atom,<location>,<weight>` comment lines,
-and is written atomically (temp file + rename).  Exit codes: 0 success, 1
+and is written atomically (temp file + rename).  `wigner` leads with its
+slice x (default s/2), the residual of W_f = K (*)_p W_i at that slice for
+the kernel K it prints, and K's PV coefficient.  Exit codes: 0 success, 1
 validation failure or library warning (chi not settling at the box
 edges), 2 parse error.
 """
@@ -29,7 +31,7 @@ from .simulate import MCConfig, default_bins, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import (
     WIGNER_IDENTITY_TOL, asymptote_split, char_fn, moment_qs, moments, phi_dq, support_metric,
-    support_widths, verify_wigner_identity, wigner_kernel,
+    support_widths, wigner_kernel, wigner_slice_residual,
 )
 # pwv_joint is called by no command: perfbench/traced_job.py reads cli.pwv_joint (ROADMAP 1)
 from .weakvalue import pwv_joint, pwv_marginal  # noqa: F401
@@ -170,18 +172,22 @@ def cmd_audit(cfg, args, scheme, state):
 
 
 def cmd_wigner(cfg, args, scheme, state):
-    x = cfg.wigner_x if cfg.wigner_x is not None else cfg.s / 4.0
+    x = cfg.wigner_x if cfg.wigner_x is not None else cfg.s / 2.0
     if not np.isfinite(x):
         raise WWMError(f"wigner slice x must be a finite number, got {x}")
     dist = wigner_kernel(scheme, x, state.grid)
-    residual = verify_wigner_identity(scheme, state)
+    if not np.all(np.isfinite(dist.density)):
+        raise WWMError(f"wigner kernel density at x = {x} is not finite")
+    residual = wigner_slice_residual(scheme, state, x, dist)
     if not residual < WIGNER_IDENTITY_TOL:  # NaN too
         raise WWMError(
             f"wigner identity residual {residual:.3e} is not below {WIGNER_IDENTITY_TOL:.0e}"
         )
-    if not np.all(np.isfinite(dist.density)):
-        raise WWMError(f"wigner kernel density at x = {x} is not finite")
-    lead = [f"x,{FMT % x}", f"identity_residual,{FMT % residual}"]
+    lead = [
+        f"x,{FMT % x}",
+        f"identity_residual,{FMT % residual}",
+        f"pv_coefficient,{FMT % dist.pv_coefficient}",
+    ]
     return _dist_csv(dist, cfg.s, lead), 0
 
 

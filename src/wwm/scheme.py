@@ -64,8 +64,10 @@ class Scheme:
         """sum_xi O_xi(a) * conj(O_xi(b)) elementwise over broadcast a, b.
 
         Positions only: s is bound at build time.  This rebasing-invariant
-        combination is how schemes enter every distribution in the package;
-        the Wigner identity check forms it from lattice samples of evaluate().
+        combination is how schemes enter every distribution in the package.
+        The Wigner checks form it from samples of evaluate() instead: the
+        slice check from the conditioned states on the grid, so that it meets
+        wigner_kernel's contraction only through the identity it tests.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)

@@ -52,6 +52,7 @@ class MixedDistribution:
     atoms: list  # [(location, signed weight)], sorted, distinct
     ps: np.ndarray  # uniform momentum samples (may be empty)
     density: np.ndarray  # signed density at ps
+    pv_coefficient: float = 0.0  # c of the damped PV tail c D(p) in density (tail_split)
 
     def __post_init__(self):
         self.ps = np.asarray(self.ps, dtype=float)
@@ -170,24 +171,46 @@ def damped_pv_kernel(ps, lam):
     return out
 
 
-def tail_split(xs, values, what, ps):
-    """Split the constant-plus-step tails off samples before a transform.
-
-    The constant becomes the point mass at zero transfer; the step is
-    subtracted along tanh(x/lambda), whose transform is added back at ps
-    as the damped 1/p term.  Returns (atoms, remainder, tail_density): the
-    caller transforms the remainder and adds tail_density to the result.
-    The atom is returned whatever its weight; MixedDistribution drops it
-    when negligible.
-    """
+def _tail_width(qs):
     # lambda is small enough that tanh is fully settled at the box edges
     # (tanh(10) differs from 1 by 4e-9), wide enough that its transform,
     # (lambda/2) csch(pi lambda p / 2), is resolved on the dual grid
-    lam = float(xs[-1] - xs[0]) / 20.0
+    return float(qs[-1] - qs[0]) / 20.0
+
+
+def tail_split(xs, values, what):
+    """Split the constant-plus-step tails off samples before a transform.
+
+    The constant becomes the point mass at zero transfer; the step is
+    subtracted along tanh(x/lambda), whose transform the caller adds back
+    as c times the damped 1/p term, c = Re(-i odd_const) the PV coefficient.
+    Returns (atoms, remainder, c): the caller transforms the remainder.
+    The atom is returned whatever its weight; MixedDistribution drops it
+    when negligible.
+    """
     even_c, odd_c, _ = asymptote_split(values, what)
-    remainder = values - even_c - odd_c * np.tanh(xs / lam)
-    tail_density = np.real(-1j * odd_c) * damped_pv_kernel(ps, lam)
-    return [(0.0, float(np.real(even_c)))], remainder, tail_density
+    remainder = values - even_c - odd_c * np.tanh(xs / _tail_width(xs))
+    return [(0.0, float(np.real(even_c)))], remainder, float(np.real(-1j * odd_c))
+
+
+def _transform(values, dq):
+    """(1/2pi) sum_m values[m] exp(-i p q_m) dq, real part, at the dual grid's ps:
+    samples q ascending with q = 0 at n/2, momenta likewise."""
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)).real) * (dq / (2 * np.pi))
+
+
+def lattice_pv_term(chi):
+    """Lattice transform of i tanh(q/lambda) on chi.qs minus its damped
+    continuum transform at chi.ps, lambda as tail_split takes it.
+
+    A distribution from chi carries its tail step as pv_coefficient times the
+    continuum term; on the lattice that step transforms to pv_coefficient
+    times (continuum term + this).  Applying the distribution on the dual
+    grid without it misses by the first-order term -(c/pi)(dp/2) d/dp of
+    what it is applied to, which falls only as 1/L with the box.
+    """
+    lam = _tail_width(chi.qs)
+    return _transform(1j * np.tanh(chi.qs / lam), chi.dq) - damped_pv_kernel(chi.ps, lam)
 
 
 def distribution_from_chi(chi, what="chi"):
@@ -200,9 +223,10 @@ def distribution_from_chi(chi, what="chi"):
     ps = chi.ps
     if chi.kick_terms is not None:
         return classical_transfer(chi, ps)
-    atoms, remainder, tail_density = tail_split(chi.qs, chi.values, what, ps)
-    density = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(remainder)).real) * (chi.dq / (2 * np.pi))
-    return MixedDistribution(atoms, ps, density + tail_density)
+    atoms, remainder, pv = tail_split(chi.qs, chi.values, what)
+    density = _transform(remainder, chi.dq)
+    tail_density = pv * damped_pv_kernel(ps, _tail_width(chi.qs))
+    return MixedDistribution(atoms, ps, density + tail_density, pv)
 
 
 _REFINE = 4  # oversampling of the x quadrature on the lattice route
@@ -432,11 +456,67 @@ def wigner_kernel(scheme, x, grid):
     return distribution_from_chi(chi, f"wigner kernel tail at x={x}")
 
 
+def _fourier_shifted(values, f):
+    """Band-limited samples at x_k + f dx from samples at the lattice x_k (last axis)."""
+    if f == 0:
+        return values
+    return np.fft.ifft(np.fft.fft(values) * np.exp(2j * np.pi * np.fft.fftfreq(values.shape[-1]) * f))
+
+
+def wigner_slice_residual(scheme, state, x, kernel):
+    """max |W_i (*)_p K - W_f| at the slice x, in Wigner units, for the kernel
+    K = wigner_kernel(scheme, x, state.grid) that `wwm wigner` prints.
+
+    On K's lags q = 2 dx m, m = -n/2 ... n/2 - 1, each Wigner row at x is the
+    transform (distribution_from_chi's) of pair products
+    B[e](q) = e(x + q/2) conj(e(x - q/2)): W_i of psi, W_f of the conditioned
+    states O_xi psi summed over channels.  Both read the grid samples, zero
+    outside the box; for an x off the lattice, one Fourier shift moves them
+    to x_k + f dx.  Convolving W_i with K on the dual grid is, by the
+    convolution theorem, transforming B[psi] times K's inverse transform:
+    its density with pv_coefficient times lattice_pv_term added, plus
+    w exp(i k q) per atom (k, w), on the dual grid or off it.  So one
+    transform of the difference gives the residual.  The channels reach W_f
+    through the grid and K through its own samples at x +- q/2, so this
+    checks K's sampling, tail split and transform.  O(n log n) time,
+    O(n) memory per channel, no threads.
+    """
+    state.require_grid("wigner_slice_residual")
+    require_complete(scheme, state)
+    grid, n = state.grid, state.grid.n
+    m = np.arange(-n // 2, n // 2)
+    lattice = CharacteristicFunction(2 * grid.dx * m, None)  # K's lags and their dual grid
+    if kernel.ps.shape != m.shape or not np.allclose(kernel.ps, lattice.ps, rtol=0, atol=1e-9 * kernel.dp):
+        raise WWMError("wigner kernel momenta are not the dual grid of the slice's lags")
+    # a slice a box width or more outside reads only zeros, wherever it lies
+    pos = (min(max(x, grid.x_min - grid.length), grid.x_max + grid.length) - grid.x_min) / grid.dx
+    j = np.floor(pos)
+    plus, minus = int(j) + m, int(j) - m
+    inside = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
+
+    def pairs(e):
+        e = _fourier_shifted(e, pos - j)
+        out = np.zeros(e.shape[:-1] + (n,), dtype=complex)
+        out[..., inside] = e[..., plus[inside]] * np.conj(e[..., minus[inside]])
+        return out
+
+    density = kernel.density + kernel.pv_coefficient * lattice_pv_term(lattice)
+    k_q = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(density))) * (n * kernel.dp)
+    for loc, w in kernel.atoms:
+        k_q += w * np.exp(1j * loc * lattice.qs)
+    final = pairs(scheme.evaluate(grid.xs) * state.values).sum(axis=0)
+    return float(np.max(np.abs(_transform(pairs(state.values) * k_q - final, lattice.dq))))
+
+
 WIGNER_IDENTITY_TOL = 1e-6  # criterion 10: largest residual a sound check may leave
 
 
 def verify_wigner_identity(scheme, state):
     """Upper bound on max |W_direct - W_conv| of the final Wigner function.
+
+    A reference off the CLI path: `wwm wigner` runs wigner_slice_residual on
+    the kernel it prints.  The tests and the benchmark's traced layers read
+    this full-grid check.
 
     W_f = K (*)_p W_i, and each Wigner row is a transform in u of pair
     products B[e][j, m] = e(x_j + u_m) conj(e(x_j - u_m)), so by the
@@ -453,7 +533,8 @@ def verify_wigner_identity(scheme, state):
     for any samples, so the identity holds term by term (the distributive
     law) and the residual measures rounding: the check guards only its own
     index arithmetic.  The channel sampling and the density wigner_kernel
-    returns at one slice x are on neither side.
+    returns at one slice x are on neither side (wigner_slice_residual
+    checks that density).
 
     Rows run in blocks, one thread per usable core; no n x n array is held.
     Only rows in the index hull [lo, hi] of psi's nonzero samples are

@@ -18,7 +18,7 @@ from wwm.scheme import Scheme, builtin
 from wwm.simulate import (
     MCConfig, default_bins, deterministic_cells, run_reference, run_weak_experiment
 )
-from wwm.transfer import verify_wigner_identity
+from wwm.transfer import verify_wigner_identity, wigner_kernel, wigner_slice_residual
 from wwm.weakvalue import conditional_cells, pwv_joint, pwv_narrow_sign
 
 SIGN_CFG = """
@@ -227,7 +227,7 @@ UNSETTLED_RUNS = {
     "audit": CHI_UNSETTLED,
     "wigner": (
         SIGN_CFG.replace("builtin = sign", "O = exp(i*x^2)"),
-        "wigner kernel tail at x=0.25" + UNSETTLED.format("4.42e-01"),
+        "wigner kernel tail at x=0.5" + UNSETTLED.format("7.80e-01"),
     ),
 }
 
@@ -617,12 +617,18 @@ def test_cmd_wigner(tmp_path):
     lines = out.read_text().splitlines()
     residual = float(next(l for l in lines if l.startswith("# identity_residual")).split(",")[1])
     assert residual < 1e-14
+    # the default slice is x = s/2, where psi lives; the PV coefficient follows the residual
+    assert main(["wigner", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"# x,{FMT % 0.5}"
+    assert lines[1].startswith("# identity_residual,") and float(lines[1].split(",")[1]) < 1e-12
+    assert lines[2] == f"# pv_coefficient,{FMT % 0.0}"
 
 
 def test_cmd_wigner_exits_1_when_the_identity_fails(tmp_path, monkeypatch, capsys):
     """A finite residual above criterion 10's bound fails like a NaN one:
     one `wwm:` line, exit 1, no output file."""
-    monkeypatch.setattr(cli, "verify_wigner_identity", lambda scheme, state: 1e-3)
+    monkeypatch.setattr(cli, "wigner_slice_residual", lambda scheme, state, x, kernel: 1e-3)
     cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
     out = tmp_path / "wig.csv"
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
@@ -657,30 +663,36 @@ def nan_contraction(original):
     return contraction
 
 
-def nan_lattice_sample(original):
-    """Scheme.evaluate that writes NaN into every channel's sample at X_NAN.
+def nan_lattice_sample(original, at):
+    """Scheme.evaluate that writes NaN into every channel's sample at `at`.
 
-    Only the identity check's lattice call reaches X_NAN, so one row of
-    one block goes NaN and the others stay finite: a fold that drops a NaN
-    block result, or a block maximum that skips NaN entries, returns a
+    At X_NAN only the identity check's lattice call reaches it, so one row
+    of one block goes NaN and the others stay finite: a fold that drops a
+    NaN block result, or a block maximum that skips NaN entries, returns a
     finite residual.
     """
 
     def evaluate(self, x):
         out = original(self, x)
-        out[..., np.asarray(x) == X_NAN] = np.nan
+        out[..., np.asarray(x) == at] = np.nan
         return out
 
     return evaluate
 
 
 def test_wigner_nan_row_is_not_swallowed(tmp_path, monkeypatch):
-    monkeypatch.setattr(Scheme, "evaluate", nan_lattice_sample(Scheme.evaluate))
+    evaluate = Scheme.evaluate
+    sign = builtin("sign")
     cfg = write(tmp_path, "sign.cfg", WIGNER_CFG)
     state = build_state(parse_config(WIGNER_CFG))
     (at_nan_row,) = state.values[state.grid.xs == X_NAN_ROW]
     assert at_nan_row != 0 and not np.any(state.values[state.grid.xs > X_NAN_ROW])
-    assert np.isnan(verify_wigner_identity(builtin("sign"), state))
+    monkeypatch.setattr(Scheme, "evaluate", nan_lattice_sample(evaluate, X_NAN))
+    assert np.isnan(verify_wigner_identity(sign, state))
+    # the slice at the default x = s/2 reads the grid samples within n/2 = 512
+    # of its own, psi's last nonzero one at X_NAN_ROW among them
+    monkeypatch.setattr(Scheme, "evaluate", nan_lattice_sample(evaluate, X_NAN_ROW))
+    assert np.isnan(wigner_slice_residual(sign, state, 0.5, wigner_kernel(sign, 0.5, state.grid)))
     out = tmp_path / "wig.csv"
     assert main(["wigner", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
@@ -694,18 +706,21 @@ def test_cmd_wigner_rejects_nonfinite_kernel(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("pole, code", [(11.0, 0), (8.50390625, 1)])
+@pytest.mark.parametrize("pole, code", [(11.0, 0), (8.50390625, 0), (8.49609375, 1)])
 def test_wigner_evaluates_channels_only_where_rows_reach(tmp_path, capsys, pole, code):
-    """O = exp(i*theta(x - 8.3)/(x - pole)) is singular at one lattice point of
-    SIGN_CFG's grid, and equals 1 wherever the printed kernel reaches
-    (x +- u < 8.25), so that kernel settles at the box edges.
+    """O = exp(i*theta(x - 8.501953125)/(x - pole)) is singular at one lattice
+    point of SIGN_CFG's grid, and equals 1 wherever the printed kernel
+    reaches, so that kernel settles at the box edges.
 
-    The identity check's kernel rows reach about [-9.6, 9.6], n/2 samples
-    beyond the state's support: x = 11 lies outside that reach (and outside
-    the scheme probe's [-10, 10]), so nothing may evaluate or warn there;
-    x = 8.50390625 lies inside it and must end the run with a message.
+    The kernel and the slice check at the default x = 0.5 reach the points
+    x +- m dx, |m| <= n/2, that is [-7.5, 8.5]; the check reads the channels
+    only on the grid.  x = 11 lies outside that reach (and outside the
+    scheme probe's [-10, 10]), and so does x = 8.50390625, one step past
+    it: nothing may evaluate or warn there.  x = 8.49609375, one step inside
+    the reach's end and off the probe's samples, must end the run with a
+    message.
     """
-    scheme = f"O = exp(i*theta(x-8.3)/(x-{pole!r}))"
+    scheme = f"O = exp(i*theta(x-8.501953125)/(x-{pole!r}))"
     cfg = write(tmp_path, "pole.cfg", SIGN_CFG.replace("builtin = sign", scheme))
     out = tmp_path / "wig.csv"
     with warnings.catch_warnings(record=True) as caught:

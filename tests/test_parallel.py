@@ -165,27 +165,19 @@ def fail_one_bin(landing_bins):
     return faulty
 
 
-@pytest.mark.parametrize("where", ["mc bin", "wigner block"])
-def test_worker_fault_ends_the_cli_with_a_message(tmp_path, monkeypatch, capsys, where):
+def test_worker_fault_ends_the_cli_with_a_message(tmp_path, monkeypatch, capsys):
     """Channels are evaluated in the calling thread, so the fault is put
-    into one worker task: one MC bin's landing search, or one task of the
-    Wigner check."""
-    if where == "mc bin":
-        landing_bins = simulate._ShotTables.landing_bins
-        monkeypatch.setattr(simulate._ShotTables, "landing_bins", fail_one_bin(landing_bins))
-        message = "fault in MC bin 5"
-    else:
-        message = f"fault in one {where}"
-        monkeypatch.setattr(transfer, "map_threads", fail_one_task(transfer, WWMError(message)))
-    command = "wigner" if where == "wigner block" else "simulate"
+    into one worker task: one MC bin's landing search."""
+    landing_bins = simulate._ShotTables.landing_bins
+    monkeypatch.setattr(simulate._ShotTables, "landing_bins", fail_one_bin(landing_bins))
     out = tmp_path / "out.csv"
-    argv = [command, "--config", str(CONFIGS / "sign.cfg"), "--out", str(out), "--shots", "200"]
+    argv = ["simulate", "--config", str(CONFIGS / "sign.cfg"), "--out", str(out), "--shots", "200"]
     codes = []
     runner = threading.Thread(target=lambda: codes.append(main(argv)))
     runner.start()
     runner.join(timeout=120)
     assert not runner.is_alive() and codes == [1]
-    assert capsys.readouterr().err == f"wwm: {message}\n"
+    assert capsys.readouterr().err == "wwm: fault in MC bin 5\n"
     assert not list(tmp_path.iterdir())  # no output file, no temp file
 
 
@@ -196,6 +188,16 @@ def test_joint_block_fault_reaches_the_caller_unchanged(monkeypatch, sign, state
     monkeypatch.setattr(weakvalue, "map_threads", fail_one_task(weakvalue, fault))
     with pytest.raises(WWMError) as caught:
         pwv_joint(sign, state)
+    assert caught.value is fault
+
+
+def test_wigner_block_fault_reaches_the_caller_unchanged(monkeypatch, sign, state):
+    """`wwm wigner` checks its slice in the calling thread; the full-grid
+    check's worker fault is checked on a direct call, as the joint table's."""
+    fault = WWMError("fault in one wigner block")
+    monkeypatch.setattr(transfer, "map_threads", fail_one_task(transfer, fault))
+    with pytest.raises(WWMError) as caught:
+        transfer.verify_wigner_identity(sign, state)
     assert caught.value is fault
 
 
