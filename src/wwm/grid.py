@@ -52,6 +52,11 @@ class GridSpec:
         """Momentum samples in ascending order, [-pi/dx, pi/dx)."""
         return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(self.n, d=self.dx))
 
+    @cached_property
+    def forward_phase(self):
+        """fourier_values' factor dx / sqrt(2 pi) * exp(-i x_min p) on ps."""
+        return self.dx / SQRT_2PI * np.exp(-1j * self.x_min * self.ps)
+
     def refined(self, factor):
         """Same interval sampled `factor` times more densely.
 
@@ -90,7 +95,7 @@ def fourier_values(grid, values):
     Matches grid.ps ordering.
     """
     spectrum = np.fft.fftshift(np.fft.fft(values))
-    return grid.dx / SQRT_2PI * np.exp(-1j * grid.x_min * grid.ps) * spectrum
+    return grid.forward_phase * spectrum
 
 
 def inverse_fourier_values(grid, values):

@@ -1,4 +1,8 @@
-"""The package's one thread pool: one thread per usable core."""
+"""The package's one thread pool: one thread per usable core.
+
+Its callers are the two row-blocked reference kernels, `pwv_joint` and
+`verify_wigner_identity`; no command runs either.  The commands, the
+Monte Carlo included, work in the calling thread."""
 
 import os
 

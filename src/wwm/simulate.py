@@ -21,8 +21,9 @@ Randomness: one counter-based Philox stream per (seed, bin), from which a
 bin's shots consume a fixed layout (all S first, then the channel
 uniforms, then the p_f uniforms).  The fast path streams that layout in
 chunks of _SHOT_CHUNK shots, so its memory does not grow with the shot
-count and any chunk size gives the same bits.  Each bin is one thread
-task writing only its own rows, so no bit depends on the core count.
+count and any chunk size gives the same bits.  The bins run one after
+another in the calling thread; since each has its own stream, no bit
+depends on the order they run in.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ import numpy as np
 
 from .errors import WWMError
 from .grid import BIN_SPAN, EMPTY_BIN_MASS, bin_indices, fourier_values, inverse_fourier_values
-from .parallel import map_threads
 from .scheme import require_complete
 
 
@@ -109,7 +109,9 @@ def back_action(grid, psi, p_bin, S, sigma):
 class _ShotTables:
     """Per-(channel, bin) quadratic-form coefficients for the fast path,
     kept only as the reductions read: channel totals, cumulative masses
-    just before the searched p_f edges, and the mass in each p_f bin."""
+    just before the searched p_f edges, and the mass in each p_f bin.
+    Each n-point mass row is reduced as soon as it exists, one channel
+    at a time, so no (channels x n) array is held."""
 
     def __init__(self, scheme, state, cfg):
         state.require_grid("run_weak_experiment")
@@ -119,45 +121,59 @@ class _ShotTables:
         dp = grid.dp
         psit = fourier_values(grid, state.values)
         chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
-        self.n_ch = len(chan_vals)
+        self.n_ch = n_ch = len(chan_vals)
         nb, nc = cfg.n_i, cfg.n_f
 
         # A shot lands at or beyond p_f edge k when its channel's cumulative
         # mass just before the edge's first grid index is below its target.
         # Edges at index 0 are always passed; edges at index n never are
         # (the grid inversion tops out at n - 1).  Only the edges between
-        # are searched, through the cumulative tables sampled there.
+        # are searched, through the cumulative tables sampled there, padded
+        # to 2^k - 1 columns with cu = +inf and cv = cw = 0: no shot passes
+        # a pad column, so the bisection needs no range test.
         first = np.searchsorted(grid.ps, cfg.p_f_edges, side="left")
         self.edge_lo = int(np.sum(first == 0))
         self.edge_hi = int(np.sum(first < grid.n))
         before = first[self.edge_lo : self.edge_hi] - 1
+        m = before.size
+        self.width = (1 << m.bit_length()) - 1
         f_bins = bin_indices(cfg.p_f_edges, grid.ps)
         valid = f_bins >= 0
 
-        def reduced(masses):  # (n_ch, n) -> totals, edge cumulatives, p_f-bin masses
-            cum = np.cumsum(masses, axis=1)
-            cells = np.bincount(f_bins[valid], weights=masses[:, valid].sum(axis=0), minlength=nc)
-            return cum[:, -1], cum[:, before], cells
+        def fold(row, summed):  # one channel's mass row -> its total and edge cumulatives
+            summed += row  # the channels' mass per grid point, added in channel order
+            np.cumsum(row, out=row)
+            return row[-1], row[before]
 
-        g = np.stack([fourier_values(grid, cv * state.values) for cv in chan_vals])  # (n_ch, n)
-        self.na, self.cu_edges, self.u_cells = reduced(np.abs(g) ** 2 * dp)
+        def cells(summed):  # p_f-bin masses of the channel-summed row
+            return np.bincount(f_bins[valid], weights=summed[valid], minlength=nc)
+
+        g = [fourier_values(grid, cv * state.values) for cv in chan_vals]
+        self.na = np.empty(n_ch)
+        self.cu_edges = np.full((n_ch, self.width), np.inf)
+        summed = np.zeros(grid.n)
+        for ch, g_ch in enumerate(g):
+            self.na[ch], self.cu_edges[ch, :m] = fold(np.abs(g_ch) ** 2 * dp, summed)
+        self.u_cells = cells(summed)
+
         self.expectations = np.empty(nb)
-        self.nv, self.nw = np.empty((2, nb, self.n_ch))
-        self.cv_edges, self.cw_edges = np.empty((2, nb, self.n_ch, before.size))
+        self.nv, self.nw = np.empty((2, nb, n_ch))
+        self.cv_edges, self.cw_edges = np.zeros((2, nb, n_ch, self.width))
         self.v_cells, self.w_cells = np.empty((2, nb, nc))
         i_bins = bin_indices(cfg.p_i_edges, grid.ps)
-
-        def bin_rows(b):  # writes only row b of every per-bin table
+        for b in range(nb):
             mask = i_bins == b
             self.expectations[b] = np.sum(np.abs(psit[mask]) ** 2) * dp
             phi_pos = inverse_fourier_values(grid, mask * psit)
-            h = np.stack([fourier_values(grid, cv * phi_pos) for cv in chan_vals])
-            self.nv[b], self.cv_edges[b], self.v_cells[b] = reduced(
-                2.0 * np.real(np.conj(g) * h) * dp
-            )
-            self.nw[b], self.cw_edges[b], self.w_cells[b] = reduced(np.abs(h) ** 2 * dp)
-
-        map_threads(bin_rows, range(nb))
+            v_summed, w_summed = np.zeros((2, grid.n))
+            for ch, (g_ch, cv) in enumerate(zip(g, chan_vals)):
+                h = fourier_values(grid, cv * phi_pos)
+                self.nv[b, ch], self.cv_edges[b, ch, :m] = fold(
+                    2.0 * np.real(np.conj(g_ch) * h) * dp, v_summed
+                )
+                self.nw[b, ch], self.cw_edges[b, ch, :m] = fold(np.abs(h) ** 2 * dp, w_summed)
+                del h  # before the next channel's transform
+            self.v_cells[b], self.w_cells[b] = cells(v_summed), cells(w_summed)
 
     def landing_bins(self, b, picked, a2, ab, b2, targets):
         """p_f bin of each shot: the last edge passed, by bisection.
@@ -166,26 +182,24 @@ class _ShotTables:
         passed edges are a prefix.  Returns -1 below the first edge and
         n_f at or beyond the last, i.e. outside every p_f bin.
         """
-        m = self.edge_hi - self.edge_lo
+        width = self.width
         cu, cv, cw = self.cu_edges.ravel(), self.cv_edges[b].ravel(), self.cw_edges[b].ravel()
-        row = picked * m
-        count = np.zeros(picked.shape, dtype=np.int64)  # searched edges passed
-        step = 1 << m.bit_length()
+        row = picked * width
+        at = row.copy()  # flat index of the picked row's first edge not yet passed
+        step = width + 1
         while step > 1:
             step >>= 1
-            # Test edge count + step - 1; a lane moves only if it is in range
-            # and passed, so the count never overshoots the passed prefix.
-            col = count + (step - 1)
-            inside = col < m
-            at = row + np.minimum(col, m - 1)
-            vals = a2 * cu[at] + ab * cv[at] + b2 * cw[at]
-            count += step * (inside & (vals < targets))
-        return count + (self.edge_lo - 1)
+            # Test edge at + step - 1; the lane moves past it when passed,
+            # so `at` never overshoots the passed prefix nor leaves its row.
+            col = at + (step - 1)
+            vals = a2 * cu[col] + ab * cv[col] + b2 * cw[col]
+            at += step * (vals < targets)
+        return at - row + (self.edge_lo - 1)
 
 
 # Shots per streamed chunk: bounds the fast path's working set, whatever
-# shots_per_bin is.  Any value gives the same bits.
-_SHOT_CHUNK = 2 ** 14
+# shots_per_bin is (a chunk's arrays are 32 KiB).  Any value gives the same bits.
+_SHOT_CHUNK = 2 ** 12
 
 
 def _philox(cfg, b):
@@ -223,50 +237,49 @@ def _draw_chunks(cfg, b):
 
 
 def run_weak_experiment(scheme, state, cfg):
-    """Run the full protocol; vectorized over each chunk of a bin's shots."""
+    """Run the full protocol in the calling thread, bin by bin; vectorized
+    over each chunk of a bin's shots."""
     tables = _ShotTables(scheme, state, cfg)
-    n_ch = tables.n_ch
-    nb, nc = cfg.n_i, cfg.n_f
-    size = nc * n_ch
-    sum_r = np.zeros((nb, nc, n_ch))
-    sum_r2 = np.zeros((nb, nc))
-    counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
-    overflow = np.zeros(nb, dtype=np.int64)
-
-    @np.errstate(over="ignore")  # per task: a huge sigma overflows r**2; the CLI refuses it
-    def run_bin(b):  # writes only row b of the sums, counts and overflow
-        for S, u_channel, u_pf in _draw_chunks(cfg, b):
-            lam = S / (2.0 * cfg.sigma)
-            alpha = 1.0 - lam * tables.expectations[b]
-            beta = lam
-            a2, ab, b2 = alpha * alpha, alpha * beta, beta * beta
-            probs = (
-                a2[None, :] * tables.na[:, None]
-                + ab[None, :] * tables.nv[b][:, None]
-                + b2[None, :] * tables.nw[b][:, None]
-            )  # (n_ch, shots)
-            cum = np.cumsum(probs, axis=0)
-            total = cum[-1]
-            targets = u_channel * total
-            picked = np.minimum((cum < targets[None, :]).sum(axis=0), n_ch - 1)
-            t2 = u_pf * (
-                a2 * tables.na[picked] + ab * tables.nv[b][picked] + b2 * tables.nw[b][picked]
-            )
-            c_bin = tables.landing_bins(b, picked, a2, ab, b2, t2)
-
-            r = tables.expectations[b] + cfg.sigma * S
-            ok = (c_bin >= 0) & (c_bin < nc)
-            overflow[b] += int((~ok).sum())
-            flat = c_bin[ok] * n_ch + picked[ok]
-            counts_ch[b] += np.bincount(flat, minlength=size).reshape(nc, n_ch)
-            # add.at sums shot by shot into the running totals, the order a
-            # single bincount over all of the bin's shots would use.
-            np.add.at(sum_r[b].reshape(size), flat, r[ok])
-            np.add.at(sum_r2[b], c_bin[ok], r[ok] ** 2)
-
-    map_threads(run_bin, range(nb))
+    nb, nc, n_ch = cfg.n_i, cfg.n_f, tables.n_ch
+    # p_f slot nc takes the shots outside every p_f bin: its counts are the
+    # overflow, its sums are dropped.
+    sum_r = np.zeros((nb, nc + 1, n_ch))
+    sum_r2 = np.zeros((nb, nc + 1))
+    counts_ch = np.zeros((nb, nc + 1, n_ch), dtype=np.int64)
+    with np.errstate(over="ignore"):  # a huge sigma overflows r**2; the CLI refuses it
+        for b in range(nb):
+            _run_bin(tables, cfg, b, sum_r[b], sum_r2[b], counts_ch[b])
     oracle = _expected_means(tables, cfg, None)
-    return _estimate(sum_r, sum_r2, counts_ch, overflow, oracle, cfg)
+    overflow = counts_ch[:, nc].sum(axis=1)
+    return _estimate(sum_r[:, :nc], sum_r2[:, :nc], counts_ch[:, :nc], overflow, oracle, cfg)
+
+
+def _run_bin(tables, cfg, b, sum_r, sum_r2, counts_ch):
+    """Add bin b's shots, chunk by chunk, into its n_f + 1 p_f slots."""
+    nc, n_ch = cfg.n_f, tables.n_ch
+    exp_b, nv, nw = tables.expectations[b], tables.nv[b], tables.nw[b]
+    for S, u_channel, u_pf in _draw_chunks(cfg, b):
+        lam = S / (2.0 * cfg.sigma)
+        alpha = 1.0 - lam * exp_b
+        a2, ab, b2 = alpha * alpha, alpha * lam, lam * lam
+        probs = a2 * tables.na[:, None] + ab * nv[:, None] + b2 * nw[:, None]  # (n_ch, shots)
+        cum = probs.copy()
+        for k in range(1, n_ch):  # cumsum over the channels, row by row
+            cum[k] += cum[k - 1]
+        targets = u_channel * cum[-1]
+        picked = np.zeros(S.size, dtype=np.intp)  # the total is never below its target
+        for row in cum[:-1]:
+            picked += row < targets
+        t2 = u_pf * probs.ravel()[picked * S.size + np.arange(S.size)]  # the picked rows
+        c_bin = tables.landing_bins(b, picked, a2, ab, b2, t2)
+        r = exp_b + cfg.sigma * S
+        slot = np.where(c_bin < 0, nc, c_bin)  # c_bin <= nc
+        flat = slot * n_ch + picked
+        counts_ch += np.bincount(flat, minlength=counts_ch.size).reshape(counts_ch.shape)
+        # add.at sums shot by shot into the running totals, the order a
+        # single bincount over all of the bin's shots would use.
+        np.add.at(sum_r.reshape(-1), flat, r)
+        np.add.at(sum_r2, slot, r ** 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # r**2 past the float range reads inf or nan

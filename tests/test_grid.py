@@ -91,3 +91,16 @@ def test_bin_indices_half_open():
     edges = np.array([-1.0, 0.0, 2.0])
     values = np.array([-1.5, -1.0, -0.5, 0.0, 1.999, 2.0, 3.0, np.nan])
     assert bin_indices(edges, values).tolist() == [-1, 0, 0, 1, 1, -1, -1, -1]
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_cached_phase_gives_the_bits_of_the_inline_phase(n):
+    """fourier_values reads its phase factor from the grid; the product is
+    formed as it was when the factor was computed per call, also at sizes
+    where numpy reuses the exp temporary in place."""
+    g = make_grid(-8, 8, n)
+    f = random_field(g, n)
+    spectrum = np.fft.fftshift(np.fft.fft(f))
+    inline = g.dx / np.sqrt(2.0 * np.pi) * np.exp(-1j * g.x_min * g.ps) * spectrum
+    assert fourier_values(g, f).tobytes() == inline.tobytes()
+    assert g.forward_phase is g.forward_phase  # built once per grid

@@ -214,8 +214,7 @@ def _mc_peak(scheme, state, shots):
 
 def test_mc_memory_does_not_grow_with_shots(sign, grid_small):
     """1e6 shots per bin peak within a few MiB of 1e4 (unchunked, the peak
-    grew linearly: 37 MiB at 1e5 shots per bin).  One p_i bin, so the peak
-    does not depend on whether two threaded bin tasks overlap."""
+    grew linearly: 37 MiB at 1e5 shots per bin)."""
     state = gaussian_twin_slits(S, S / 20, grid_small)
     small = _mc_peak(sign, state, 10 ** 4)
     large = _mc_peak(sign, state, 10 ** 6)
@@ -224,19 +223,29 @@ def test_mc_memory_does_not_grow_with_shots(sign, grid_small):
 
 def test_shot_tables_hold_no_per_momentum_rows():
     """At n = 16384 with 16 p_i bins the (bins x channels x n) coefficient
-    arrays alone are 17 MiB; the tables keep only their per-bin reductions,
-    and the run's peak stays well below holding them."""
+    arrays alone are 17 MiB.  The tables keep only their per-bin
+    reductions, under a quarter of one n-point complex row (64 KiB;
+    31 KiB measured).  The run builds its rows one channel at a time
+    and streams its shots in fixed chunks, so its peak does not follow
+    the shot count: 3.2 MiB at both 1e4 and 1e5 shots per bin (numpy 2.4),
+    where rows built on two threads with 2^14-shot chunks on each peaked
+    at 4.9 and 6.7 MiB.  The 4 MiB bound leaves 25% over the measured
+    peak; ten times the shots may add 0.25 MiB."""
     scheme, state, s = shipped("sign", 16384)
-    cfg = mc_config(s, seed=0, shots=10 ** 4)
+    # Lazy imports (numpy.random) and the grid's caches, before the count
+    run_weak_experiment(scheme, state, mc_config(s, seed=0, shots=1))
+    peaks = []
     tracemalloc.start()
     try:
-        tables = _ShotTables(scheme, state, cfg)
+        tables = _ShotTables(scheme, state, mc_config(s, seed=0, shots=1))
         retained = tracemalloc.get_traced_memory()[0]
         del tables
-        tracemalloc.reset_peak()
-        run_weak_experiment(scheme, state, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        for shots in (10 ** 4, 10 ** 5):
+            tracemalloc.reset_peak()
+            run_weak_experiment(scheme, state, mc_config(s, seed=0, shots=shots))
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert retained < 4 * MIB
-    assert peak < 10 * MIB
+    assert retained < MIB / 16
+    assert peaks[0] < 4 * MIB
+    assert peaks[1] < peaks[0] + MIB / 4

@@ -1,4 +1,5 @@
-"""The thread pool behind the MC, the joint table and the Wigner check."""
+"""The thread pool behind the joint table and the Wigner check, and the
+MC, which starts no thread."""
 
 import os
 import subprocess
@@ -32,6 +33,15 @@ def use_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
 
 
+def refuse_threads(monkeypatch):
+    """Make starting any thread, a pool worker included, fail the test."""
+
+    def start(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
 @pytest.fixture(scope="module")
 def schemes(sign, kick_pair, sew):
     rnd = random_complete_scheme(np.random.default_rng(11))
@@ -58,18 +68,22 @@ def test_one_thread_per_usable_core(monkeypatch):
 
 
 def test_mc_same_bits_on_any_worker_count(monkeypatch, schemes, state):
+    """The MC runs its bins in the calling thread on any number of usable
+    cores, and any chunk size gives the same bits."""
     edges = default_bins(S, 8)
     cfg = MCConfig(sigma=10.0, shots_per_bin=1500, p_i_edges=edges, p_f_edges=edges, seed=9)
     for scheme in schemes:
         runs = []
         for cores, chunk in [
-            ({0}, simulate._SHOT_CHUNK),  # one worker, one chunk per bin
-            ({0, 1}, 333),  # two workers, odd chunks
-            ({0, 1, 2}, 1001),  # three workers, a short last chunk
+            ({0}, simulate._SHOT_CHUNK),  # one chunk per bin
+            ({0, 1}, 333),  # odd chunks
+            ({0, 1, 2}, 1001),  # a short last chunk
         ]:
-            use_cores(monkeypatch, cores)
-            monkeypatch.setattr(simulate, "_SHOT_CHUNK", chunk)
-            runs.append(run_weak_experiment(scheme, state, cfg))
+            with monkeypatch.context() as patch:
+                use_cores(patch, cores)
+                patch.setattr(simulate, "_SHOT_CHUNK", chunk)
+                refuse_threads(patch)
+                runs.append(run_weak_experiment(scheme, state, cfg))
         for run in runs[1:]:
             for name in MC_FIELDS:
                 assert np.array_equal(
@@ -97,20 +111,25 @@ def test_joint_table_same_bits_on_any_worker_count(monkeypatch, schemes, state):
 
 @pytest.mark.filterwarnings("ignore:channel tail")
 def test_many_threads_switching_fast_lose_no_update(monkeypatch, schemes, state):
-    """Eight threads on shared output arrays, switching every microsecond:
-    a lost or doubled row update would change the bits."""
+    """Eight threads on the joint table's shared output, switching every
+    microsecond: a lost or doubled row update would change the bits.  The
+    MC, on the same eight cores and 37-shot chunks, starts no thread and
+    keeps its bits."""
     edges = default_bins(S, 8)
     cfg = MCConfig(sigma=10.0, shots_per_bin=400, p_i_edges=edges, p_f_edges=edges, seed=4)
     scheme = schemes[-1]
-    monkeypatch.setattr(simulate, "_SHOT_CHUNK", 37)
     use_cores(monkeypatch, {0})
     mc, table = run_weak_experiment(scheme, state, cfg), pwv_joint(scheme, state)
+    monkeypatch.setattr(simulate, "_SHOT_CHUNK", 37)
     use_cores(monkeypatch, set(range(8)))
     monkeypatch.setattr(parallel, "ROW_BLOCK", 8 * state.grid.n)  # one row per task
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        mc8, table8 = run_weak_experiment(scheme, state, cfg), pwv_joint(scheme, state)
+        with monkeypatch.context() as patch:
+            refuse_threads(patch)
+            mc8 = run_weak_experiment(scheme, state, cfg)
+        table8 = pwv_joint(scheme, state)
     finally:
         sys.setswitchinterval(interval)
     for name in MC_FIELDS:
@@ -156,8 +175,9 @@ def fail_one_task(module, fault):
     return faulty
 
 
-def fail_one_bin(landing_bins):
+def fail_one_bin(landing_bins, searched):
     def faulty(self, b, *args):
+        searched.append(b)
         if b == 5:
             raise WWMError("fault in MC bin 5")
         return landing_bins(self, b, *args)
@@ -166,18 +186,20 @@ def fail_one_bin(landing_bins):
 
 
 def test_worker_fault_ends_the_cli_with_a_message(tmp_path, monkeypatch, capsys):
-    """Channels are evaluated in the calling thread, so the fault is put
-    into one worker task: one MC bin's landing search."""
+    """The MC runs its bins one after another in the calling thread: a
+    fault in bin 5's landing search ends the run there, and the CLI exits
+    1 with the fault's one line and writes nothing."""
+    searched = []
     landing_bins = simulate._ShotTables.landing_bins
-    monkeypatch.setattr(simulate._ShotTables, "landing_bins", fail_one_bin(landing_bins))
+    monkeypatch.setattr(
+        simulate._ShotTables, "landing_bins", fail_one_bin(landing_bins, searched)
+    )
+    refuse_threads(monkeypatch)
     out = tmp_path / "out.csv"
     argv = ["simulate", "--config", str(CONFIGS / "sign.cfg"), "--out", str(out), "--shots", "200"]
-    codes = []
-    runner = threading.Thread(target=lambda: codes.append(main(argv)))
-    runner.start()
-    runner.join(timeout=120)
-    assert not runner.is_alive() and codes == [1]
+    assert main(argv) == 1
     assert capsys.readouterr().err == "wwm: fault in MC bin 5\n"
+    assert searched == [0, 1, 2, 3, 4, 5]  # one 200-shot chunk per bin, none after the fault
     assert not list(tmp_path.iterdir())  # no output file, no temp file
 
 
