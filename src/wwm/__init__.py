@@ -13,8 +13,8 @@ The API is used module by module (`from wwm.transfer import char_fn`);
 
 import os
 
-# wwm.parallel is the only pool: an OpenBLAS pool would spin on every other
-# core and make reductions depend on the core count (a user value is kept)
+# an OpenBLAS pool would spin on every other core and make reductions depend
+# on the core count (a user value is kept)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .state import gaussian_twin_slits, narrow_twin_slits
 
 SECTIONS = ("grid", "state", "scheme", "run")
 REPEATABLE = ("kick", "o")  # the keys a section may give more than once
+MAX_BINS = 256  # simulate writes n_bins^2 CSV rows: 1024 bins peaked at ~540 MiB
 
 
 @dataclass
@@ -162,8 +163,8 @@ def parse_config(text):
             cfg.out = value
         elif key == "n_bins":
             cfg.n_bins = _integer(value, where)
-            if cfg.n_bins < 1:
-                raise ConfigError(f"{where}: n_bins must be at least 1, got {value!r}")
+            if not 1 <= cfg.n_bins <= MAX_BINS:
+                raise ConfigError(f"{where}: n_bins must be 1 to {MAX_BINS}, got {value!r}")
         elif key == "bin_span":
             cfg.bin_span = _number(value, cfg.s, where)
         elif key == "x":

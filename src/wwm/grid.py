@@ -21,6 +21,13 @@ from .errors import GridError
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 EMPTY_BIN_MASS = 1e-12  # a bin holding no more probability than this is empty
 BIN_SPAN = 6.0 * np.pi  # default MC bins cover |p| <= BIN_SPAN / s
+# Samples per row block of the joint table and the Wigner check (8 rows at
+# n = 16384); no bit of either depends on it.
+BLOCK_SAMPLES = 2 ** 17
+
+
+def rows_per_block(n):
+    return max(1, BLOCK_SAMPLES // n)  # BLOCK_SAMPLES read at call time
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CompletenessError, SchemeError, WWMError
-from .parallel import map_threads, rows_per_task
+from .grid import rows_per_block
 from .scheme import require_complete
 
 # --- signed distributions ----------------------------------------------
@@ -527,7 +527,7 @@ def verify_wigner_identity(scheme, state):
     row at every p by at most (dx/pi) (|dB_0| + 2 sum_{0<m<n/2} |dB_m| +
     |dB_n/2|); the residual is the largest such row bound.  The product is
     a ufunc call with B[psi] first and the row sums are numpy's pairwise
-    sum(axis=1), so no bit depends on the block or thread count.
+    sum(axis=1), so no bit depends on the block size.
 
     Both sides read the same psi and channel slices, and B[w e] = B[w] B[e]
     for any samples, so the identity holds term by term (the distributive
@@ -536,7 +536,7 @@ def verify_wigner_identity(scheme, state):
     returns at one slice x are on neither side (wigner_slice_residual
     checks that density).
 
-    Rows run in blocks, one thread per usable core; no n x n array is held.
+    Rows run in blocks in the calling thread; no n x n array is held.
     Only rows in the index hull [lo, hi] of psi's nonzero samples are
     computed: for a row outside, one of j +- m lies outside for every m, so
     both sides are 0 there (finite channels).  Each channel is sampled once
@@ -553,17 +553,15 @@ def verify_wigner_identity(scheme, state):
     support = np.flatnonzero(psi) - h
     lo, hi = int(support[0]), int(support[-1])
     channels = scheme.evaluate(grid.x_min + dx * np.arange(lo - h, hi + h + 1))
-    block = rows_per_task(n)
-
-    def block_residual(start):
-        stop = min(start + block, hi + 1)
+    step = rows_per_block(n)
+    residuals = []
+    for start in range(lo, hi + 1, step):
+        stop = min(start + step, hi + 1)
         ext = psi[start : stop + n]
         windows = [samples[start - lo : stop - lo + n] for samples in channels]
         delta = sum(_pair_products(w * ext, n) for w in windows)
         kernel = sum(_pair_products(w, n) for w in windows)
         delta -= np.multiply(_pair_products(ext, n), kernel, out=kernel)
         mag = np.abs(delta, out=delta).real
-        return np.max(mag[:, 0] + 2 * mag[:, 1:h].sum(axis=1) + mag[:, h])
-
-    residuals = map_threads(block_residual, range(lo, hi + 1, block))
+        residuals.append(np.max(mag[:, 0] + 2 * mag[:, 1:h].sum(axis=1) + mag[:, h]))
     return (dx / np.pi) * float(np.max(residuals))  # unlike max(), keeps a NaN from any block

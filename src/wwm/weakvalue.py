@@ -29,8 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import WWMError
-from .grid import BIN_SPAN, EMPTY_BIN_MASS, SQRT_2PI, bin_indices, fourier_values
-from .parallel import map_threads, rows_per_task
+from .grid import BIN_SPAN, EMPTY_BIN_MASS, SQRT_2PI, bin_indices, fourier_values, rows_per_block
 from .scheme import require_complete
 from .transfer import (
     MixedDistribution,
@@ -151,14 +150,11 @@ def pwv_joint(scheme, state):
             )
             windows = sliding_window_view(r_tilde / SQRT_2PI, n)  # [n - i, f] = R~(p_f - p_i)
             terms.append((np.conj(g), pv_coef, windows, diagonals))
-        # The (rows, n) temporaries are built one row block per thread task,
-        # the block shrinking with the thread count so the samples in flight
-        # do not grow.  Each channel adds its full block, then its diagonal
-        # terms, in the order of a whole-table build: no bit depends on the
-        # block size or the thread count.
-        step = rows_per_task(n)
-
-        def add_block(lo_row):  # writes only rows blk of matrix
+        # The (rows, n) temporaries are built one row block at a time.  Each
+        # channel adds its full block, then its diagonal terms, in the order
+        # of a whole-table build: no bit depends on the block size.
+        step = rows_per_block(n)
+        for lo_row in range(0, rows.size, step):
             blk = slice(lo_row, lo_row + step)
             diff = ps[None, :] - ps[rows[blk]][:, None]  # p_f - p_i
             pv_kernel = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0.0)
@@ -173,8 +169,6 @@ def pwv_joint(scheme, state):
                 block += re
                 for values in diagonals:
                     block[diag] += values[blk]
-
-        map_threads(add_block, range(0, rows.size, step))
 
     marginal = matrix.sum(axis=0)
     return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo)

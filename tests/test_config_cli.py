@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from wwm import cli, simulate, weakvalue
 from wwm.cli import COMMANDS, FMT, main
-from wwm.config import build_scheme, build_state, load_config, parse_config
+from wwm.config import MAX_BINS, build_scheme, build_state, load_config, parse_config
 from wwm.errors import ConfigError
 from wwm.grid import make_grid
 from wwm.scheme import Scheme, builtin
@@ -170,6 +171,27 @@ def test_nonpositive_n_bins_exit_2(tmp_path):
             parse_config(text)
         cfg = write(tmp_path, "bins.cfg", text)
         assert main(["simulate", "--config", cfg, "--shots", "10"]) == 2
+
+
+def test_n_bins_past_the_cap_exit_2(tmp_path, capsys):
+    """simulate writes n_bins^2 rows, so a large n_bins is refused when the
+    config is parsed, before anything is allocated."""
+    for n_bins in (str(MAX_BINS + 1), "10^9"):
+        text = SIGN_CFG + f"[run]\nn_bins = {n_bins}\n"
+        with pytest.raises(ConfigError, match=f"n_bins must be 1 to {MAX_BINS}"):
+            parse_config(text)
+        cfg = write(tmp_path, "bins.cfg", text)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(["simulate", "--config", cfg, "--shots", "10"]) == 2
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith("wwm: parse error: ")
+        assert peak < 2 ** 20 and elapsed < 1.0
+    assert parse_config(SIGN_CFG + f"[run]\nn_bins = {MAX_BINS}\n").n_bins == MAX_BINS
 
 
 def test_cmd_check_exit_codes(tmp_path, capsys):

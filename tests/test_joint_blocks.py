@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from wwm import parallel
 from wwm.grid import SQRT_2PI, fourier_values, make_grid
 from wwm.scheme import parse_scheme, require_complete
 from wwm.state import gaussian_twin_slits
@@ -85,7 +84,7 @@ def test_blocked_joint_equals_dense(monkeypatch, cases, name, block_rows):
     schemes, state = cases
     scheme = schemes[name]
     if block_rows is not None:
-        monkeypatch.setattr(parallel, "ROW_BLOCK", block_rows * state.grid.n)
+        monkeypatch.setattr("wwm.grid.BLOCK_SAMPLES", block_rows * state.grid.n)
     ref = dense_pwv_joint(scheme, state)
     if block_rows is not None:
         assert ref.p_i.size % block_rows != 0  # a short last block

@@ -1,19 +1,20 @@
-"""The thread pool behind the joint table and the Wigner check, and the
-MC, which starts no thread."""
+"""wwm starts no thread: every command, the MC, the joint table and the
+Wigner check run in the calling thread, and the row-blocked references
+give the same bits at any block size."""
 
 import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wwm import parallel, simulate, transfer, weakvalue
-from wwm.cli import main
+from wwm import simulate, transfer, weakvalue
+from wwm.cli import COMMANDS, main
 from wwm.errors import WWMError
+from wwm.grid import BLOCK_SAMPLES
 from wwm.scheme import parse_scheme
 from wwm.simulate import MCConfig, default_bins, run_weak_experiment
 from wwm.state import gaussian_twin_slits
@@ -53,20 +54,6 @@ def state(grid_small):
     return gaussian_twin_slits(S, S / 20, grid_small)
 
 
-def test_one_thread_per_usable_core(monkeypatch):
-    for cores in ({0}, {0, 1, 2}):
-        use_cores(monkeypatch, cores)
-        assert parallel.usable_cores() == len(cores)
-
-        def task(k):
-            time.sleep(0.01)
-            return k, threading.get_ident()
-
-        results = parallel.map_threads(task, range(12))
-        assert [k for k, _ in results] == list(range(12))
-        assert len({ident for _, ident in results}) == len(cores)
-
-
 def test_mc_same_bits_on_any_worker_count(monkeypatch, schemes, state):
     """The MC runs its bins in the calling thread on any number of usable
     cores, and any chunk size gives the same bits."""
@@ -91,18 +78,28 @@ def test_mc_same_bits_on_any_worker_count(monkeypatch, schemes, state):
                 ), name
 
 
+@pytest.mark.parametrize("run", [*sorted(COMMANDS), "pwv_joint", "verify_wigner_identity"])
+def test_wwm_starts_no_thread(monkeypatch, capsys, sign, state, run):
+    """Every command on configs/sign.cfg, and the two row-blocked
+    references that no command runs, called directly."""
+    refuse_threads(monkeypatch)
+    if run == "pwv_joint":
+        pwv_joint(sign, state)
+    elif run == "verify_wigner_identity":
+        transfer.verify_wigner_identity(sign, state)
+    else:
+        argv = [run, "--config", str(CONFIGS / "sign.cfg"), "--shots", "200"]
+        assert main(argv) == 0, capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:channel tail")  # the random scheme's phases
-def test_joint_table_same_bits_on_any_worker_count(monkeypatch, schemes, state):
+def test_joint_table_same_bits_at_any_block_size(monkeypatch, schemes, state):
     n = state.grid.n
     for scheme in schemes:
         ref = dense_pwv_joint(scheme, state)
-        for cores, joint_block in [
-            ({0}, parallel.ROW_BLOCK),  # one worker, 128-row blocks
-            ({0, 1}, 2 * 5 * n + 1),  # two workers, 5-row blocks
-            ({0, 1, 2}, 3 * 7 * n),  # three workers, 7-row blocks
-        ]:
-            use_cores(monkeypatch, cores)
-            monkeypatch.setattr(parallel, "ROW_BLOCK", joint_block)
+        assert ref.p_i.size % 5 != 0  # a short last block
+        for row_block in (BLOCK_SAMPLES, 5 * n + 1, 7 * n, 1):  # 64, 5, 7 and 1 rows
+            monkeypatch.setattr("wwm.grid.BLOCK_SAMPLES", row_block)
             table = pwv_joint(scheme, state)
             assert np.array_equal(table.matrix, ref.matrix)
             assert np.array_equal(table.marginal_pf, ref.marginal_pf)
@@ -111,66 +108,35 @@ def test_joint_table_same_bits_on_any_worker_count(monkeypatch, schemes, state):
 
 @pytest.mark.filterwarnings("ignore:channel tail")
 def test_many_threads_switching_fast_lose_no_update(monkeypatch, schemes, state):
-    """Eight threads on the joint table's shared output, switching every
-    microsecond: a lost or doubled row update would change the bits.  The
-    MC, on the same eight cores and 37-shot chunks, starts no thread and
-    keeps its bits."""
+    """On eight usable cores, 37-shot chunks and a thread switch interval
+    of a microsecond, the MC starts no thread and keeps its bits."""
     edges = default_bins(S, 8)
     cfg = MCConfig(sigma=10.0, shots_per_bin=400, p_i_edges=edges, p_f_edges=edges, seed=4)
     scheme = schemes[-1]
     use_cores(monkeypatch, {0})
-    mc, table = run_weak_experiment(scheme, state, cfg), pwv_joint(scheme, state)
+    mc = run_weak_experiment(scheme, state, cfg)
     monkeypatch.setattr(simulate, "_SHOT_CHUNK", 37)
     use_cores(monkeypatch, set(range(8)))
-    monkeypatch.setattr(parallel, "ROW_BLOCK", 8 * state.grid.n)  # one row per task
+    refuse_threads(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with monkeypatch.context() as patch:
-            refuse_threads(patch)
-            mc8 = run_weak_experiment(scheme, state, cfg)
-        table8 = pwv_joint(scheme, state)
+        mc8 = run_weak_experiment(scheme, state, cfg)
     finally:
         sys.setswitchinterval(interval)
     for name in MC_FIELDS:
         assert np.array_equal(getattr(mc8, name), getattr(mc, name), equal_nan=True), name
-    assert np.array_equal(table8.matrix, table.matrix)
 
 
-def test_task_exception_reaches_the_caller_unchanged(monkeypatch):
-    """The failing task's own exception object, and the queued tasks are
-    cancelled instead of run."""
-    use_cores(monkeypatch, {0})
-    fault = WWMError("fault in task 0")
-    ran = []
+def fail_at_call(fn, at, fault, calls):
+    """fn, recording each call in the list `calls`; call number `at` raises
+    `fault` instead."""
 
-    def task(k):
-        if k == 0:
+    def faulty(*args):
+        calls.append(args)
+        if len(calls) == at:
             raise fault
-        ran.append(k)
-        time.sleep(0.01)
-
-    with pytest.raises(WWMError) as caught:
-        parallel.map_threads(task, range(100))
-    assert caught.value is fault
-    assert len(ran) < 50
-
-
-def fail_one_task(module, fault):
-    """Wrap module.map_threads so that one task, mid-list, raises `fault`
-    inside its worker thread."""
-    real = module.map_threads
-
-    def faulty(fn, items):
-        items = list(items)
-        bad = items[len(items) // 2]
-
-        def task(item):
-            if item == bad:
-                raise fault
-            return fn(item)
-
-        return real(task, items)
+        return fn(*args)
 
     return faulty
 
@@ -204,23 +170,47 @@ def test_worker_fault_ends_the_cli_with_a_message(tmp_path, monkeypatch, capsys)
 
 
 def test_joint_block_fault_reaches_the_caller_unchanged(monkeypatch, sign, state):
-    """No command builds the joint table, so its worker fault is checked on
-    a direct call: the task's own exception object reaches the caller."""
+    """No command builds the joint table, so its block fault is checked on
+    a direct call: a fault in the third of the 5-row blocks reaches the
+    caller as the same object, and no later block runs."""
+    monkeypatch.setattr("wwm.grid.BLOCK_SAMPLES", 5 * state.grid.n)
+    assert pwv_joint(sign, state).p_i.size > 3 * 5
     fault = WWMError("fault in one joint block")
-    monkeypatch.setattr(weakvalue, "map_threads", fail_one_task(weakvalue, fault))
+    calls = []
+    # each block reads each of sign's two channels' R~ windows once, so
+    # read 5 is the third block's first
+    take = fail_at_call(lambda windows, index: windows[index], 5, fault, calls)
+
+    class Windows:
+        def __init__(self, windows):
+            self.windows = windows
+
+        def __getitem__(self, index):
+            return take(self.windows, index)
+
+    view = weakvalue.sliding_window_view
+    monkeypatch.setattr(weakvalue, "sliding_window_view", lambda *args: Windows(view(*args)))
     with pytest.raises(WWMError) as caught:
         pwv_joint(sign, state)
     assert caught.value is fault
+    assert len(calls) == 5
 
 
 def test_wigner_block_fault_reaches_the_caller_unchanged(monkeypatch, sign, state):
-    """`wwm wigner` checks its slice in the calling thread; the full-grid
-    check's worker fault is checked on a direct call, as the joint table's."""
+    """`wwm wigner` checks its slice; the full-grid check's block fault is
+    checked on a direct call, as the joint table's."""
+    monkeypatch.setattr("wwm.grid.BLOCK_SAMPLES", 5 * state.grid.n)
+    assert np.ptp(np.flatnonzero(state.values)) + 1 > 3 * 5
     fault = WWMError("fault in one wigner block")
-    monkeypatch.setattr(transfer, "map_threads", fail_one_task(transfer, fault))
+    calls = []
+    # each block takes five pair products (sign's two conditioned states,
+    # its two channels, then psi), so call 11 is the third block's first
+    pairs = fail_at_call(transfer._pair_products, 11, fault, calls)
+    monkeypatch.setattr(transfer, "_pair_products", pairs)
     with pytest.raises(WWMError) as caught:
         transfer.verify_wigner_identity(sign, state)
     assert caught.value is fault
+    assert len(calls) == 11
 
 
 def test_cli_import_leaves_the_pool_unloaded():

@@ -1,4 +1,5 @@
-"""Source hygiene of the package: every module-level import is used.
+"""Source hygiene of the package: every module-level import is used, and
+no module imports a thread or process module at any level.
 
 An import kept on purpose for another module's sake (a name that a
 benchmark or a re-export reads) carries `# noqa: F401` on its statement.
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wwm"
 MODULES = sorted(SRC.glob("*.py"))
+THREAD_MODULES = {"threading", "concurrent", "multiprocessing"}
 
 
 def unused_imports(source):
@@ -27,6 +29,18 @@ def unused_imports(source):
             bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted(name for name in bound if name not in read)
+
+
+def thread_imports(source):
+    """Thread or process modules that any import in `source` names, in
+    functions and classes too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found & THREAD_MODULES)
 
 
 def test_modules_are_found():
@@ -47,3 +61,19 @@ def test_an_unused_import_is_caught():
     assert unused_imports(stale) == ["GridSpec", "tail_split"]
     marked = stale.replace("    tail_split,\n", "    tail_split,  # noqa: F401\n")
     assert unused_imports(marked) == ["GridSpec"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_threads(path):
+    assert thread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_thread_import_in_a_function_is_caught():
+    source = (SRC / "weakvalue.py").read_text(encoding="utf-8")
+    assert thread_imports(source) == []
+    nested = source + (
+        "\n\ndef pool(fn, items):\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "    import multiprocessing.pool as mp, threading\n"
+    )
+    assert thread_imports(nested) == ["concurrent", "multiprocessing", "threading"]

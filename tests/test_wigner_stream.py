@@ -1,12 +1,10 @@
 """The row-streamed Wigner identity check against its dense reference."""
 
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from wwm import parallel
 from wwm.grid import make_grid
 from wwm.scheme import parse_scheme
 from wwm.state import gaussian_twin_slits
@@ -159,20 +157,18 @@ def test_lattice_kernel_rows_equal_contraction(box, identity, sign, kick_pair, s
             assert np.array_equal(rows, sch.contraction(xb + u_half, xb - u_half))
 
 
-def test_identity_check_same_bits_on_any_worker_count(monkeypatch, sign, sew):
+def test_identity_check_same_bits_at_any_block_size(monkeypatch, sign, sew):
+    """Against the dense reference and the default 128-row blocks' residual."""
     state = twin_a20()
+    rows = np.ptp(np.flatnonzero(state.values)) + 1
+    assert rows % 37 != 0  # a short last block
     rnd = random_complete_scheme(np.random.default_rng(3))
     for sch in (sign, sew, phase_ramp(), rnd):
-        residuals = []
-        for cores, row_block in [
-            ({0}, parallel.ROW_BLOCK),  # 256-row blocks, one worker
-            ({0, 1}, parallel.ROW_BLOCK),  # 128-row blocks, two workers
-            ({0, 1, 2}, 3 * 37 * 1024),  # 37-row blocks, three workers
-        ]:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
-            monkeypatch.setattr(parallel, "ROW_BLOCK", row_block)
-            residuals.append(verify_wigner_identity(sch, state))
-        assert residuals[0] == residuals[1] == residuals[2]
+        default = verify_wigner_identity(sch, state)
+        assert default == dense_verify_wigner_identity(sch, state)
+        for row_block in (37 * 1024, 1024 + 1, rows * 1024):  # 37 rows, 1 row, one block
+            monkeypatch.setattr("wwm.grid.BLOCK_SAMPLES", row_block)
+            assert verify_wigner_identity(sch, state) == default
 
 
 def test_identity_check_on_a_non_dyadic_box(sign, sew):
