@@ -14,8 +14,7 @@ probability mass.
 The disturbed state always lives in span{psi, Pi_b psi}, so channel norms
 and p_f distributions are quadratic forms in the two per-shot coefficients
 with coefficients computable once per (channel, bin).  The vectorized
-runner exploits that; run_reference executes the same protocol state by
-state on identical random draws and exists to cross-check the fast path.
+runner exploits that, and never forms the disturbed state.
 
 Randomness: one counter-based Philox stream per (seed, bin), from which a
 bin's shots consume a fixed layout (all S first, then the channel
@@ -89,21 +88,6 @@ class MCEstimate:
     channel_counts: np.ndarray
     oracle: np.ndarray  # weak limit of means from the same tables, NaN: empty p_f bin
     config: MCConfig = field(repr=False)
-
-
-def back_action(grid, psi, p_bin, S, sigma):
-    """Exact normalized weak-measurement update of position samples psi.
-
-    p_bin is a (lo, hi) momentum interval; the projector keeps grid
-    momenta lo <= p < hi.  The state change vanishes like |S|/sigma.
-    """
-    tilde = fourier_values(grid, psi)
-    mask = bin_indices(p_bin, grid.ps) == 0
-    expectation = float(np.sum(np.abs(tilde[mask]) ** 2) * grid.dp)
-    lam = S / (2.0 * sigma)
-    updated = tilde + lam * (mask * tilde - expectation * tilde)
-    updated = updated / np.sqrt(np.sum(np.abs(updated) ** 2) * grid.dp)
-    return inverse_fourier_values(grid, updated)
 
 
 class _ShotTables:
@@ -208,15 +192,9 @@ def _philox(cfg, b):
     )
 
 
-def _draws(cfg, b):
-    """The bin's whole draw layout in one call: all S, channel, p_f uniforms."""
-    gen = _philox(cfg, b)
-    shots = cfg.shots_per_bin
-    return gen.standard_normal(shots), gen.random(shots), gen.random(shots)
-
-
 def _draw_chunks(cfg, b):
-    """The layout of _draws, yielded in chunks of _SHOT_CHUNK shots.
+    """Bin b's draws in chunks of _SHOT_CHUNK shots, laid out in its stream
+    as all of the bin's S, then its channel uniforms, then its p_f uniforms.
 
     The ziggurat normals take a variable number of raw words, so the
     uniforms' offset is found by running the S stream through once; each
@@ -297,49 +275,6 @@ def _estimate(sum_r, sum_r2, counts_ch, overflow, oracle, cfg):
     ) / (counts[several] - 1)
     ses[several] = np.sqrt(np.maximum(var[several], 0.0) / counts[several])
     return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
-
-
-def run_reference(scheme, state, cfg):
-    """Shot-by-shot protocol with explicit state updates; same draws as the
-    fast path, so the two agree up to floating-point noise."""
-    state.require_grid("run_reference")
-    require_complete(scheme, state)
-    grid = state.grid
-    dp = grid.dp
-    psit = fourier_values(grid, state.values)
-    chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
-    n_ch = len(chan_vals)
-    nb, nc = cfg.n_i, cfg.n_f
-    sum_r = np.zeros((nb, nc, n_ch))
-    sum_r2 = np.zeros((nb, nc))
-    counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
-    overflow = np.zeros(nb, dtype=np.int64)
-    i_bins = bin_indices(cfg.p_i_edges, grid.ps)
-
-    for b in range(nb):
-        expectation = float(np.sum(np.abs(psit[i_bins == b]) ** 2) * dp)
-        S, u_channel, u_pf = _draws(cfg, b)
-        for k in range(cfg.shots_per_bin):
-            pos = back_action(grid, state.values, cfg.p_i_edges[b : b + 2], S[k], cfg.sigma)
-            dens = np.stack(
-                [np.abs(fourier_values(grid, cv * pos)) ** 2 * dp for cv in chan_vals]
-            )
-            channel_norms = dens.sum(axis=1)
-            cum = np.cumsum(channel_norms)
-            xi = min(int((cum < u_channel[k] * cum[-1]).sum()), n_ch - 1)
-            cdf = np.cumsum(dens[xi])
-            f_idx = int(np.searchsorted(cdf, u_pf[k] * cdf[-1], side="left"))
-            r = expectation + cfg.sigma * S[k]
-            c = int(bin_indices(cfg.p_f_edges, grid.ps[f_idx : f_idx + 1])[0])
-            if c < 0:
-                overflow[b] += 1
-                continue
-            sum_r[b, c, xi] += r
-            sum_r2[b, c] += r ** 2
-            counts_ch[b, c, xi] += 1
-
-    oracle = deterministic_cells(scheme, state, cfg)
-    return _estimate(sum_r, sum_r2, counts_ch, overflow, oracle, cfg)
 
 
 _HERMITE_NODES = 61  # Gauss-Hermite nodes for the finite-sigma average

@@ -15,7 +15,9 @@ Moments are extracted by differentiating chi at q = 0 with central
 differences plus Richardson extrapolation, never by integrating p^n
 against the transfer density: schemes with step-like channels produce
 1/p density tails whose moments exist only distributionally, while the
-q-side derivatives are perfectly well posed.
+q-side derivatives are well posed wherever |psi|^2 vanishes at every
+channel step.  Where it does not, as on a scheme that steps inside a
+slit, the exact chi has a slope jump at q = 0 and <p^2> diverges.
 """
 
 import warnings

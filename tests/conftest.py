@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -67,6 +69,31 @@ def kick_pair():
 @pytest.fixture(scope="session")
 def sew():
     return builtin("sew_flat", w=0.25, s=S)
+
+
+@pytest.fixture(scope="session")
+def phase_ramp():
+    """One complex channel with an asymmetric transfer."""
+    return parse_scheme(["exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"])
+
+
+@pytest.fixture(scope="session")
+def three_channel():
+    return random_complete_scheme(np.random.default_rng(17), n_channels=3)
+
+
+@pytest.fixture(scope="session")
+def schemes(sign, kick_pair, sew, phase_ramp):
+    return [sign, kick_pair, sew, phase_ramp, random_complete_scheme(np.random.default_rng(11))]
+
+
+def refuse_threads(monkeypatch):
+    """Make starting any thread, a pool worker included, fail the test."""
+
+    def start(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
 
 
 def most_negative_cell(scheme, state, cfg):

@@ -8,113 +8,14 @@ import pytest
 
 from wwm import simulate
 from wwm.config import build_grid, build_scheme, build_state, parse_config
-from wwm.grid import bin_indices, fourier_values, inverse_fourier_values, make_grid
-from wwm.simulate import (
-    MCConfig,
-    MCEstimate,
-    _ShotTables,
-    _draws,
-    default_bins,
-    run_weak_experiment,
-)
+from wwm.grid import make_grid
+from wwm.simulate import MCConfig, _ShotTables, default_bins, run_weak_experiment
 from wwm.state import SlitState, gaussian_twin_slits
-from conftest import S, random_complete_scheme
+from conftest import S, refuse_threads
+from mc_reference import assert_same, grid_bisection_experiment
 
 MIB = 2 ** 20
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-FIELDS = ("counts", "channel_sums", "channel_counts", "overflow", "means", "std_errors")
-
-
-def full_cumulative_tables(scheme, state, cfg):
-    """The per-momentum cumulative quadratic-form coefficients over all n
-    grid points: cu (n_ch, n), cv and cw (n_i, n_ch, n)."""
-    grid = state.grid
-    dp = grid.dp
-    psit = fourier_values(grid, state.values)
-    chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
-    g = np.stack([fourier_values(grid, cv * state.values) for cv in chan_vals])
-    i_bins = bin_indices(cfg.p_i_edges, grid.ps)
-    v = np.empty((cfg.n_i, len(chan_vals), grid.n))
-    w = np.empty_like(v)
-    for b in range(cfg.n_i):
-        phi_pos = inverse_fourier_values(grid, (i_bins == b) * psit)
-        h = np.stack([fourier_values(grid, cv * phi_pos) for cv in chan_vals])
-        v[b] = 2.0 * np.real(np.conj(g) * h) * dp
-        w[b] = np.abs(h) ** 2 * dp
-    u = np.abs(g) ** 2 * dp
-    return np.cumsum(u, axis=1), np.cumsum(v, axis=2), np.cumsum(w, axis=2)
-
-
-def grid_bisection_experiment(scheme, state, cfg):
-    """Reference: each shot's p_f grid index by bisection over all n grid
-    points of its channel's cumulative distribution, on the draws of one
-    unchunked call, then binned."""
-    tables = _ShotTables(scheme, state, cfg)
-    n = tables.grid.n
-    n_ch = tables.n_ch
-    nb, nc = cfg.n_i, cfg.n_f
-    cu, cv_all, cw_all = full_cumulative_tables(scheme, state, cfg)
-    sum_r = np.zeros((nb, nc, n_ch))
-    sum_r2 = np.zeros((nb, nc))
-    counts_ch = np.zeros((nb, nc, n_ch), dtype=np.int64)
-    overflow = np.zeros(nb, dtype=np.int64)
-
-    for b in range(nb):
-        S_, u_channel, u_pf = _draws(cfg, b)
-        lam = S_ / (2.0 * cfg.sigma)
-        alpha = 1.0 - lam * tables.expectations[b]
-        beta = lam
-        a2, ab, b2 = alpha * alpha, alpha * beta, beta * beta
-        probs = (
-            a2[None, :] * tables.na[:, None]
-            + ab[None, :] * tables.nv[b][:, None]
-            + b2[None, :] * tables.nw[b][:, None]
-        )
-        cum = np.cumsum(probs, axis=0)
-        targets = u_channel * cum[-1]
-        picked = np.minimum((cum < targets[None, :]).sum(axis=0), n_ch - 1)
-
-        cv, cw = cv_all[b], cw_all[b]
-        t2 = u_pf * (
-            a2 * tables.na[picked] + ab * tables.nv[b][picked] + b2 * tables.nw[b][picked]
-        )
-        lo = np.full(S_.shape, -1, dtype=np.int64)
-        hi = np.full(S_.shape, n - 1, dtype=np.int64)
-        while int((hi - lo).max()) > 1:
-            mid = (lo + hi) // 2
-            vals = a2 * cu[picked, mid] + ab * cv[picked, mid] + b2 * cw[picked, mid]
-            ge = vals >= t2
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-
-        r = tables.expectations[b] + cfg.sigma * S_
-        c_bin = bin_indices(cfg.p_f_edges, tables.grid.ps[hi])
-        ok = c_bin >= 0
-        overflow[b] = int((~ok).sum())
-        flat = c_bin[ok] * n_ch + picked[ok]
-        size = nc * n_ch
-        counts_ch[b] += np.bincount(flat, minlength=size).reshape(nc, n_ch)
-        sum_r[b] += np.bincount(flat, weights=r[ok], minlength=size).reshape(nc, n_ch)
-        sum_r2[b] += np.bincount(c_bin[ok], weights=r[ok] ** 2, minlength=nc)
-
-    counts = counts_ch.sum(axis=2)
-    means = np.full((nb, nc), np.nan)
-    ses = np.full((nb, nc), np.nan)
-    got = counts > 0
-    means[got] = sum_r.sum(axis=2)[got] / counts[got]
-    several = counts > 1
-    var = np.zeros((nb, nc))
-    var[several] = (
-        sum_r2[several] - counts[several] * means[several] ** 2
-    ) / (counts[several] - 1)
-    ses[several] = np.sqrt(np.maximum(var[several], 0.0) / counts[several])
-    oracle = simulate._expected_means(tables, cfg, None)
-    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
-
-
-def assert_same(fast, ref):
-    for name in FIELDS:
-        assert np.array_equal(getattr(fast, name), getattr(ref, name), equal_nan=True), name
 
 
 def shipped(name, n=None):
@@ -151,15 +52,19 @@ def test_edge_search_equals_grid_bisection(name, n):
         assert fast.overflow.sum() > 0  # the outer edges are searched too
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 37, 300, 1000])
-def test_any_chunk_size_gives_the_same_bits(monkeypatch, chunk):
-    scheme, state, s = shipped("sign")
-    cfg = mc_config(s, seed=3, shots=300, n_bins=6)
+@pytest.mark.parametrize("chunk", [1, 7, 37, 300, 333, 1000, 4096])
+def test_any_chunk_size_gives_the_same_bits(monkeypatch, schemes, state_a20, chunk):
+    """On each scheme, chunks that divide the 1200 shots (1, 300), chunks
+    that leave a short last one, and one chunk a bin, without a thread."""
+    edges = default_bins(S, 8)
+    cfg = MCConfig(sigma=10.0, shots_per_bin=1200, p_i_edges=edges[3:6], p_f_edges=edges, seed=9)
     monkeypatch.setattr(simulate, "_SHOT_CHUNK", chunk)
-    assert_same(
-        run_weak_experiment(scheme, state, cfg),
-        grid_bisection_experiment(scheme, state, cfg),
-    )
+    refuse_threads(monkeypatch)
+    for scheme in schemes:
+        assert_same(
+            run_weak_experiment(scheme, state_a20, cfg),
+            grid_bisection_experiment(scheme, state_a20, cfg),
+        )
 
 
 def test_edges_at_grid_index_zero_and_n(sign):
@@ -186,13 +91,12 @@ def test_edges_at_grid_index_zero_and_n(sign):
         assert np.all(fast.overflow == 0)
 
 
-def test_three_channel_scheme(state_a20):
-    scheme = random_complete_scheme(np.random.default_rng(17), n_channels=3)
+def test_three_channel_scheme(state_a20, three_channel):
     for seed in (0, 9, 21):
         cfg = mc_config(S, seed, shots=2000)
-        fast = run_weak_experiment(scheme, state_a20, cfg)
+        fast = run_weak_experiment(three_channel, state_a20, cfg)
         assert fast.channel_counts.shape[2] == 3
-        assert_same(fast, grid_bisection_experiment(scheme, state_a20, cfg))
+        assert_same(fast, grid_bisection_experiment(three_channel, state_a20, cfg))
 
 
 def _mc_peak(scheme, state, shots):

@@ -5,7 +5,6 @@ give the same bits at any block size."""
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,67 +14,18 @@ from wwm import simulate, transfer, weakvalue
 from wwm.cli import COMMANDS, main
 from wwm.errors import WWMError
 from wwm.grid import BLOCK_SAMPLES
-from wwm.scheme import parse_scheme
-from wwm.simulate import MCConfig, default_bins, run_weak_experiment
 from wwm.state import gaussian_twin_slits
 from wwm.weakvalue import pwv_joint
-from conftest import S, random_complete_scheme
+from conftest import S, refuse_threads
 from test_joint_blocks import dense_pwv_joint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIGS = SRC.parent / "configs"
-MC_FIELDS = (
-    "means", "std_errors", "counts", "overflow", "channel_sums", "channel_counts", "oracle"
-)
-PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
-
-
-def use_cores(monkeypatch, cores):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
-
-
-def refuse_threads(monkeypatch):
-    """Make starting any thread, a pool worker included, fail the test."""
-
-    def start(thread):
-        raise AssertionError(f"thread {thread.name} started")
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-
-
-@pytest.fixture(scope="module")
-def schemes(sign, kick_pair, sew):
-    rnd = random_complete_scheme(np.random.default_rng(11))
-    return [sign, kick_pair, sew, parse_scheme([PHASE_RAMP]), rnd]
 
 
 @pytest.fixture(scope="module")
 def state(grid_small):
     return gaussian_twin_slits(S, S / 20, grid_small)
-
-
-def test_mc_same_bits_on_any_worker_count(monkeypatch, schemes, state):
-    """The MC runs its bins in the calling thread on any number of usable
-    cores, and any chunk size gives the same bits."""
-    edges = default_bins(S, 8)
-    cfg = MCConfig(sigma=10.0, shots_per_bin=1500, p_i_edges=edges, p_f_edges=edges, seed=9)
-    for scheme in schemes:
-        runs = []
-        for cores, chunk in [
-            ({0}, simulate._SHOT_CHUNK),  # one chunk per bin
-            ({0, 1}, 333),  # odd chunks
-            ({0, 1, 2}, 1001),  # a short last chunk
-        ]:
-            with monkeypatch.context() as patch:
-                use_cores(patch, cores)
-                patch.setattr(simulate, "_SHOT_CHUNK", chunk)
-                refuse_threads(patch)
-                runs.append(run_weak_experiment(scheme, state, cfg))
-        for run in runs[1:]:
-            for name in MC_FIELDS:
-                assert np.array_equal(
-                    getattr(run, name), getattr(runs[0], name), equal_nan=True
-                ), name
 
 
 @pytest.mark.parametrize("run", [*sorted(COMMANDS), "pwv_joint", "verify_wigner_identity"])
@@ -104,28 +54,6 @@ def test_joint_table_same_bits_at_any_block_size(monkeypatch, schemes, state):
             assert np.array_equal(table.matrix, ref.matrix)
             assert np.array_equal(table.marginal_pf, ref.marginal_pf)
             assert table.row_offset == ref.row_offset
-
-
-@pytest.mark.filterwarnings("ignore:channel tail")
-def test_many_threads_switching_fast_lose_no_update(monkeypatch, schemes, state):
-    """On eight usable cores, 37-shot chunks and a thread switch interval
-    of a microsecond, the MC starts no thread and keeps its bits."""
-    edges = default_bins(S, 8)
-    cfg = MCConfig(sigma=10.0, shots_per_bin=400, p_i_edges=edges, p_f_edges=edges, seed=4)
-    scheme = schemes[-1]
-    use_cores(monkeypatch, {0})
-    mc = run_weak_experiment(scheme, state, cfg)
-    monkeypatch.setattr(simulate, "_SHOT_CHUNK", 37)
-    use_cores(monkeypatch, set(range(8)))
-    refuse_threads(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        mc8 = run_weak_experiment(scheme, state, cfg)
-    finally:
-        sys.setswitchinterval(interval)
-    for name in MC_FIELDS:
-        assert np.array_equal(getattr(mc8, name), getattr(mc, name), equal_nan=True), name
 
 
 def fail_at_call(fn, at, fault, calls):

@@ -5,17 +5,11 @@ import pytest
 
 from wwm.errors import WWMError
 from wwm.grid import fourier_values, inverse_fourier_values, make_grid
-from wwm.simulate import (
-    MCConfig,
-    back_action,
-    default_bins,
-    deterministic_cells,
-    run_reference,
-    run_weak_experiment,
-)
+from wwm.simulate import MCConfig, default_bins, deterministic_cells, run_weak_experiment
 from wwm.state import gaussian_twin_slits
 from wwm.weakvalue import conditional_cells, pwv_joint
 from conftest import POWERED_Z, S, most_negative_cell
+from mc_reference import assert_same, back_action, explicit_experiment
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +67,13 @@ def test_back_action_cases(mc_state, mc_grid):
     assert change <= 0.05  # |S| / sigma bound
 
 
-def test_fast_path_matches_reference(mc_state, sign):
+def test_fast_path_matches_reference(mc_state, sign, phase_ramp, three_channel):
+    """The quadratic forms against explicit state updates: a real
+    channel pair, a complex asymmetric channel and three channels."""
     cfg = small_cfg()
-    fast = run_weak_experiment(sign, mc_state, cfg)
-    ref = run_reference(sign, mc_state, cfg)
-    assert np.array_equal(fast.counts, ref.counts)
-    both = fast.counts > 0
-    assert np.max(np.abs(fast.means[both] - ref.means[both])) < 1e-9
-    assert np.array_equal(fast.overflow, ref.overflow)
-    assert np.array_equal(fast.std_errors, ref.std_errors, equal_nan=True)
+    for scheme in (sign, phase_ramp, three_channel):
+        fast = run_weak_experiment(scheme, mc_state, cfg)
+        assert_same(fast, explicit_experiment(scheme, mc_state, cfg))
 
 
 def test_seed_determinism_and_bin_order_independence(mc_state, sign):
