@@ -107,6 +107,9 @@ def fourier_values(grid, values):
 
 def inverse_fourier_values(grid, values):
     """Inverse of fourier_values."""
-    spectrum = np.fft.ifftshift(values * np.exp(1j * grid.x_min * grid.ps))
+    # a ufunc call, not `*`: numpy may elide the exp temporary by swapping
+    # the operands, and a fused multiply-add rounds Im(a b) and Im(b a) apart
+    phase = np.exp(1j * grid.x_min * grid.ps)
+    spectrum = np.fft.ifftshift(np.multiply(values, phase, out=phase))
     return SQRT_2PI / grid.dx * np.fft.ifft(spectrum)
 

@@ -16,13 +16,15 @@ and p_f distributions are quadratic forms in the two per-shot coefficients
 with coefficients computable once per (channel, bin).  The vectorized
 runner exploits that, and never forms the disturbed state.
 
-Randomness: one counter-based Philox stream per (seed, bin), from which a
-bin's shots consume a fixed layout (all S first, then the channel
-uniforms, then the p_f uniforms).  The fast path streams that layout in
-chunks of _SHOT_CHUNK shots, so its memory does not grow with the shot
-count and any chunk size gives the same bits.  The bins run one after
-another in the calling thread; since each has its own stream, no bit
-depends on the order they run in.
+Randomness: each p_i bin b draws from three counter-based Philox
+streams, keyed (seed, 3 b + k): k = 0 gives the shots' S, k = 1 their
+channel uniforms and k = 2 their p_f uniforms.  Shot j takes the j-th
+draw of each stream, so a run with more shots extends one with fewer.
+The fast path reads the three streams once, from their start, in chunks
+of _SHOT_CHUNK shots, so its memory does not grow with the shot count
+and any chunk size gives the same bits.  The bins run one after another
+in the calling thread; since each has its own streams, no bit depends on
+the order they run in.
 """
 
 from dataclasses import dataclass, field
@@ -84,8 +86,6 @@ class MCEstimate:
     std_errors: np.ndarray
     counts: np.ndarray
     overflow: np.ndarray  # shots per p_i bin that missed every p_f bin
-    channel_sums: np.ndarray  # (n_i, n_f, n_channels) accumulated r
-    channel_counts: np.ndarray
     oracle: np.ndarray  # weak limit of means from the same tables, NaN: empty p_f bin
     config: MCConfig = field(repr=False)
 
@@ -105,7 +105,7 @@ class _ShotTables:
         dp = grid.dp
         psit = fourier_values(grid, state.values)
         chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
-        self.n_ch = n_ch = len(chan_vals)
+        n_ch = len(chan_vals)
         nb, nc = cfg.n_i, cfg.n_f
 
         # A shot lands at or beyond p_f edge k when its channel's cumulative
@@ -186,95 +186,67 @@ class _ShotTables:
 _SHOT_CHUNK = 2 ** 12
 
 
-def _philox(cfg, b):
-    return np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64))
-    )
-
-
-def _draw_chunks(cfg, b):
-    """Bin b's draws in chunks of _SHOT_CHUNK shots, laid out in its stream
-    as all of the bin's S, then its channel uniforms, then its p_f uniforms.
-
-    The ziggurat normals take a variable number of raw words, so the
-    uniforms' offset is found by running the S stream through once; each
-    uniform then takes exactly one word, which locates the p_f uniforms.
-    """
-    shots = cfg.shots_per_bin
-    starts = range(0, shots, _SHOT_CHUNK)
-    normals = _philox(cfg, b)
-    for lo in starts:
-        normals.standard_normal(min(_SHOT_CHUNK, shots - lo))
-    channel, pf = _philox(cfg, b), _philox(cfg, b)
-    channel.bit_generator.state = pf.bit_generator.state = normals.bit_generator.state
-    pf.bit_generator.random_raw(shots, output=False)
-    normals = _philox(cfg, b)
-    for lo in starts:
-        size = min(_SHOT_CHUNK, shots - lo)
-        yield normals.standard_normal(size), channel.random(size), pf.random(size)
-
-
 def run_weak_experiment(scheme, state, cfg):
     """Run the full protocol in the calling thread, bin by bin; vectorized
     over each chunk of a bin's shots."""
     tables = _ShotTables(scheme, state, cfg)
-    nb, nc, n_ch = cfg.n_i, cfg.n_f, tables.n_ch
+    nb, nc = cfg.n_i, cfg.n_f
     # p_f slot nc takes the shots outside every p_f bin: its counts are the
     # overflow, its sums are dropped.
-    sum_r = np.zeros((nb, nc + 1, n_ch))
-    sum_r2 = np.zeros((nb, nc + 1))
-    counts_ch = np.zeros((nb, nc + 1, n_ch), dtype=np.int64)
+    sum_r, sum_r2 = np.zeros((2, nb, nc + 1))
+    counts = np.zeros((nb, nc + 1), dtype=np.int64)
     with np.errstate(over="ignore"):  # a huge sigma overflows r**2; the CLI refuses it
         for b in range(nb):
-            _run_bin(tables, cfg, b, sum_r[b], sum_r2[b], counts_ch[b])
+            _run_bin(tables, cfg, b, sum_r[b], sum_r2[b], counts[b])
     oracle = _expected_means(tables, cfg, None)
-    overflow = counts_ch[:, nc].sum(axis=1)
-    return _estimate(sum_r[:, :nc], sum_r2[:, :nc], counts_ch[:, :nc], overflow, oracle, cfg)
+    return _estimate(sum_r[:, :nc], sum_r2[:, :nc], counts[:, :nc], counts[:, nc], oracle, cfg)
 
 
-def _run_bin(tables, cfg, b, sum_r, sum_r2, counts_ch):
+def _run_bin(tables, cfg, b, sum_r, sum_r2, counts):
     """Add bin b's shots, chunk by chunk, into its n_f + 1 p_f slots."""
-    nc, n_ch = cfg.n_f, tables.n_ch
+    nc, shots = cfg.n_f, cfg.shots_per_bin
     exp_b, nv, nw = tables.expectations[b], tables.nv[b], tables.nw[b]
-    for S, u_channel, u_pf in _draw_chunks(cfg, b):
+    normals, channel, pf = (
+        np.random.Generator(np.random.Philox(key=np.array([cfg.seed, key], dtype=np.uint64)))
+        for key in (3 * b, 3 * b + 1, 3 * b + 2)
+    )
+    for lo in range(0, shots, _SHOT_CHUNK):
+        size = min(_SHOT_CHUNK, shots - lo)
+        S, u_channel, u_pf = normals.standard_normal(size), channel.random(size), pf.random(size)
         lam = S / (2.0 * cfg.sigma)
         alpha = 1.0 - lam * exp_b
         a2, ab, b2 = alpha * alpha, alpha * lam, lam * lam
-        probs = a2 * tables.na[:, None] + ab * nv[:, None] + b2 * nw[:, None]  # (n_ch, shots)
-        cum = probs.copy()
-        for k in range(1, n_ch):  # cumsum over the channels, row by row
-            cum[k] += cum[k - 1]
+        probs = a2 * tables.na[:, None] + ab * nv[:, None] + b2 * nw[:, None]  # (channels, shots)
+        cum = np.cumsum(probs, axis=0)
         targets = u_channel * cum[-1]
-        picked = np.zeros(S.size, dtype=np.intp)  # the total is never below its target
+        picked = np.zeros(size, dtype=np.intp)  # the total is never below its target
         for row in cum[:-1]:
             picked += row < targets
-        t2 = u_pf * probs.ravel()[picked * S.size + np.arange(S.size)]  # the picked rows
+        t2 = u_pf * probs.ravel()[picked * size + np.arange(size)]  # the picked rows
         c_bin = tables.landing_bins(b, picked, a2, ab, b2, t2)
         r = exp_b + cfg.sigma * S
         slot = np.where(c_bin < 0, nc, c_bin)  # c_bin <= nc
-        flat = slot * n_ch + picked
-        counts_ch += np.bincount(flat, minlength=counts_ch.size).reshape(counts_ch.shape)
+        counts += np.bincount(slot, minlength=nc + 1)
         # add.at sums shot by shot into the running totals, the order a
         # single bincount over all of the bin's shots would use.
-        np.add.at(sum_r.reshape(-1), flat, r)
+        np.add.at(sum_r, slot, r)
         np.add.at(sum_r2, slot, r ** 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # r**2 past the float range reads inf or nan
-def _estimate(sum_r, sum_r2, counts_ch, overflow, oracle, cfg):
+def _estimate(sum_r, sum_r2, counts, overflow, oracle, cfg):
     """Cell means and standard errors from the accumulated shot sums."""
-    counts = counts_ch.sum(axis=2)
     means = np.full(counts.shape, np.nan)
     ses = np.full(counts.shape, np.nan)
     got = counts > 0
-    means[got] = sum_r.sum(axis=2)[got] / counts[got]
+    means[got] = sum_r[got] / counts[got]
     several = counts > 1
     var = np.zeros(counts.shape)
     var[several] = (
         sum_r2[several] - counts[several] * means[several] ** 2
     ) / (counts[several] - 1)
     ses[several] = np.sqrt(np.maximum(var[several], 0.0) / counts[several])
-    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
+    return MCEstimate(means, ses, counts, overflow, oracle, cfg)
 
 
 _HERMITE_NODES = 61  # Gauss-Hermite nodes for the finite-sigma average

@@ -21,6 +21,9 @@ settings.load_profile("det")
 
 S = 1.0
 
+# One complex channel with an asymmetric transfer: configs/phase_ramp.cfg's O.
+PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+
 # A cell whose expected z is at or below this clears the 3 SE threshold in
 # at least 99% of runs: 3 plus the standard normal's 99th percentile.
 POWERED_Z = -(3.0 + 2.326)
@@ -73,8 +76,7 @@ def sew():
 
 @pytest.fixture(scope="session")
 def phase_ramp():
-    """One complex channel with an asymmetric transfer."""
-    return parse_scheme(["exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"])
+    return parse_scheme([PHASE_RAMP])
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """The two reference MCs that wwm.simulate's fast path is checked against.
 
-Both draw each p_i bin's shots in one unchunked call on the bin's own
-Philox stream, keyed (seed, bin): all S first, then the channel uniforms,
-then the p_f uniforms.  They differ only in how a shot lands:
+Both draw each p_i bin's shots in one unchunked call per stream: the S,
+the channel uniforms and the p_f uniforms each come from their own
+Philox stream, keyed (seed, 3 bin), (seed, 3 bin + 1) and (seed, 3 bin + 2).
+They differ only in how a shot lands:
 - explicit_experiment updates the state shot by shot (back_action) and
   samples the channel and p_f from the updated state's densities;
 - grid_bisection_experiment samples them from the quadratic forms in the
@@ -16,9 +17,7 @@ import numpy as np
 from wwm.grid import bin_indices, fourier_values, inverse_fourier_values
 from wwm.simulate import MCEstimate, deterministic_cells
 
-FIELDS = (
-    "means", "std_errors", "counts", "overflow", "channel_sums", "channel_counts", "oracle"
-)
+FIELDS = ("means", "std_errors", "counts", "overflow", "oracle")
 
 
 def assert_same(fast, ref):
@@ -27,41 +26,41 @@ def assert_same(fast, ref):
 
 
 def draws(cfg, b):
-    """Bin b's whole draw layout: all S, then channel, then p_f uniforms."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64)))
+    """Bin b's S, channel uniforms and p_f uniforms, each from its own stream."""
+    def stream(k):
+        key = np.array([cfg.seed, 3 * b + k], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
     shots = cfg.shots_per_bin
-    return gen.standard_normal(shots), gen.random(shots), gen.random(shots)
+    return stream(0).standard_normal(shots), stream(1).random(shots), stream(2).random(shots)
 
 
 def run(scheme, state, cfg, land):
     """The protocol, with land(b, <Pi_b>, S, u_channel, u_pf) giving the
-    channel and the p_f grid index of each of bin b's shots."""
+    p_f grid index of each of bin b's shots."""
     grid = state.grid
     psit = fourier_values(grid, state.values)
     i_bins = bin_indices(cfg.p_i_edges, grid.ps)
-    nb, nc, n_ch = cfg.n_i, cfg.n_f, len(scheme.channels)
-    sum_r, counts_ch = np.zeros((nb, nc * n_ch)), np.zeros((nb, nc * n_ch), dtype=np.int64)
-    sum_r2, overflow = np.zeros((nb, nc)), np.zeros(nb, dtype=np.int64)
+    nb, nc = cfg.n_i, cfg.n_f
+    sum_r, sum_r2 = np.zeros((2, nb, nc))
+    counts, overflow = np.zeros((nb, nc), dtype=np.int64), np.zeros(nb, dtype=np.int64)
     for b in range(nb):
         expectation = np.sum(np.abs(psit[i_bins == b]) ** 2) * grid.dp
         S, u_channel, u_pf = draws(cfg, b)
-        xi, f_idx = land(b, expectation, S, u_channel, u_pf)
+        f_idx = land(b, expectation, S, u_channel, u_pf)
         c = bin_indices(cfg.p_f_edges, grid.ps[f_idx])
         ok = c >= 0
         r = (expectation + cfg.sigma * S)[ok]
         overflow[b] = np.count_nonzero(~ok)
-        flat = c[ok] * n_ch + xi[ok]
-        counts_ch[b] = np.bincount(flat, minlength=nc * n_ch)
-        sum_r[b] = np.bincount(flat, weights=r, minlength=nc * n_ch)
+        counts[b] = np.bincount(c[ok], minlength=nc)
+        sum_r[b] = np.bincount(c[ok], weights=r, minlength=nc)
         sum_r2[b] = np.bincount(c[ok], weights=r ** 2, minlength=nc)
-    sum_r, counts_ch = sum_r.reshape(nb, nc, n_ch), counts_ch.reshape(nb, nc, n_ch)
-    counts = counts_ch.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = np.where(counts > 0, sum_r.sum(axis=2) / counts, np.nan)
+        means = np.where(counts > 0, sum_r / counts, np.nan)
         var = (sum_r2 - counts * means ** 2) / (counts - 1)
         ses = np.where(counts > 1, np.sqrt(np.maximum(var, 0.0) / counts), np.nan)
     oracle = deterministic_cells(scheme, state, cfg)
-    return MCEstimate(means, ses, counts, overflow, sum_r, counts_ch, oracle, cfg)
+    return MCEstimate(means, ses, counts, overflow, oracle, cfg)
 
 
 def back_action(grid, psi, p_bin, S, sigma):
@@ -85,17 +84,17 @@ def explicit_experiment(scheme, state, cfg):
     chan_vals = [ch.evaluate(grid.xs) for ch in scheme.channels]
 
     def land(b, expectation, S, u_channel, u_pf):
-        xi, f_idx = np.empty((2, S.size), dtype=np.intp)
+        f_idx = np.empty(S.size, dtype=np.intp)
         for k in range(S.size):
             pos = back_action(grid, state.values, cfg.p_i_edges[b : b + 2], S[k], cfg.sigma)
             dens = np.stack(
                 [np.abs(fourier_values(grid, cv * pos)) ** 2 * grid.dp for cv in chan_vals]
             )
             cum = np.cumsum(dens.sum(axis=1))
-            xi[k] = min(np.count_nonzero(cum < u_channel[k] * cum[-1]), len(chan_vals) - 1)
-            cdf = np.cumsum(dens[xi[k]])
+            xi = min(np.count_nonzero(cum < u_channel[k] * cum[-1]), len(chan_vals) - 1)
+            cdf = np.cumsum(dens[xi])
             f_idx[k] = np.searchsorted(cdf, u_pf[k] * cdf[-1], side="left")
-        return xi, f_idx
+        return f_idx
 
     return run(scheme, state, cfg, land)
 
@@ -142,6 +141,6 @@ def grid_bisection_experiment(scheme, state, cfg):
             mid = (lo + hi) // 2
             ge = a2 * cu[picked, mid] + ab * cv[picked, mid] + b2 * cw[picked, mid] >= t2
             hi, lo = np.where(ge, mid, hi), np.where(ge, lo, mid)
-        return picked, hi
+        return hi
 
     return run(scheme, state, cfg, land)

@@ -8,7 +8,8 @@ from wwm.grid import (
     inverse_fourier_values,
     make_grid,
 )
-from conftest import spectral_refine
+from wwm.state import gaussian_twin_slits
+from conftest import S, spectral_refine
 
 
 def random_field(grid, seed):
@@ -40,6 +41,18 @@ def test_round_trip(n):
     f = random_field(g, n)
     back = inverse_fourier_values(g, fourier_values(g, f))
     assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
+
+
+def test_inverse_transform_multiplies_in_one_order_at_n_16384():
+    """At n = 16384 the phase is a 256 KiB temporary, which numpy may reuse
+    for `values * phase` by swapping the operands.  On a twin-slit spectrum,
+    nearly real where the phase is nearly +-1, hundreds of imaginary parts
+    then round differently.  The transform is values times the phase at any n."""
+    g = make_grid(-8, 8, 16384)
+    f = fourier_values(g, gaussian_twin_slits(S, S / 20, g).values)
+    phase = np.exp(1j * g.x_min * g.ps)  # a named array: never elided
+    expected = np.sqrt(2 * np.pi) / g.dx * np.fft.ifft(np.fft.ifftshift(f * phase))
+    assert np.array_equal(inverse_fourier_values(g, f), expected)
 
 
 def test_gaussian_self_dual():

@@ -10,7 +10,7 @@ from wwm.grid import SQRT_2PI, fourier_values, make_grid
 from wwm.scheme import parse_scheme, require_complete
 from wwm.state import gaussian_twin_slits
 from wwm.weakvalue import JointWeakTable, _channel_decomposition, _scan_range, pwv_joint
-from conftest import S
+from conftest import PHASE_RAMP, S
 
 MIB = 2 ** 20
 
@@ -64,9 +64,6 @@ def dense_pwv_joint(scheme, state):
 
     marginal = matrix.sum(axis=0)
     return JointWeakTable(ps[rows].copy(), ps, matrix, marginal, lo)
-
-
-PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,7 @@ from wwm.grid import make_grid
 from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
 from wwm.state import SlitState, gaussian_twin_slits, narrow_twin_slits
 from wwm.transfer import char_fn, correlation_g, moments, phi_dq
-from conftest import S, random_complete_scheme, spectral_refine
-
-PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+from conftest import PHASE_RAMP, S, random_complete_scheme, spectral_refine
 PHI_QS = (S / 64.0) * np.arange(-256, 257)  # the q grid of `wwm phi`
 
 

@@ -45,7 +45,7 @@ def mc_config(s, seed, shots, n_bins=16, p_f_edges=None):
 )
 def test_edge_search_equals_grid_bisection(name, n):
     scheme, state, s = shipped(name, n)
-    for seed in (0, 7, 2 ** 63 + 5):
+    for seed in (0, 7, 2 ** 63 + 5, 2 ** 64 - 1):  # 2^64 - 1: the largest seed
         cfg = mc_config(s, seed, shots=3000)
         fast = run_weak_experiment(scheme, state, cfg)
         assert_same(fast, grid_bisection_experiment(scheme, state, cfg))
@@ -95,8 +95,20 @@ def test_three_channel_scheme(state_a20, three_channel):
     for seed in (0, 9, 21):
         cfg = mc_config(S, seed, shots=2000)
         fast = run_weak_experiment(three_channel, state_a20, cfg)
-        assert fast.channel_counts.shape[2] == 3
         assert_same(fast, grid_bisection_experiment(three_channel, state_a20, cfg))
+
+
+def test_one_more_shot_extends_the_run():
+    """Shot j takes the j-th draw of each of its bin's three streams, so 21
+    shots a bin are the 20-shot run plus one shot in each p_i row: no count
+    falls, and each row's counts and overflow gain one shot in all."""
+    scheme, state, s = shipped("sign")
+    short = run_weak_experiment(scheme, state, mc_config(s, seed=0, shots=20))
+    longer = run_weak_experiment(scheme, state, mc_config(s, seed=0, shots=21))
+    assert np.all(longer.counts >= short.counts)
+    assert np.all(longer.overflow >= short.overflow)
+    gained = longer.counts.sum(axis=1) + longer.overflow - short.counts.sum(axis=1) - short.overflow
+    assert np.all(gained == 1)
 
 
 def _mc_peak(scheme, state, shots):

@@ -34,6 +34,7 @@ from wwm.scheme import builtin, parse_scheme
 from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density
 from wwm.transfer import char_fn, moment_qs, moments, wigner_kernel
 from wwm.weakvalue import pwv_marginal
+from conftest import PHASE_RAMP
 
 S = 1.0
 A = 0.02
@@ -145,7 +146,6 @@ def test_sign_kernel_converges_at_first_order(n, x):
     assert order >= 0.95  # measured 0.99 to 1.00
 
 
-PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 # config -> (slit width a, scheme, exact <p^n> at n = 1..4, then |error|
 # measured on the shipped box and n with one 16n point FFT correlation per
 # channel, with one 8n point inverse FFT over the summed spectra, and with

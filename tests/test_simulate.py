@@ -69,11 +69,12 @@ def test_back_action_cases(mc_state, mc_grid):
 
 def test_fast_path_matches_reference(mc_state, sign, phase_ramp, three_channel):
     """The quadratic forms against explicit state updates: a real
-    channel pair, a complex asymmetric channel and three channels."""
-    cfg = small_cfg()
-    for scheme in (sign, phase_ramp, three_channel):
-        fast = run_weak_experiment(scheme, mc_state, cfg)
-        assert_same(fast, explicit_experiment(scheme, mc_state, cfg))
+    channel pair, a complex asymmetric channel and three channels, also at
+    the largest seed."""
+    for cfg in (small_cfg(), small_cfg(seed=2 ** 64 - 1, shots=100)):
+        for scheme in (sign, phase_ramp, three_channel):
+            fast = run_weak_experiment(scheme, mc_state, cfg)
+            assert_same(fast, explicit_experiment(scheme, mc_state, cfg))
 
 
 def test_seed_determinism_and_bin_order_independence(mc_state, sign):
@@ -96,15 +97,15 @@ def test_seed_determinism_and_bin_order_independence(mc_state, sign):
     est = run_weak_experiment(sign, mc_state, solo)
     assert est.counts.shape == (1, cfg.n_f)
 
-    # per-bin streams, keyed on (seed, bin): widening only the last p_i bin
-    # leaves every other row's bits alone and moves the last row
+    # per-bin streams, keyed on (seed, 3 bin + k) for the S, channel and p_f
+    # draws: widening only the last p_i bin leaves every other row's bits
+    # alone and moves the last row
     wide_edges = edges.copy()
     wide_edges[-1] += 2 * np.pi / S
     wide = run_weak_experiment(sign, mc_state, replace(cfg, p_i_edges=wide_edges))
-    rows = ("means", "std_errors", "counts", "overflow", "channel_sums", "channel_counts", "oracle")
-    for name in rows:
+    for name in ("means", "std_errors", "counts", "overflow", "oracle"):
         assert np.array_equal(getattr(a, name)[:-1], getattr(wide, name)[:-1], equal_nan=True), name
-    for name in ("means", "channel_sums", "oracle"):
+    for name in ("means", "oracle"):
         assert not np.array_equal(getattr(a, name)[-1], getattr(wide, name)[-1], equal_nan=True)
 
 
@@ -113,15 +114,6 @@ def test_counts_reconcile_with_shots(mc_state, sign):
     est = run_weak_experiment(sign, mc_state, cfg)
     per_bin = est.counts.sum(axis=1) + est.overflow
     assert np.all(per_bin == cfg.shots_per_bin)
-
-
-def test_channel_marginal_property(mc_state, sign):
-    # summing per-channel accumulators equals ignoring the channel record
-    cfg = small_cfg(seed=11)
-    est = run_weak_experiment(sign, mc_state, cfg)
-    got = est.counts > 0
-    summed = est.channel_sums.sum(axis=2)[got] / est.channel_counts.sum(axis=2)[got]
-    assert np.max(np.abs(summed - est.means[got])) < 1e-12
 
 
 def test_identity_diagonal_cells(mc_grid, identity):
@@ -201,7 +193,7 @@ def test_kick_oracle_is_the_expectation_of_the_cell_mean(mc_state, kick_pair):
 def test_significantly_negative_cell_high_power(mc_grid, sign):
     """Powered negativity: the cell is picked from the deterministic table
     before the run (expected z -5.57 in cell [1, 3] at these settings; the
-    seed-0 run observes -4.37), then the experiment is run once at a fixed
+    seed-0 run observes -6.54), then the experiment is run once at a fixed
     seed."""
     state = gaussian_twin_slits(S, S / 10, mc_grid)
     p_i_edges = np.array([-3 * np.pi, -3.0, 3.0, 3 * np.pi])

@@ -15,10 +15,9 @@ from wwm.grid import make_grid
 from wwm.scheme import builtin, parse_scheme
 from wwm.state import gaussian_twin_slits
 from wwm.transfer import wigner_kernel, wigner_slice_residual
-from conftest import S, random_complete_scheme
+from conftest import PHASE_RAMP, S, random_complete_scheme
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 # Stated bound on the grid configs up to n = 16384, where the residual is
 # rounding only: 2.4e-17 (kick_pair) to 7.5e-14 (sign at n = 16384).
 SLICE_TOL = 1e-12

@@ -9,11 +9,9 @@ from wwm.grid import make_grid
 from wwm.scheme import parse_scheme
 from wwm.state import gaussian_twin_slits
 from wwm.transfer import _pair_products, verify_wigner_identity
-from conftest import S, half_row_wigner, random_complete_scheme
+from conftest import PHASE_RAMP, S, half_row_wigner, random_complete_scheme
 
 MIB = 2 ** 20
-
-PHASE_RAMP = "exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
 
 
 def index_pair_products(values, rows=None):
