@@ -166,9 +166,9 @@ def cmd_simulate(cfg, args, scheme, state):
 
 
 def cmd_audit(cfg, args, scheme, state):
-    report = audit_mod.run_audit(scheme, state, seed=args.seed)
-    csv = _lines(",".join(r) for r in audit_mod.csv_rows(report)) if cfg.out else None
-    return csv, 0, audit_mod.render_text(report) + "\n"
+    label, rows = audit_mod.run_audit(scheme, state, seed=args.seed)
+    csv = _lines(",".join(r) for r in audit_mod.csv_rows(rows)) if cfg.out else None
+    return csv, 0, audit_mod.render_text(label, rows) + "\n"
 
 
 def cmd_wigner(cfg, args, scheme, state):
