@@ -3,7 +3,10 @@
 Summarizes the numbers every comparison table wants: completeness,
 visibility, characteristic-function checks, moments, support masses,
 total absolute mass, a random-unitary basis-invariance residual, and
-yes/no flags derived from them at fixed thresholds.
+yes/no flags derived from them at fixed thresholds.  `run_audit` returns
+them as one ordered list of rows, each declared once with its CSV name,
+text label and text format; `render_text` and `csv_rows` print that
+list, so a new row is one more entry in it.
 """
 
 from typing import NamedTuple
@@ -26,7 +29,7 @@ YES_NO = {True: "yes", False: "no", None: "n/a"}
 
 
 class Row(NamedTuple):
-    field: str  # CSV name; None for a line the text report alone prints
+    field: str  # CSV name
     label: str  # text label
     value: object  # number, moments array, flag text, or None: not computed
     spec: str = None  # text format of a number; None for a flag
@@ -94,14 +97,11 @@ def run_audit(scheme, state, seed=0):
         Row("re_form_gap", "|chi - Re g| gap", re_gap, ".3e", gap_note),
         Row("pattern_l1_change", "pattern L1 change", l1, ".6f"),
         Row("moment_change_mismatch", "moment-change mismatch", mismatch, ".3e"),
-        Row(None, "described by a transfer distribution:", "yes"),
         Row("flag_positive", "distribution positive:", YES_NO[abs_mass <= 1.0 + POSITIVE_TOL]),
         Row("flag_reflects_pattern_change", "reflects pattern change:", YES_NO[reflects_pattern]),
         Row("flag_reflects_moment_change", "reflects moment change:", YES_NO[reflects_moments]),
-        Row(None, "directly observable:", "yes (weak-probe protocol)"),
         Row("flag_basis_independent", "independent of the channel basis:",
             YES_NO[basis_residual < BASIS_TOL]),
-        Row("bohmian_row", "bohmian trajectory comparison:", "not computed"),
     ]
 
 
@@ -133,8 +133,7 @@ def csv_rows(rows):
     out = [("field", "value")]
     for r in rows:
         if r.spec is None:
-            if r.field:
-                out.append((r.field, r.value))
+            out.append((r.field, r.value))
         elif np.ndim(r.value):
             out.extend((f"{r.field}_{k}", f"{v:.12e}") for k, v in enumerate(r.value, start=1))
         else:

@@ -760,13 +760,58 @@ def test_cmd_audit_text_and_csv(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "distribution positive:                no" in text
     assert "independent of the channel basis:     yes" in text
-    assert "bohmian trajectory comparison:        not computed" in text
+    # rows with no computed content are not printed
+    for constant in ("described by", "directly observable", "bohmian"):
+        assert constant not in text
     rows = dict(
         line.split(",", 1) for line in out.read_text().splitlines()[1:]
     )
     assert float(rows["visibility"]) == pytest.approx(0.0, abs=1e-12)
     assert rows["flag_positive"] == "no"
-    assert rows["bohmian_row"] == "not computed"
+    assert "bohmian_row" not in rows
+
+
+def rounded_as(csv_value, shown):
+    """csv_value in the text's format of `shown` (`+`, digits, e or f)."""
+    if csv_value == "not computed":
+        return csv_value
+    sign = "+" if shown.startswith("+") else ""
+    mantissa = shown.split("e")[0]
+    spec = f"{sign}.{len(mantissa.split('.')[1])}{'e' if 'e' in shown else 'f'}"
+    return format(float(csv_value), spec)
+
+
+@pytest.mark.parametrize("cfg", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_audit_text_and_csv_list_the_same_rows(tmp_path, capsys, cfg):
+    """Each `label = value` line of the text report is the next CSV row, its
+    value that row's rounded to the text's precision, and the moments line
+    moment_1..moment_4; then the properties lines are the flag_* rows."""
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+    text = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    names = [name for name, _ in rows]
+    assert len(set(names)) == len(names)
+    numbers = text[text.index("") + 1:text.index("properties:") - 1]
+    flags = text[text.index("properties:") + 1:]
+    csv_rows = iter(rows)
+    for line in numbers:
+        label, shown = line.split(" = ")
+        shown = shown.split("  (")[0]  # the text-only gap note
+        values = [shown] if shown == "not computed" else shown.split()
+        paired = [next(csv_rows) for _ in values]
+        if len(values) > 1:
+            assert label.startswith("moments")
+            assert [name for name, _ in paired] == [f"moment_{k}" for k in range(1, 5)]
+        for value, (name, csv_value) in zip(values, paired):
+            assert rounded_as(csv_value, value) == value, (label, name)
+    flag_rows = list(csv_rows)
+    assert [name for name, _ in flag_rows] == [n for n in names if n.startswith("flag_")]
+    assert [line.split()[-1] for line in flags] == [value for _, value in flag_rows]
+    assert {line.split()[-1] for line in flags} <= {"yes", "no", "n/a"}
+    if cfg.stem == "sign_narrow":
+        assert "not computed" in "\n".join(numbers)
+        assert ["pattern_l1_change", "not computed"] in rows
 
 
 def test_cmd_audit_kicks_flags(tmp_path, capsys):

@@ -20,9 +20,10 @@ from wwm.scheme import haar_unitary, rebase
 from wwm.simulate import MCConfig, default_bins, deterministic_cells
 from wwm.transfer import char_fn, moment_qs, moments
 from wwm.weakvalue import pwv_joint, pwv_marginal
+from conftest import PHASE_RAMP
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-PHASE_RAMP_O = "O = exp(i*0.8*(theta(x)*theta(1.0-x)*x + theta(x-1.0)))"
+PHASE_RAMP_O = "O = " + PHASE_RAMP
 MIRRORED_O = "O = exp(i*0.8*(theta(-x)*theta(1.0+x)*(-x) + theta(-x-1.0)))"
 
 

@@ -141,8 +141,9 @@ def test_wigner_block_fault_reaches_the_caller_unchanged(monkeypatch, sign, stat
     assert len(calls) == 11
 
 
-def test_cli_import_leaves_the_pool_unloaded():
-    """`import wwm.cli` must not pay for concurrent.futures (~8 ms a job)."""
+def test_cli_import_loads_no_concurrent_futures():
+    """`import wwm.cli` loads no concurrent.futures: no command starts a
+    thread, so no job pays for importing it (~8 ms a job)."""
     code = "import sys, wwm.cli; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(

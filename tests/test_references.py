@@ -34,9 +34,8 @@ from wwm.scheme import builtin, parse_scheme
 from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density
 from wwm.transfer import char_fn, moment_qs, moments, wigner_kernel
 from wwm.weakvalue import pwv_marginal
-from conftest import PHASE_RAMP
+from conftest import PHASE_RAMP, S
 
-S = 1.0
 A = 0.02
 ERROR_FACTOR = 1.1
 # (box length L, n) -> max |density - exact| measured
