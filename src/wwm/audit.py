@@ -16,9 +16,7 @@ import numpy as np
 from .scheme import completeness_residual, haar_unitary, rebase, visibility
 from .simulate import require_seed
 from .state import apply_wwm, momentum_density
-from .transfer import (
-    char_fn, moment_qs, moments, phi_dq, phi_symmetric, support_metric, support_widths,
-)
+from .transfer import char_fns, moment_qs, moments, phi_dq, support_metric, support_widths
 from .weakvalue import pwv_marginal
 
 POSITIVE_TOL = 1e-6
@@ -45,10 +43,10 @@ def run_audit(scheme, state, seed=0):
     vis = float(visibility(scheme, s))
 
     qs = phi_dq(state) * np.arange(-512, 513)
-    chi = char_fn(scheme, state, qs=qs)
+    chi, chi_moments, chi_lags = char_fns(scheme, state, qs, moment_qs(state), None)
     idx_s = int(np.argmin(np.abs(qs - s)))
-    re_gap = float(np.max(np.abs(chi.values - phi_symmetric(scheme, state, qs))))
-    rep = moments(char_fn(scheme, state, qs=moment_qs(state)))
+    re_gap = float(np.max(np.abs(chi.values - chi.g.real)))
+    rep = moments(chi_moments)
     # Odd moments make chi differ from Re g: the scheme is asymmetric.
     # Without them the gap is the odd part of g, which the state can carry.
     gap_note = ""
@@ -58,7 +56,8 @@ def run_audit(scheme, state, seed=0):
         else:
             gap_note = "  (g is not even: the symmetric Re form is not chi)"
 
-    dist = pwv_marginal(scheme, state)
+    dist = pwv_marginal(scheme, state, chi_lags)
+    del chi_lags  # held through the rebase's own g request, it would raise max RSS
     sup_third, sup_inv = (float(support_metric(dist, w)) for w in support_widths(s))
     abs_mass = float(support_metric(dist, 0.0))
 

@@ -7,8 +7,8 @@ The central object is the characteristic function
 
 the exact Fourier dual of the weak-valued transfer distribution:
 chi(q) = integral dP_wv(p) exp(i p q).  The widely quoted form Re g(q)
-(exposed here as phi_symmetric) coincides with chi whenever g is even, which
-covers every symmetric scheme; for asymmetric kick schemes only chi keeps
+(a chi's g.real) coincides with chi whenever g is even, which covers
+every symmetric scheme; for asymmetric kick schemes only chi keeps
 the odd moments.
 
 Moments are extracted by differentiating chi at q = 0 with central
@@ -103,6 +103,7 @@ class CharacteristicFunction:
     qs: np.ndarray
     values: np.ndarray  # complex chi samples; asymptote_split reads their box edges
     kick_terms: list = None  # a kick scheme's (weight, kick) pairs: its exact atoms
+    g: np.ndarray = None  # g at qs, from the request chi was built from
 
     def __post_init__(self):
         q0 = self.qs[self.index0]
@@ -305,34 +306,37 @@ def correlation_g(scheme, state, qs):
     return g
 
 
-def char_fn(scheme, state, qs=None):
-    """Characteristic function chi(q) = [g(q) + conj(g(-q))] / 2.
+def char_fns(scheme, state, *q_sets):
+    """Characteristic function chi(q) = [g(q) + conj(g(-q))] / 2 on each q set.
 
-    qs=None picks the n lags q = (m - n/2) dx of state.grid (narrow: its
+    A set of None picks the n lags q = (m - n/2) dx of state.grid (narrow: its
     output grid), q = 0 at sample n/2, wherever the box sits.  Given qs
-    need q = 0 as their middle sample.  g(q) and g(-q) come from one
-    correlation_g call; on a grid, qs=None reads them from one lattice block.
+    need q = 0 as their middle sample.  All g(q) and g(-q) come from one
+    correlation_g call, whose bits at a q do not depend on the rest, so each
+    chi, which keeps its g(q), is that of its own call.
     Raises if the scheme is incomplete; validates chi(0) = 1 and |chi| <= 1.
     """
     require_complete(scheme, state)
-    if qs is None:
-        qs = state.grid.dx * (np.arange(state.grid.n) - state.grid.n // 2)
-    qs = np.asarray(qs, dtype=float)
-    g = correlation_g(scheme, state, np.concatenate([qs, -qs]))
-    chi = 0.5 * (g[: qs.size] + np.conj(g[qs.size :]))
-    cf = CharacteristicFunction(qs, chi, scheme.kick_terms)
-    at0 = cf.at0()
-    if not abs(at0 - 1.0) <= 1e-7:  # written so that NaN fails
-        raise CompletenessError(f"chi(0) = {at0}, expected 1")
-    peak = float(np.max(np.abs(chi)))
-    if not peak <= 1.0 + 1e-9:
-        raise WWMError(f"|chi| reached {peak}, above the Schwartz bound 1")
-    return cf
+    lags = state.grid.dx * (np.arange(state.grid.n) - state.grid.n // 2)
+    q_sets = [lags if qs is None else np.asarray(qs, dtype=float) for qs in q_sets]
+    g = correlation_g(scheme, state, np.concatenate([q for qs in q_sets for q in (qs, -qs)]))
+    parts = np.split(g, np.cumsum(np.repeat([qs.size for qs in q_sets], 2))[:-1])
+    cfs = []
+    for qs, g_q, g_minus in zip(q_sets, parts[::2], parts[1::2]):
+        cf = CharacteristicFunction(qs, 0.5 * (g_q + np.conj(g_minus)), scheme.kick_terms, g_q.copy())
+        at0 = cf.at0()
+        if not abs(at0 - 1.0) <= 1e-7:  # written so that NaN fails
+            raise CompletenessError(f"chi(0) = {at0}, expected 1")
+        peak = float(np.max(np.abs(cf.values)))
+        if not peak <= 1.0 + 1e-9:
+            raise WWMError(f"|chi| reached {peak}, above the Schwartz bound 1")
+        cfs.append(cf)
+    return cfs
 
 
-def phi_symmetric(scheme, state, qs):
-    """Re g(q): the symmetric real-form moment generator, for audits."""
-    return np.real(correlation_g(scheme, state, np.asarray(qs, dtype=float)))
+def char_fn(scheme, state, qs=None):
+    """chi on one q set: char_fns(scheme, state, qs)[0]."""
+    return char_fns(scheme, state, qs)[0]
 
 
 # --- moments ------------------------------------------------------------

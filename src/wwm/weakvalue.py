@@ -55,16 +55,17 @@ def pwv_narrow_sign(s, ps):
     return MixedDistribution([(0.0, 0.5)], ps, density)
 
 
-def pwv_marginal(scheme, state):
+def pwv_marginal(scheme, state, chi=None):
     """Weak-valued distribution of the transfer p_f - p_i on the state's momentum grid.
 
     The sign measurement on narrow slits returns the closed form, which
     holds for any slit amplitudes and any channel basis; everything else,
-    kick schemes too, is the distribution of the characteristic function.
+    kick schemes too, is the distribution of the characteristic function:
+    chi if given, which must be char_fn(scheme, state), else that call's.
     """
     if not state.is_grid and scheme.base == "sign":
         return pwv_narrow_sign(state.s, state.grid.ps)
-    return distribution_from_chi(char_fn(scheme, state))
+    return distribution_from_chi(char_fn(scheme, state) if chi is None else chi)
 
 
 # --- joint table ---------------------------------------------------------

@@ -20,8 +20,8 @@ from wwm.state import (
 from wwm.transfer import (
     char_fn,
     classical_transfer,
+    correlation_g,
     moments,
-    phi_symmetric,
     support_metric,
     verify_wigner_identity,
 )
@@ -103,7 +103,7 @@ def test_criterion_04_half_bound(builtins, state_a50, narrow):
         chi = char_fn(builtins[name], state_a50)
         k = int(np.argmin(np.abs(chi.qs - S)))
         worst = max(worst, abs(chi.values[k]))
-    narrow_attained = phi_symmetric(builtins["sign"], narrow_twin_slits(S), S)
+    narrow_attained = correlation_g(builtins["sign"], narrow_twin_slits(S), S).real
     ok = (worst <= 0.5 + 1e-6) and abs(narrow_attained - 0.5) <= 1e-6
     ok = report(
         4, ok, f"max |chi(s)| = {worst:.8f}, sign narrow attains {narrow_attained:.8f}"

@@ -14,9 +14,9 @@ from wwm.transfer import (
     asymptote_split,
     char_fn,
     classical_transfer,
+    correlation_g,
     distribution_from_chi,
     moments,
-    phi_symmetric,
     support_metric,
     verify_wigner_identity,
     wigner_kernel,
@@ -67,7 +67,7 @@ def test_chi_single_kick_closed_form(narrow):
     chi = char_fn(sch, narrow, qs=qs)
     assert np.max(np.abs(chi.values - np.exp(1j * k0 * qs))) < 1e-12
     # the symmetric Re form would give cos(k0 q) instead
-    assert np.max(np.abs(phi_symmetric(sch, narrow, qs) - np.cos(k0 * qs))) < 1e-12
+    assert np.max(np.abs(correlation_g(sch, narrow, qs).real - np.cos(k0 * qs))) < 1e-12
 
 
 def test_chi_sign_gaussian_matches_cumulative_oracle(grid, state_a50, sign):
@@ -128,9 +128,9 @@ def test_chi_random_schemes_bounds(state_a20):
 
 
 def test_phi_narrow_values(sign, identity):
-    assert phi_symmetric(sign, narrow_twin_slits(S), S) == pytest.approx(0.5)
-    assert phi_symmetric(sign, narrow_twin_slits(S), 0.0) == pytest.approx(1.0)
-    assert phi_symmetric(identity, narrow_twin_slits(S), 2.7) == pytest.approx(1.0)
+    assert correlation_g(sign, narrow_twin_slits(S), S).real == pytest.approx(0.5)
+    assert correlation_g(sign, narrow_twin_slits(S), 0.0).real == pytest.approx(1.0)
+    assert correlation_g(identity, narrow_twin_slits(S), 2.7).real == pytest.approx(1.0)
 
 
 def test_half_bound_at_s_for_zero_visibility(sign, sew, kick_pair, narrow):

@@ -12,8 +12,8 @@ from wwm.transfer import (
     asymptote_split,
     char_fn,
     classical_transfer,
+    correlation_g,
     moments,
-    phi_symmetric,
     support_metric,
     wigner_kernel,
 )
@@ -255,7 +255,7 @@ def test_phase_ramp_chi_asymmetric(grid, state_a20, phase_ramp):
     _, odd_const, band_spread = asymptote_split(chi.values, "chi")
     assert band_spread < 1e-10
     assert abs(np.imag(odd_const)) > 0.1  # genuinely asymmetric
-    gap = np.max(np.abs(chi.values - phi_symmetric(sch, state_a20, chi.qs)))
+    gap = np.max(np.abs(chi.values - correlation_g(sch, state_a20, chi.qs).real))
     assert gap > 0.1  # the symmetric Re form is a different object here
 
 
