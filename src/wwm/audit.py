@@ -2,7 +2,7 @@
 
 Summarizes the numbers every comparison table wants: completeness,
 visibility, characteristic-function checks, moments, support masses,
-total absolute mass, a random-unitary basis-invariance residual, and
+total absolute mass, a fixed-unitary basis-invariance residual, and
 yes/no flags derived from them at fixed thresholds.  `run_audit` returns
 them as one ordered list of rows, each declared once with its CSV name,
 text label and text format; `render_text` and `csv_rows` print that
@@ -13,8 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import completeness_residual, haar_unitary, rebase, visibility
-from .simulate import require_seed
+from .scheme import completeness_residual, rebase, visibility
 from .state import apply_wwm, momentum_density
 from .transfer import char_fns, moment_qs, moments, phi_dq, support_metric, support_widths
 from .weakvalue import pwv_marginal
@@ -34,10 +33,16 @@ class Row(NamedTuple):
     note: str = ""  # text-only suffix
 
 
-def run_audit(scheme, state, seed=0):
+def mixing_unitary(k):
+    """e^{i pi/4} F_k, F_k[j, l] = e^{2 pi i j l / k} / sqrt(k): each entry has modulus
+    1/sqrt(k), so every channel mixes into every other; at k = 1, a phase, not 1."""
+    j = np.arange(k)
+    return np.exp(1j * np.pi * (0.25 + 2.0 * np.outer(j, j) / k)) / np.sqrt(k)
+
+
+def run_audit(scheme, state):
     """(scheme label, rows): the audit's rows in report order, numbers
     first, then the flags derived from them."""
-    require_seed(seed)
     s = state.s
     residual = float(completeness_residual(scheme, state))
     vis = float(visibility(scheme, s))
@@ -61,8 +66,7 @@ def run_audit(scheme, state, seed=0):
     sup_third, sup_inv = (float(support_metric(dist, w)) for w in support_widths(s))
     abs_mass = float(support_metric(dist, 0.0))
 
-    rng = np.random.default_rng(seed)
-    mixed = rebase(scheme, haar_unitary(len(scheme), rng))
+    mixed = rebase(scheme, mixing_unitary(len(scheme)))
     dist_mixed = pwv_marginal(mixed, state)
     basis_residual = float(np.max(np.abs(dist.bin_masses() - dist_mixed.bin_masses())))
 

@@ -5,11 +5,12 @@
 
 Commands: check, pwv, phi, moments, support, simulate, audit, wigner,
 momentum-dist.  `main` builds the scheme and a state of the config's
-`[state] kind`; each command returns (text, exit code[, report]); `main`
-writes the text to the output path, or stdout when none is set, and then
-prints the report, if any, to stdout.  CSV output uses %.12e formatting
-with point masses as leading `# atom,<location>,<weight>` comment lines,
-and is written atomically (temp file + rename).  `wigner` leads with its
+`[state] kind` and checks `--seed`, which only `simulate` reads, for every
+command; each command returns (text, exit code[, report]); `main` writes
+the text to the output path, or stdout when none is set, then prints the
+report, if any, to stdout.  CSV output uses %.12e formatting with point
+masses as leading `# atom,<location>,<weight>` comment lines, and is
+written atomically (temp file + rename).  `wigner` leads with its
 slice x (default s/2), the residual of W_f = K (*)_p W_i at that slice for
 the kernel K it prints, and K's PV coefficient.  Exit codes: 0 success, 1
 validation failure or library warning (chi not settling at the box
@@ -27,7 +28,7 @@ from . import audit as audit_mod
 from .config import build_grid, build_scheme, build_state, load_config
 from .errors import ConfigError, WWMError
 from .scheme import COMPLETENESS_TOL, completeness_residual, visibility
-from .simulate import MCConfig, default_bins, run_weak_experiment
+from .simulate import MCConfig, default_bins, require_seed, run_weak_experiment
 from .state import apply_wwm, momentum_density
 from .transfer import (
     WIGNER_IDENTITY_TOL, asymptote_split, char_fn, moment_qs, moments, phi_dq, support_metric,
@@ -166,7 +167,7 @@ def cmd_simulate(cfg, args, scheme, state):
 
 
 def cmd_audit(cfg, args, scheme, state):
-    label, rows = audit_mod.run_audit(scheme, state, seed=args.seed)
+    label, rows = audit_mod.run_audit(scheme, state)
     csv = _lines(",".join(r) for r in audit_mod.csv_rows(rows)) if cfg.out else None
     return csv, 0, audit_mod.render_text(label, rows) + "\n"
 
@@ -242,6 +243,7 @@ def main(argv=None):
             scheme, state = _build(cfg)
             if args.command in GRID_ONLY:
                 state.require_grid(args.command)
+            require_seed(args.seed)
             text, code, *report = COMMANDS[args.command](cfg, args, scheme, state)
         if text is not None:
             _write_out(cfg.out, text)

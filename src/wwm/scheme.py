@@ -222,10 +222,3 @@ def rebase(scheme, unitary):
         for eta in range(m)
     ]
     return Scheme(channels, base=scheme.base, kick_terms=scheme.kick_terms)
-
-
-def haar_unitary(dim, rng):
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -244,7 +244,7 @@ def _lattice_g(scheme, state, m0):
     Lag m0 + n is slot 2n - 1 plus the j = 0 term, whose kernel factor is in the pad."""
     grid, n = state.grid, state.grid.n
     dx_f = grid.length / (_REFINE * n)  # the 4x grid's step, to the float
-    k0, f = divmod(m0 - grid.x_min / grid.dx, 1.0)  # steps past x_min; f = 0 if centred on 0
+    k0, f = divmod(m0 - grid.x_min / grid.dx, 1.0)  # steps past x_min; f = 0 if x_min / dx is whole
     spectrum = np.fft.fft(state.values)
     # fftfreq order puts the Nyquist bin at -pi/dx, as zero-padding does
     phase = 2j * np.pi * np.fft.fftfreq(n) / _REFINE
@@ -293,9 +293,9 @@ def correlation_g(scheme, state, qs):
     if off.any():
         q, near = float(qs[off][0]), float(grid.dx * m[off][0])
         raise WWMError(f"q = {q!r} is not m dx, |m| <= 2^40: the nearest lattice q is {near!r}")
-    # block b, the lags base + b n + [0, n], is the box's own at b = 0; a lag two blocks
-    # share reads the one nearer block 0, so no q's bits depend on the rest
-    base = np.rint(grid.x_min / grid.dx)
+    # block b, lags base + b n + [0, n], holds the n lags and their negatives at b = 0 on any
+    # box; a lag two blocks share reads the one nearer block 0, so no q's bits hang on the rest
+    base = -(n // 2)
     blocks = left = (m - base - (m > base)) // n
     g = np.zeros(qs.shape, dtype=complex)
     while left.size:

@@ -134,6 +134,13 @@ def half_row_wigner(half_rows, dx):
     return (dx / np.pi) * np.fft.fftshift(np.fft.hfft(half_rows, axis=-1), axes=-1)
 
 
+def haar_unitary(dim, rng):
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_complete_scheme(rng, n_channels=2):
     """Random expression scheme that is complete by construction.
 

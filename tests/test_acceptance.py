@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wwm.grid import make_grid
-from wwm.scheme import Channel, Scheme, builtin, haar_unitary, rebase
+from wwm.scheme import Channel, Scheme, builtin, rebase
 from wwm.simulate import MCConfig, default_bins, run_weak_experiment
 from wwm.state import (
     apply_wwm,
@@ -32,7 +32,7 @@ from wwm.weakvalue import (
     pwv_marginal,
     pwv_narrow_sign,
 )
-from conftest import POWERED_Z, S, most_negative_cell, random_complete_scheme
+from conftest import POWERED_Z, S, haar_unitary, most_negative_cell, random_complete_scheme
 
 
 def report(number, ok, detail):

@@ -2,7 +2,7 @@
 chi it returns carries the bits of its own char_fn call.  `run_audit` reads
 all its chi rows from one such request per scheme: its rows are those of
 the five separate calls it once made, from two lattice blocks in place of
-five."""
+five, on any box."""
 
 from pathlib import Path
 
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from wwm import transfer
-from wwm.audit import run_audit
+from wwm.audit import mixing_unitary, run_audit
 from wwm.config import build_scheme, build_state, parse_config
-from wwm.scheme import haar_unitary, rebase
+from wwm.scheme import rebase
 from wwm.transfer import (
     char_fn, char_fns, correlation_g, moment_qs, moments, phi_dq, support_metric, support_widths,
 )
@@ -64,7 +64,7 @@ def test_each_joined_chi_is_its_own_call_bit_for_bit(case):
         assert np.array_equal(chi.values, 0.5 * (g[: chi.qs.size] + np.conj(g[chi.qs.size :])))
 
 
-def five_call_rows(scheme, state, seed):
+def five_call_rows(scheme, state):
     """The chi-reading audit rows as five separate g requests compute them."""
     s = state.s
     qs = phi_dq(state) * np.arange(-512, 513)
@@ -72,7 +72,7 @@ def five_call_rows(scheme, state, seed):
     re_g = correlation_g(scheme, state, qs).real
     rep = moments(char_fn(scheme, state, moment_qs(state)))
     dist = pwv_marginal(scheme, state)
-    mixed = rebase(scheme, haar_unitary(len(scheme), np.random.default_rng(seed)))
+    mixed = rebase(scheme, mixing_unitary(len(scheme)))
     dist_mixed = pwv_marginal(mixed, state)
     third, inv = (float(support_metric(dist, w)) for w in support_widths(s))
     return {
@@ -89,21 +89,15 @@ def five_call_rows(scheme, state, seed):
     }
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_audit_rows_are_the_five_call_rows(case, seed):
+def test_audit_rows_are_the_five_call_rows(case):
     scheme, state = case
-    rows = {row.field: row.value for row in run_audit(scheme, state, seed)[1]}
-    for field, value in five_call_rows(scheme, state, seed).items():
+    rows = {row.field: row.value for row in run_audit(scheme, state)[1]}
+    for field, value in five_call_rows(scheme, state).items():
         assert np.array_equal(rows[field], value), field
 
 
-@pytest.mark.parametrize(
-    "name, builds",
-    [("sign", 2), ("phase_ramp", 2), ("sew_flat", 2), ("kick_pair", 0), ("sign_narrow", 0)],
-)
-def test_audit_builds_one_lattice_block_per_scheme(monkeypatch, name, builds):
-    """One block for the scheme and one for its Haar rebase; kick schemes
-    and narrow states take closed forms and build none."""
+def lattice_builds(monkeypatch, text, run):
+    """How many lattice blocks run(scheme, state) builds on config text."""
     calls = []
     lattice_g = transfer._lattice_g
 
@@ -112,6 +106,23 @@ def test_audit_builds_one_lattice_block_per_scheme(monkeypatch, name, builds):
         return lattice_g(*args)
 
     monkeypatch.setattr(transfer, "_lattice_g", counted)
-    cfg = parse_config(shipped(name))
-    run_audit(build_scheme(cfg), build_state(cfg))
-    assert len(calls) == builds
+    cfg = parse_config(text)
+    run(build_scheme(cfg), build_state(cfg))
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, builds",
+    [("sign", 2), ("phase_ramp", 2), ("sew_flat", 2), ("kick_pair", 0), ("sign_narrow", 0),
+     ("sign_off_centre", 2)],
+)
+def test_audit_builds_one_lattice_block_per_scheme(monkeypatch, name, builds):
+    """One block for the scheme and one for its rebase, on a box centred on
+    0 or not; kick schemes and narrow states take closed forms and build none."""
+    text = CASES.get(name) or shipped(name)
+    assert lattice_builds(monkeypatch, text, run_audit) == builds
+
+
+def test_pwv_builds_one_lattice_block_off_centre(monkeypatch):
+    """The n lags sit in one block keyed on q = 0, not on the box."""
+    assert lattice_builds(monkeypatch, CASES["sign_off_centre"], pwv_marginal) == 1

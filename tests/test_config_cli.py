@@ -844,6 +844,49 @@ def test_cmd_audit_rejects_out_of_range_seed(tmp_path, capsys):
         assert captured.out == "" and "seed must fit in 64 bits" in captured.err
 
 
+def test_every_command_checks_seed(tmp_path, capsys):
+    """--seed is input from outside, so every command checks it, not only
+    simulate, which reads it."""
+    out = tmp_path / "out.csv"
+    for command in sorted(COMMANDS):
+        argv = [command, "--config", str(CONFIGS / "sign.cfg"), "--seed", str(2 ** 64)]
+        assert main(argv + ["--out", str(out)]) == 1, command
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must fit in 64 bits" in captured.err, command
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_audit_ignores_seed(tmp_path, capsys, name):
+    """audit rebases by one fixed unitary: its report and its CSV are the
+    same bytes at any --seed."""
+    runs = []
+    for seed in (0, 3, 2 ** 64 - 1):
+        out = tmp_path / f"audit.{seed}.csv"
+        argv = ["audit", "--config", str(CONFIGS / f"{name}.cfg"), "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[1:] == runs[:1] * 2
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_only_simulate_loads_numpy_random(tmp_path, command):
+    """No command but simulate reads a random number: in a fresh interpreter
+    every other command leaves numpy.random unloaded, and simulate, whose
+    MC streams are seeded, loads it."""
+    code = "import sys, wwm.cli; print(wwm.cli.main(sys.argv[1:]), 'numpy.random' in sys.modules)"
+    argv = [command, "--config", str(CONFIGS / "sign.cfg"), "--shots", "200"]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {command == 'simulate'}"
+
+
 @pytest.mark.parametrize(
     "text, code",
     [

@@ -16,11 +16,11 @@ import pytest
 
 from wwm.cli import _build
 from wwm.config import parse_config
-from wwm.scheme import haar_unitary, rebase
+from wwm.scheme import rebase
 from wwm.simulate import MCConfig, default_bins, deterministic_cells
 from wwm.transfer import char_fn, moment_qs, moments
 from wwm.weakvalue import pwv_joint, pwv_marginal
-from conftest import PHASE_RAMP
+from conftest import PHASE_RAMP, haar_unitary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PHASE_RAMP_O = "O = " + PHASE_RAMP

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from wwm.audit import mixing_unitary
 from wwm.errors import EvaluationError, ExpressionError, SchemeError
 from wwm.scheme import (
     builtin,
     check_completeness,
-    haar_unitary,
     parse_scheme,
     rebase,
     visibility,
 )
-from conftest import S, random_complete_scheme
+from conftest import S, haar_unitary, random_complete_scheme
 
 
 def test_parse_scheme_sign_pair(grid):
@@ -121,6 +121,16 @@ def test_builtin_rebase_preserves_metadata(sign, kick_pair):
     u = haar_unitary(2, rng)
     assert rebase(sign, u).base == "sign"
     assert rebase(kick_pair, u).kick_terms == kick_pair.kick_terms
+
+
+def test_audit_mixing_unitary_mixes_every_channel():
+    """The audit's fixed rebase: unitary, every entry of modulus 1/sqrt(k),
+    and for one channel a phase other than 1."""
+    for dim in (1, 2, 3, 5):
+        u = mixing_unitary(dim)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+        assert np.allclose(np.abs(u), dim ** -0.5, rtol=0, atol=1e-15)
+    assert abs(mixing_unitary(1)[0, 0] - 1) > 0.7
 
 
 def test_haar_unitary_is_unitary():

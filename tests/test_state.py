@@ -3,14 +3,14 @@ import pytest
 
 from wwm.errors import CompletenessError, StateError
 from wwm.grid import make_grid
-from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase, visibility
+from wwm.scheme import builtin, parse_scheme, rebase, visibility
 from wwm.state import (
     apply_wwm,
     gaussian_twin_slits,
     momentum_density,
     narrow_twin_slits,
 )
-from conftest import S
+from conftest import S, haar_unitary
 
 
 def fringe_visibility(grid, density, s, a):

@@ -6,7 +6,7 @@ import pytest
 from wwm import transfer
 from wwm.errors import CompletenessError, SchemeError, WWMError
 from wwm.grid import fourier_values, make_grid
-from wwm.scheme import builtin, haar_unitary, parse_scheme, rebase
+from wwm.scheme import builtin, parse_scheme, rebase
 from wwm.state import gaussian_twin_slits, narrow_twin_slits
 from wwm.transfer import (
     MixedDistribution,
@@ -22,7 +22,7 @@ from wwm.transfer import (
     wigner_kernel,
 )
 from wwm.weakvalue import pwv_narrow_sign
-from conftest import S, half_row_wigner, random_complete_scheme, total_mass
+from conftest import S, haar_unitary, half_row_wigner, random_complete_scheme, total_mass
 
 
 # --- classical transfer ---------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from wwm.errors import CompletenessError, StateError
 from wwm.grid import bin_indices, make_grid
-from wwm.scheme import Channel, Scheme, builtin, haar_unitary, parse_scheme, rebase
+from wwm.scheme import Channel, Scheme, builtin, parse_scheme, rebase
 from wwm.simulate import default_bins
 from wwm.state import apply_wwm, gaussian_twin_slits, momentum_density, narrow_twin_slits
 from wwm.transfer import (
@@ -24,7 +24,7 @@ from wwm.weakvalue import (
     pwv_marginal,
     pwv_narrow_sign,
 )
-from conftest import S, random_complete_scheme, total_mass
+from conftest import S, haar_unitary, random_complete_scheme, total_mass
 
 
 def rel_linf(values, reference):
