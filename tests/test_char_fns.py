@@ -17,6 +17,7 @@ from wwm.transfer import (
     char_fn, char_fns, correlation_g, moment_qs, moments, phi_dq, support_metric, support_widths,
 )
 from wwm.weakvalue import pwv_marginal
+from conftest import haar_unitary
 from test_families import CASES as FAMILIES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -89,11 +90,14 @@ def five_call_rows(scheme, state):
     }
 
 
-def test_audit_rows_are_the_five_call_rows(case):
+@pytest.mark.parametrize("seed", [0, 3])
+def test_audit_rows_are_the_five_call_rows(case, seed):
+    """On the scheme as configured and in a Haar basis drawn from seed."""
     scheme, state = case
-    rows = {row.field: row.value for row in run_audit(scheme, state)[1]}
-    for field, value in five_call_rows(scheme, state).items():
-        assert np.array_equal(rows[field], value), field
+    for basis in (scheme, rebase(scheme, haar_unitary(len(scheme), np.random.default_rng(seed)))):
+        rows = {row.field: row.value for row in run_audit(basis, state)[1]}
+        for field, value in five_call_rows(basis, state).items():
+            assert np.array_equal(rows[field], value), field
 
 
 def lattice_builds(monkeypatch, text, run):
