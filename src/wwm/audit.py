@@ -34,10 +34,10 @@ class Row(NamedTuple):
 
 
 def mixing_unitary(k):
-    """e^{i pi/4} F_k, F_k[j, l] = e^{2 pi i j l / k} / sqrt(k): each entry has modulus
-    1/sqrt(k), so every channel mixes into every other; at k = 1, a phase, not 1."""
+    """F_k[j, l] = e^{2 pi i j l / k} / sqrt(k): each entry has modulus 1/sqrt(k),
+    so every channel mixes into every other."""
     j = np.arange(k)
-    return np.exp(1j * np.pi * (0.25 + 2.0 * np.outer(j, j) / k)) / np.sqrt(k)
+    return np.exp(2j * np.pi * np.outer(j, j) / k) / np.sqrt(k)
 
 
 def run_audit(scheme, state):

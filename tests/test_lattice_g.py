@@ -149,7 +149,7 @@ def test_lattice_route_is_the_explicit_linear_correlation(make_state, name, n):
     density = np.abs(state.values) ** 2
     assert density[[0, -1]].min() > 1e-5 * density.max()  # a wrap would show
     gap = np.max(np.abs(correlation_g(scheme, state, qs) - explicit_g(scheme, state, qs)))
-    assert gap < 8 * EXPLICIT_GAP[make_state.__name__]
+    assert gap < 7 * EXPLICIT_GAP[make_state.__name__]
 
 
 def test_lattice_route_memory_is_bounded():
